@@ -85,10 +85,6 @@ def mat_mul(a, b) -> Matrix:
     return out
 
 
-def mat_vec(a, v) -> list[Fraction]:
-    return [sum(Fraction(x) * Fraction(y) for x, y in zip(row, v)) for row in a]
-
-
 def transpose(a) -> list[list]:
     return [list(col) for col in zip(*a)]
 

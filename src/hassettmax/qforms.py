@@ -8,15 +8,17 @@ package live here:
     Q3  x^2 + y^2 + 3 z^2
     G   x^2 + 3 y^2 + 3 z^2
 
-Enumeration works from an exact rational LDL decomposition; bounds are
-computed with integer square roots, never floats.
+Enumeration is one Fincke-Pohst walk over an integer LDL scaled by Bareiss
+elimination: every bound is an integer square root and every step an int
+operation, with no floats and no fractions. For diagonal ternary forms
+integer_image_upto keeps a sieve over the non-negative octant, which visits
+1/8 of the vectors the walk would.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from .linalg import leading_principal_minors
 
@@ -107,88 +109,96 @@ def is_positive_definite(form: QuadraticForm) -> bool:
     return all(m > 0 for m in leading_principal_minors(form.gram))
 
 
-def _ldl(form: QuadraticForm):
-    """Exact LDL data: Q(v) = sum_i d[i] * (v[i] + sum_{j>i} c[i][j] v[j])^2.
+def _scaled_ldl(form: QuadraticForm, what: str):
+    """Integer LDL of the Gram matrix by Bareiss elimination.
 
-    Requires positive definiteness; raises otherwise.
+    Returns (d, b, w, m): d[k] is the k-th leading principal minor (d[0] = 1),
+    b[i][j] for j > i are the Bareiss row entries, m = lcm_i(d[i] * d[i+1])
+    and w[i] = m // (d[i] * d[i+1]). Then
+
+        m * Q(v) = sum_i w[i] * L_i(v)^2,  L_i(v) = d[i+1] v[i] + sum_{j>i} b[i][j] v[j].
+
+    The pivots are the minors, so a non-positive one means the form is not
+    positive definite (Sylvester); `what` names the caller in the error.
     """
     n = form.dim
-    a = [[Fraction(x) for x in row] for row in form.gram]
-    d = []
-    c = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        di = a[i][i]
-        if di <= 0:
-            raise ValueError("form is not positive definite")
-        d.append(di)
-        for j in range(i + 1, n):
-            c[i][j] = a[i][j] / di
-        for r in range(i + 1, n):
-            for s in range(r, n):
-                val = a[r][s] - a[i][r] * a[i][s] / di
-                a[r][s] = val
-                a[s][r] = val
-    return d, c
+    b = [list(row) for row in form.gram]
+    d = [1]
+    for k in range(n):
+        p = b[k][k]
+        if p <= 0:
+            raise ValueError(f"{what} requires a positive definite form")
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                b[i][j] = (p * b[i][j] - b[i][k] * b[k][j]) // d[k]
+        d.append(p)
+    m = lcm(*(d[i] * d[i + 1] for i in range(n)))
+    return d, b, [m // (d[i] * d[i + 1]) for i in range(n)], m
 
 
-def _floor_c_plus_sqrt(c: Fraction, m: Fraction) -> int:
-    """Largest integer q with q <= c + sqrt(m), for m >= 0. Exact."""
-    s = Fraction(isqrt(m.numerator * m.denominator), m.denominator)
-    q = (c + s).__floor__()
-    while True:
-        step = q + 1 - c
-        if step <= 0 or step * step <= m:
-            q += 1
-        else:
-            return q
+def _walk(ldl, bound: int, exact: bool):
+    """Fincke-Pohst walk over a scaled integer LDL: yield (v, Q(v)) for
+    every integer v with Q(v) <= bound, or Q(v) == bound when `exact`.
+    Requires bound >= 0.
 
+    Coordinates are fixed from the last one down. Level i gets the room r
+    left for sum_{k<=i} w[k] L_k^2 and the shift s = L_i - d[i+1] v[i], and
+    walks |L_i| <= isqrt(r // w[i]). In exact mode the first coordinate must
+    use up the room, so r // w[0] must be a perfect square. Every step is an
+    int operation.
+    """
+    d, b, w, m = ldl
+    n = len(w)
+    top = m * bound
+    v = [0] * n
+    d1, w0 = d[1], w[0]
 
-def _sqrt_fraction(m: Fraction):
-    """sqrt(m) as a Fraction if m is a perfect rational square, else None."""
-    if m < 0:
-        return None
-    sn = isqrt(m.numerator)
-    sd = isqrt(m.denominator)
-    if sn * sn != m.numerator or sd * sd != m.denominator:
-        return None
-    return Fraction(sn, sd)
+    def exact_firsts(r: int, s: int):
+        """The v[0] with w[0] * (d[1] v[0] + s)^2 == r."""
+        if r % w0:
+            return ()
+        t = isqrt(r // w0)
+        if t * t * w0 != r:
+            return ()
+        return {(root - s) // d1 for root in (-t, t) if (root - s) % d1 == 0}
+
+    def level(i: int, r: int, s: int):
+        di, wi = d[i + 1], w[i]
+        t = isqrt(r // wi)
+        lo, hi = -((t + s) // di), (t - s) // di
+        if i == 0:
+            base = top - r
+            for x in range(lo, hi + 1):
+                v[0] = x
+                ell = di * x + s
+                yield tuple(v), (base + wi * ell * ell) // m
+            return
+        row = b[i - 1]
+        # shift of level i-1, less its v[i] term
+        below = sum(row[j] * v[j] for j in range(i + 1, n))
+        c = row[i]
+        for x in range(lo, hi + 1):
+            v[i] = x
+            ell = di * x + s
+            rest = r - wi * ell * ell
+            if exact and i == 1:
+                for v[0] in exact_firsts(rest, below + c * x):
+                    yield tuple(v), bound
+            else:
+                yield from level(i - 1, rest, below + c * x)
+
+    if exact and n == 1:
+        yield from (((x,), bound) for x in exact_firsts(top, 0))
+    else:
+        yield from level(n - 1, top, 0)
 
 
 def representations(form: QuadraticForm, n: int) -> list[tuple[int, ...]]:
     """All integer vectors v with Q(v) = n, in lexicographic order."""
-    if not is_positive_definite(form):
-        raise ValueError("representations requires a positive definite form")
+    ldl = _scaled_ldl(form, "representations")
     if n < 0:
         raise ValueError("n must be >= 0")
-    dim = form.dim
-    if n == 0:
-        return [(0,) * dim]
-    d, c = _ldl(form)
-    out: list[tuple[int, ...]] = []
-    v = [0] * dim
-
-    def rec(i: int, rem: Fraction) -> None:
-        shift = sum(c[i][j] * v[j] for j in range(i + 1, dim))
-        if i == 0:
-            s = _sqrt_fraction(rem / d[0])
-            if s is None:
-                return
-            for cand in {-shift + s, -shift - s}:
-                if cand.denominator == 1:
-                    v[0] = int(cand)
-                    out.append(tuple(v))
-            return
-        bound = rem / d[i]
-        hi = _floor_c_plus_sqrt(-shift, bound)
-        lo = -_floor_c_plus_sqrt(shift, bound)
-        for val in range(lo, hi + 1):
-            v[i] = val
-            term = d[i] * (val + shift) ** 2
-            rec(i - 1, rem - term)
-        v[i] = 0
-
-    rec(dim - 1, Fraction(n))
-    return sorted(out)
+    return sorted(v for v, _ in _walk(ldl, n, True))
 
 
 def vectors_up_to(form: QuadraticForm, bound: int):
@@ -196,41 +206,20 @@ def vectors_up_to(form: QuadraticForm, bound: int):
 
     Includes the zero vector. Order is not specified.
     """
-    if not is_positive_definite(form):
-        raise ValueError("enumeration requires a positive definite form")
-    if bound < 0:
-        return
-    dim = form.dim
-    d, c = _ldl(form)
-    v = [0] * dim
-
-    def rec(i: int, rem: Fraction):
-        shift = sum(c[i][j] * v[j] for j in range(i + 1, dim))
-        limit = rem / d[i]
-        hi = _floor_c_plus_sqrt(-shift, limit)
-        lo = -_floor_c_plus_sqrt(shift, limit)
-        for val in range(lo, hi + 1):
-            v[i] = val
-            term = d[i] * (val + shift) ** 2
-            if i == 0:
-                yield tuple(v), rem - term
-            else:
-                yield from rec(i - 1, rem - term)
-        v[i] = 0
-
-    for vec, slack in rec(dim - 1, Fraction(bound)):
-        q = bound - slack
-        yield vec, int(q)
+    ldl = _scaled_ldl(form, "enumeration")
+    if bound >= 0:
+        yield from _walk(ldl, bound, False)
 
 
 def primitive_image(form: QuadraticForm, n_max: int) -> list[int]:
     """Sorted values Q(v) for primitive v with 0 < Q(v) <= n_max."""
-    if not is_positive_definite(form):
-        raise ValueError("primitive_image requires a positive definite form")
     seen: set[int] = set()
-    for vec, q in vectors_up_to(form, n_max):
-        if 0 < q and q not in seen and is_primitive(vec):
-            seen.add(q)
+    try:
+        for vec, q in vectors_up_to(form, n_max):
+            if 0 < q and q not in seen and is_primitive(vec):
+                seen.add(q)
+    except ValueError:  # the only one vectors_up_to raises: not positive definite
+        raise ValueError("primitive_image requires a positive definite form") from None
     return sorted(seen)
 
 
@@ -243,7 +232,8 @@ def integer_image_upto(form: QuadraticForm, n_max: int) -> set[int]:
         if i != j
     )
     if diag and form.dim == 3 and is_positive_definite(form):
-        # direct sieve, much faster than the generic recursion
+        # Q is even in each coordinate, so sieving the non-negative octant
+        # visits 1/8 of the vectors the generic walk would
         a, b, c = form.gram[0][0], form.gram[1][1], form.gram[2][2]
         vals = set()
         x = 0

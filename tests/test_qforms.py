@@ -5,11 +5,15 @@ exhaustive box sweeps with bounds derived from the diagonalization
 8F = (8x-4y-4z-u)^2 + 3(4y-u)^2 + 3(4z-u)^2 + 57u^2.
 """
 
+from collections import Counter
 from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from hassettmax.linalg import det_bareiss
 from hassettmax.qforms import (
     QuadraticForm,
     bilinear,
@@ -242,3 +246,110 @@ def test_image_containment_in_hassett():
     # every positive F-value on a box is 0 or 2 mod 6 and >= 8
     for n in integer_image_upto(F, 600):
         assert n >= 8 and n % 6 in (0, 2)
+
+
+# --- property tests against a box brute force ---
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def nondiagonal_forms(draw):
+    """Positive definite Gram matrices of dimension 1-4 whose off-diagonal
+    entries are all nonzero, so the scaled LDL has nontrivial entries."""
+    n = draw(st.integers(1, 4))
+    off = st.integers(-3, 3).filter(bool)
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            g[i][j] = g[j][i] = draw(off)
+    for i in range(n):
+        g[i][i] = sum(abs(x) for x in g[i]) + draw(st.integers(-2, 3))
+    form = QuadraticForm(n, tuple(map(tuple, g)))
+    assume(is_positive_definite(form))
+    return form
+
+
+def gram_poly(gram, v):
+    return sum(gram[i][j] * v[i] * v[j] for i in range(len(v)) for j in range(len(v)))
+
+
+def brute_table(form, bound):
+    """value -> sorted vectors over the box |v_i| <= sqrt(bound * (B^-1)_ii),
+    which holds the whole ellipsoid Q(v) <= bound."""
+    n, gram = form.dim, form.gram
+    det = det_bareiss(gram)
+    radii = []
+    for i in range(n):
+        keep = [k for k in range(n) if k != i]
+        cofactor = det_bareiss([[gram[r][c] for c in keep] for r in keep]) if keep else 1
+        radii.append(isqrt(bound * cofactor // det) + 1)
+    table = {}
+
+    def sweep(v):
+        if len(v) == n:
+            q = gram_poly(gram, v)
+            if q <= bound:
+                table.setdefault(q, []).append(tuple(v))
+            return
+        r = radii[len(v)]
+        for x in range(-r, r + 1):
+            sweep(v + [x])
+
+    sweep([])
+    return {q: sorted(vs) for q, vs in table.items()}
+
+
+@PROPERTY
+@given(nondiagonal_forms(), st.integers(0, 30))
+def test_enumeration_matches_box_brute_force(form, bound):
+    table = brute_table(form, bound)
+    for n in range(bound + 1):
+        assert representations(form, n) == table.get(n, []), f"n = {n}"
+    walked = list(vectors_up_to(form, bound))
+    counts = Counter(v for v, _ in walked)
+    assert set(counts) == {v for vs in table.values() for v in vs}
+    assert set(counts.values()) == {1}
+    assert all(q == evaluate(form, v) for v, q in walked)
+    assert primitive_image(form, bound) == sorted(
+        n for n, vs in table.items() if n > 0 and any(content(v) == 1 for v in vs)
+    )
+    assert integer_image_upto(form, bound) == {n for n in table if n > 0}
+
+
+@PROPERTY
+@given(st.lists(st.integers(1, 6), min_size=3, max_size=3), st.integers(0, 60))
+def test_diagonal_sieve_matches_box_brute_force(diagonal, bound):
+    a, b, c = diagonal
+    form = QuadraticForm(3, ((a, 0, 0), (0, b, 0), (0, 0, c)))
+    expected = {n for n in brute_table(form, bound) if n > 0}
+    assert integer_image_upto(form, bound) == expected
+
+
+def test_enumeration_edge_cases():
+    for form in (F, Q3, QuadraticForm(1, ((5,),))):
+        assert representations(form, 0) == [(0,) * form.dim]
+        assert list(vectors_up_to(form, 0)) == [((0,) * form.dim, 0)]
+        assert list(vectors_up_to(form, -1)) == []
+        assert primitive_image(form, -1) == []
+        assert integer_image_upto(form, -1) == set()
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            representations(form, -1)
+    assert representations(QuadraticForm(1, ((5,),)), 20) == [(-2,), (2,)]
+
+
+@pytest.mark.parametrize("gram", [((1, 0), (0, -1)), ((1, 2), (2, 1)), ((0, 0), (0, 1)), ((-2,),)])
+def test_not_positive_definite_is_rejected(gram):
+    form = QuadraticForm(len(gram), gram)
+    with pytest.raises(ValueError, match="^representations requires a positive definite form$"):
+        representations(form, 4)
+    with pytest.raises(ValueError, match="^representations requires a positive definite form$"):
+        representations(form, -1)
+    with pytest.raises(ValueError, match="^enumeration requires a positive definite form$"):
+        list(vectors_up_to(form, 4))
+    with pytest.raises(ValueError, match="^enumeration requires a positive definite form$"):
+        list(vectors_up_to(form, -1))
+    with pytest.raises(ValueError, match="^primitive_image requires a positive definite form$"):
+        primitive_image(form, 4)
+    with pytest.raises(ValueError, match="^enumeration requires a positive definite form$"):
+        integer_image_upto(form, 4)
