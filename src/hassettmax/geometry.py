@@ -5,9 +5,9 @@ ideals (x,y,z), (x,y,u), (x,z,v) and (v-by, u-az, w); the parameters a, b
 control whether the fourth plane meets the second and third ones. From the
 intersection profile we rebuild the rank-5 Gram matrix, compute the space
 of cubics vanishing on all four planes, and count orbit and stabilizer
-dimensions for the simultaneous linear symmetry group. Everything runs
-over Fractions; dimensions are exact kernel counts, cross-checked by a
-seeded evaluation oracle.
+dimensions for the simultaneous linear symmetry group. Data are Fractions;
+dimensions are exact ranks from linalg's integer elimination, cross-checked
+by a seeded evaluation oracle whose plane points are scaled to integers.
 """
 
 from __future__ import annotations
@@ -15,10 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 from .arith import SplitMix64
 from .lattices import GramMatrix5, gram_M, voisin_value
-from .linalg import kernel_basis, rank
+from .linalg import clear_denominators, kernel_basis, rank
 
 EVAL_SEED = 1729
 NUM_VARS = 6
@@ -196,17 +197,15 @@ def cubics_through(config: PlaneConfig) -> list[CubicPoly]:
     return [CubicPoly(tuple(vec)) for vec in kern]
 
 
+def _monomial_values(point) -> list:
+    """Values of the 56 MONOMIALS at a point, exact in the point's type."""
+    powers = [(1, x, x * x, x * x * x) for x in point]
+    return [prod(pw[e] for pw, e in zip(powers, m)) for m in MONOMIALS]
+
+
 def evaluate_cubic(cubic: CubicPoly, point) -> Fraction:
-    total = Fraction(0)
-    for coeff, monomial in zip(cubic.coeffs, MONOMIALS):
-        if coeff == 0:
-            continue
-        term = coeff
-        for coord, expo in zip(point, monomial):
-            for _ in range(expo):
-                term *= coord
-        total += term
-    return total
+    values = _monomial_values(point)
+    return sum((c * v for c, v in zip(cubic.coeffs, values) if c), Fraction(0))
 
 
 def linear_system_dim(config: PlaneConfig) -> int:
@@ -235,18 +234,12 @@ def linear_system_dim_by_evaluation(
 
     Every evaluation row is a rational combination of restriction rows, so
     this can only overcount the kernel; agreement with the kernel method
-    certifies the count.
+    certifies the count. Each point is scaled to integers first: scaling by
+    lambda keeps it on its plane and scales its row by lambda^3, so the rank
+    over Q is unchanged.
     """
-    rows = []
-    for point in _seeded_plane_points(config, points_per_plane):
-        row = []
-        for monomial in MONOMIALS:
-            term = Fraction(1)
-            for coord, expo in zip(point, monomial):
-                for _ in range(expo):
-                    term *= coord
-            row.append(term)
-        rows.append(row)
+    points = _seeded_plane_points(config, points_per_plane)
+    rows = [_monomial_values(clear_denominators(p)) for p in points]
     return 56 - rank(rows) - 1
 
 

@@ -1,51 +1,55 @@
 """Exact linear algebra over the rationals.
 
 Matrices are lists of lists; entries are ints or Fractions and stay exact
-throughout. Sizes in this package are tiny (at most 56 columns), so plain
-Gaussian elimination with Fraction pivots is the right tool. Determinants
-use fraction-free Bareiss elimination to stay in integers when the input
-is integral.
+throughout. rref scales each row to integers, eliminates fraction-free and
+divides every updated row by its content, so Fractions appear only in its
+output. Determinants use Bareiss elimination.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 Matrix = list[list[Fraction]]
 
 
-def _to_fractions(rows) -> Matrix:
-    return [[Fraction(x) for x in row] for row in rows]
+def clear_denominators(row) -> list[int]:
+    """The row times the lcm of its denominators: an integer row."""
+    den = lcm(*(x.denominator for x in row))
+    return [x.numerator * (den // x.denominator) for x in row]
 
 
 def rref(rows) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form. Returns (matrix, pivot column indices)."""
-    m = _to_fractions(rows)
-    if not m:
-        return m, []
-    nrows, ncols = len(m), len(m[0])
+    """Reduced row echelon form. Returns (matrix, pivot column indices).
+
+    Scaling a row by a nonzero rational keeps its span, and the RREF is
+    unique, so integer elimination gives the same Fractions as over Q."""
+    m = [clear_denominators(row) for row in rows]
+    nrows, ncols = len(m), len(m[0]) if m else 0
     pivots: list[int] = []
-    r = 0
     for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if m[i][c] != 0:
-                pr = i
-                break
+        r = len(pivots)
+        pr = next((i for i in range(r, nrows) if m[i][c]), None)
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
+        prow = m[r]
+        pv = prow[c]
         for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+            f = m[i][c]
+            if i != r and f:
+                g = gcd(pv, f)
+                s, t = pv // g, f // g
+                row = [s * a - t * b for a, b in zip(m[i], prow)]
+                g = gcd(*row)
+                m[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
+    zero = Fraction(0)  # the RREF is mostly zeros; skip Fraction's gcd for them
+    out = [[Fraction(a, row[pc]) if a else zero for a in row]
+           for row, pc in zip(m, pivots)]
+    out += [[zero] * ncols for _ in range(len(pivots), nrows)]
+    return out, pivots
 
 
 def rank(rows) -> int:
@@ -113,7 +117,7 @@ def det_bareiss(rows) -> int:
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
             m[i][k] = 0
         prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    return sign * m[n - 1][n - 1] if n else 1
 
 
 def leading_principal_minors(rows) -> list[int]:

@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt, lcm
 
-from .linalg import leading_principal_minors
-
 _GRAM_F = (
     (8, -4, -4, -1),
     (-4, 8, 2, -1),
@@ -106,7 +104,12 @@ def is_primitive(v) -> bool:
 
 
 def is_positive_definite(form: QuadraticForm) -> bool:
-    return all(m > 0 for m in leading_principal_minors(form.gram))
+    """Sylvester: _scaled_ldl stops at the first Bareiss pivot (minor) <= 0."""
+    try:
+        _scaled_ldl(form, "is_positive_definite")
+    except ValueError:
+        return False
+    return True
 
 
 def _scaled_ldl(form: QuadraticForm, what: str):

@@ -4,6 +4,8 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hassettmax.arith import SplitMix64, ceil_sqrt, factorize, is_prime, is_square
 from hassettmax.linalg import (
@@ -109,6 +111,7 @@ def test_det_bareiss():
             for j in range(len(a))
         )
     assert det_bareiss(m) == det_rec(m)
+    assert det_bareiss([]) == 1  # empty product
 
 
 def test_leading_principal_minors():
@@ -119,3 +122,91 @@ def test_leading_principal_minors():
 def test_mat_mul_identity():
     m = [[1, 2], [3, 4]]
     assert mat_mul(m, identity(2)) == _frac_rows(m)
+
+
+# --- rref against the Fraction Gauss-Jordan it replaced ---
+
+
+def _rref_reference(rows):
+    """Plain Gauss-Jordan over Fractions, first nonzero pivot in each column."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    if not m:
+        return m, []
+    nrows, ncols = len(m), len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = m[r][c]
+        m[r] = [x / inv for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m, pivots
+
+
+def _kernel_reference(m, pivots, ncols):
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -m[r][fc]
+        basis.append(v)
+    return basis
+
+
+_HUGE = 10**30
+_ENTRIES = st.one_of(
+    st.just(0),
+    st.integers(-3, 3),
+    st.integers(-_HUGE, _HUGE),
+    st.builds(Fraction, st.integers(-_HUGE, _HUGE), st.integers(1, _HUGE)),
+)
+_SCALES = st.one_of(
+    st.integers(-3, 3),  # 0 makes a zero row, 1 a duplicate
+    st.builds(Fraction, st.integers(-_HUGE, _HUGE), st.integers(1, _HUGE)),
+)
+
+
+@st.composite
+def _matrices(draw):
+    """Up to 8x8 with ints and Fractions mixed, a zero column now and then,
+    and extra rows that are rational multiples (zero included) of others."""
+    nrows, ncols = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    rows = [[draw(_ENTRIES) for _ in range(ncols)] for _ in range(nrows)]
+    if ncols and draw(st.booleans()):
+        zero_col = draw(st.integers(0, ncols - 1))
+        for row in rows:
+            row[zero_col] = 0
+    while rows and len(rows) < 8 and draw(st.booleans()):
+        source = draw(st.sampled_from(rows))
+        scale = draw(_SCALES)
+        rows.insert(draw(st.integers(0, len(rows))), [scale * x for x in source])
+    return rows
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_matrices())
+def test_rref_rank_kernel_match_fraction_gauss_jordan(rows):
+    before = [list(row) for row in rows]
+    m, pivots = rref(rows)
+    ref_m, ref_pivots = _rref_reference(rows)
+    assert rows == before
+    assert (m, pivots) == (ref_m, ref_pivots)
+    assert all(type(x) is Fraction for row in m for x in row)
+    assert rank(rows) == len(ref_pivots)
+    ncols = len(rows[0]) if rows else 0
+    kern = kernel_basis(rows)
+    assert kern == _kernel_reference(ref_m, ref_pivots, ncols)
+    for v in kern:
+        for row in rows:
+            assert sum(a * x for a, x in zip(row, v)) == 0

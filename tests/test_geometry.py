@@ -260,6 +260,26 @@ def test_dims_report_frozen(configs, pair):
     }
 
 
+@pytest.mark.parametrize(
+    "a, b, alpha_beta_pair",
+    [
+        (2**61 - 1, 0, (0, 1)),  # a rank modulo 2^61 - 1 would see a = 0
+        (
+            Fraction(123456789012345678901234567891, 987654321098765432109876543211),
+            Fraction(-314159265358979323846264338327, 271828182845904523536028747135),
+            (0, 0),
+        ),
+    ],
+)
+def test_dims_report_large_parameters(a, b, alpha_beta_pair):
+    report = dims_report(standard_config(a, b))
+    alpha, beta = alpha_beta_pair
+    assert (report["alpha"], report["beta"]) == (alpha, beta)
+    assert report["methods_agree"] is True
+    assert report["fiber_dim"] == report["fiber_dim_eval"] == 23 + alpha + beta
+    assert report["total"] == 51
+
+
 def test_dim_functions_match_report(configs):
     cfg = configs[(1, 1)]
     assert linear_system_dim(cfg) == 23

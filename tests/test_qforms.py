@@ -10,10 +10,10 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from hassettmax.linalg import det_bareiss
+from hassettmax.linalg import det_bareiss, leading_principal_minors
 from hassettmax.qforms import (
     QuadraticForm,
     bilinear,
@@ -162,6 +162,27 @@ def test_positive_definiteness():
     assert is_positive_definite(Q3)
     assert is_positive_definite(G)
     assert not is_positive_definite(QuadraticForm(2, ((1, 0), (0, -1))))
+
+
+@st.composite
+def symmetric_grams(draw):
+    n = draw(st.integers(1, 4))
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            g[i][j] = g[j][i] = draw(st.integers(-2, 10) if i == j else st.integers(-3, 3))
+    return tuple(map(tuple, g))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(symmetric_grams())
+@example(((1, 1), (1, 1)))  # leading minors 1, 0
+@example(((1, 1, 0), (1, 1, 0), (0, 0, 1)))  # 1, 0, 0
+@example(((2, 1, 1), (1, 1, 0), (1, 0, 1)))  # 2, 1, 0
+@example(((0, 1), (1, 2)))  # 0, -1
+def test_positive_definite_is_sylvester(gram):
+    form = QuadraticForm(len(gram), gram)
+    assert is_positive_definite(form) == all(m > 0 for m in leading_principal_minors(gram))
 
 
 # --- primitivity ---
