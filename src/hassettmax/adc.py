@@ -7,6 +7,13 @@ step through the nearby integer point cuts the denominator below p. Small
 primes are cleared by an exact halving identity (p = 2, forms Q3 and G)
 or, as a last resort, by enumeration of integer representations.
 
+The denominator is factored once, at the first reduction, and its
+{prime: exponent} dict is carried from step to step: a trivial step divides
+out the primes of the common content, a torus or halving step drops one p,
+a secant step drops p and adds the factors of its new t_r < p, and an
+enumeration step clears it. The largest prime is always the one reduced, as
+if t were factored afresh. cube_bound(form) is computed once per descent.
+
 Every step re-verifies the certified value; nothing is trusted blindly.
 """
 
@@ -14,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from itertools import product
 
 from .arith import ceil_sqrt, factorize
@@ -125,12 +132,11 @@ def _centered_residue(x: int, p: int) -> int:
     return r if x > 0 else -r
 
 
-def _torus_scan(form: QuadraticForm, v, p: int):
-    """Smallest i in [1, min(p-1, cube_bound)] whose centered residue w of
-    i*v mod p has 0 < Q(w) < p^2, or None."""
-    cap = min(p - 1, cube_bound(form))
+def _torus_scan(form: QuadraticForm, v, p: int, bound: int):
+    """Smallest i in [1, min(p-1, bound)] whose centered residue w of
+    i*v mod p has 0 < Q(w) < p^2, or None; bound is cube_bound(form)."""
     p2 = p * p
-    for i in range(1, cap + 1):
+    for i in range(1, min(p - 1, bound) + 1):
         w = tuple(_centered_residue(i * x, p) for x in v)
         qw = evaluate(form, w)
         if 0 < qw < p2:
@@ -138,8 +144,9 @@ def _torus_scan(form: QuadraticForm, v, p: int):
     return None
 
 
-def _torus_reduce_full(form: QuadraticForm, v, p: int):
-    """Returns (v', i, t, z, shortcut) with Q(v'/(i*t)) = Q(v)/p^2."""
+def _torus_reduce_full(form: QuadraticForm, v, p: int, bound: int):
+    """Returns (v', i, t, z, shortcut) with Q(v'/(i*t)) = Q(v)/p^2;
+    bound is cube_bound(form)."""
     v = tuple(int(x) for x in v)
     q = evaluate(form, v)
     if q % (p * p) != 0:
@@ -147,7 +154,7 @@ def _torus_reduce_full(form: QuadraticForm, v, p: int):
     m_red = q // (p * p)
     if all(x % p == 0 for x in v):
         return tuple(x // p for x in v), 1, 1, None, True
-    found = _torus_scan(form, v, p)
+    found = _torus_scan(form, v, p, bound)
     if found is None:
         raise ReductionUnavailable(f"no qualifying multiple for p = {p}")
     i, w, _ = found
@@ -159,7 +166,7 @@ def _torus_reduce_full(form: QuadraticForm, v, p: int):
 
 def torus_reduce(form: QuadraticForm, v, p: int):
     """(v', i, t) with 0 < i, t < p and Q(v'/(i*t)) = Q(v)/p^2."""
-    new_v, i, t, _, _ = _torus_reduce_full(form, v, p)
+    new_v, i, t, _, _ = _torus_reduce_full(form, v, p, cube_bound(form))
     return new_v, i, t
 
 
@@ -228,6 +235,14 @@ def _is_builtin_ternary(form: QuadraticForm) -> bool:
     return form.gram in (builtin_form("Q3").gram, builtin_form("G").gram)
 
 
+def _drop(primes: dict[int, int], p: int) -> None:
+    """Remove one factor p from the factorization primes, in place."""
+    if primes[p] == 1:
+        del primes[p]
+    else:
+        primes[p] -= 1
+
+
 def descend(form: QuadraticForm, point: RationalPoint) -> DescentTrace:
     """Run the full denominator descent from point.
 
@@ -241,6 +256,12 @@ def descend(form: QuadraticForm, point: RationalPoint) -> DescentTrace:
         raise ValueError("point does not satisfy Q(v/t) = m")
     steps: list[DescentStep] = []
     current = point
+    # an integer point needs no torus scan, so no bound (nor definiteness)
+    bound = cube_bound(form) if t > 1 else 0
+    # {prime: exponent} of current.t, carried from step to step; factored at
+    # the first reduction, after any leading trivial steps, so the content
+    # shared with t (say a large prime squared) is never factored
+    primes: dict[int, int] | None = None
 
     def push(kind: str, data: dict, after: RationalPoint):
         nonlocal current
@@ -259,23 +280,36 @@ def descend(form: QuadraticForm, point: RationalPoint) -> DescentTrace:
                     tuple(x // g for x in current.v), current.t // g, m
                 ),
             )
+            for q in list(primes or ()):
+                while g % q == 0:
+                    g //= q
+                    _drop(primes, q)
             continue
-        p = max(factorize(current.t))
+        if primes is None:
+            primes = factorize(current.t)
+        elif prod(q**e for q, e in primes.items()) != current.t:
+            raise AssertionError("carried factorization lost the denominator")
+        p = max(primes)
         s = current.t // p
         try:
-            raw_v, i, t_r, z, shortcut = _torus_reduce_full(form, current.v, p)
+            raw_v, i, t_r, z, shortcut = _torus_reduce_full(
+                form, current.v, p, bound
+            )
         except ReductionUnavailable:
             if p == 2 and _is_builtin_ternary(form):
                 w = _halve(form, current.v)
                 push("divide4", {"p": 2}, RationalPoint(w, s, m))
+                _drop(primes, 2)
                 continue
             reps = representations(form, m)
             if reps:
                 push("enumerate", {"p": p}, RationalPoint(reps[0], 1, m))
+                primes.clear()
                 continue
             break  # residual denominator stays; form is not ADC here
         if shortcut:
             push("torus", {"p": p}, RationalPoint(raw_v, s, m))
+            _drop(primes, p)
         else:
             if any(x % i for x in raw_v):
                 raise AssertionError("secant output must be divisible by i")
@@ -284,6 +318,10 @@ def descend(form: QuadraticForm, point: RationalPoint) -> DescentTrace:
                 {"p": p, "i": i, "z": z},
                 RationalPoint(tuple(x // i for x in raw_v), t_r * s, m),
             )
+            _drop(primes, p)
+            # t_r < p is the only new factor of the denominator
+            for q, e in factorize(t_r).items():
+                primes[q] = primes.get(q, 0) + e
     return DescentTrace(form.name or "?", point, tuple(steps), current)
 
 
@@ -334,9 +372,10 @@ def _rationally_representable(form: QuadraticForm, n: int) -> bool:
 
 def adc_check(form: QuadraticForm, n_max: int) -> list[int]:
     """Integers n in [1, n_max] rationally but not integrally represented."""
-    if not is_positive_definite(form):
-        raise ValueError("adc_check requires a positive definite form")
-    image = integer_image_upto(form, n_max)
+    try:
+        image = integer_image_upto(form, n_max)
+    except ValueError:  # the only one it raises: not positive definite
+        raise ValueError("adc_check requires a positive definite form") from None
     return [
         n
         for n in range(1, n_max + 1)

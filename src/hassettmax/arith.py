@@ -8,14 +8,19 @@ from __future__ import annotations
 
 from math import gcd, isqrt
 
-# Deterministic Miller-Rabin witness set, valid for all n < 3.3e24.
+# Miller-Rabin with the primes up to 41 as bases is proven correct below
+# psi_13 (Sorenson and Webster 2017), the least strong pseudoprime to all
+# of them (= 1287836182261 * 2575672364521). From psi_13 on, is_prime is
+# Baillie-PSW: base 2 plus a strong Lucas test with Selfridge's parameters.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3317044064679887385961981
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test (Miller-Rabin with a fixed base set)."""
+    """Deterministic primality test: Miller-Rabin with the fixed bases
+    below psi_13, Baillie-PSW from there on (no known counterexample)."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -23,12 +28,16 @@ def is_prime(n: int) -> bool:
             return True
         if n % p == 0:
             return False
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_BASES:
+    if n < _PSI_13:
+        return _miller_rabin(n, _MR_BASES)
+    return _miller_rabin(n, (2,)) and _strong_lucas_probable_prime(n)
+
+
+def _miller_rabin(n: int, bases) -> bool:
+    """True when odd n > max(bases) is a strong probable prime to every base."""
+    r = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^r, d odd
+    d = (n - 1) >> r
+    for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -39,6 +48,57 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test for odd n > 1 with no factor below 48, with
+    Selfridge's parameters: D the first of 5, -7, 9, -11, ... with
+    (D/n) = -1, P = 1, Q = (1 - D)/4 (Baillie and Wagstaff 1980)."""
+    if is_square(n):
+        return False  # no D with (D/n) = -1 exists
+    D = 5
+    while True:
+        j = _jacobi(D, n)
+        if j == -1:
+            break
+        if j == 0:  # |D| < n shares a factor with n
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    # n + 1 = d * 2^s with d odd; U_d, V_d, Q^d by left-to-right doubling
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    d = (n + 1) >> s
+    U, V, Qk = 1, 1, Q % n  # U_1, V_1, Q^1 (P = 1)
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V = U + V, D * U + V  # 2 U_{k+1}, 2 V_{k+1}
+            U = (U + n if U % 2 else U) // 2 % n
+            V = (V + n if V % 2 else V) // 2 % n
+            Qk = Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 def _pollard_rho(n: int) -> int:

@@ -17,7 +17,8 @@ integer_image_upto keeps a sieve over the non-negative octant, which visits
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cache
 from math import gcd, isqrt, lcm
 
 _GRAM_F = (
@@ -37,6 +38,11 @@ class QuadraticForm:
     dim: int
     gram: tuple[tuple[int, ...], ...]
     name: str = ""
+    # (i, j, c) for i <= j with c = B[i][j] (i == j) or 2 B[i][j] (i < j),
+    # nonzero c only: Q(v) = sum c v[i] v[j]
+    _terms: tuple[tuple[int, int, int], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.dim < 1 or len(self.gram) != self.dim:
@@ -47,8 +53,16 @@ class QuadraticForm:
             for j in range(self.dim):
                 if self.gram[i][j] != self.gram[j][i]:
                     raise ValueError("gram must be symmetric")
+        terms = tuple(
+            (i, j, self.gram[i][j] if i == j else 2 * self.gram[i][j])
+            for i in range(self.dim)
+            for j in range(i, self.dim)
+            if self.gram[i][j]
+        )
+        object.__setattr__(self, "_terms", terms)
 
 
+@cache  # forms are immutable, so callers may share one instance
 def builtin_form(name: str) -> QuadraticForm:
     if name == "F":
         return QuadraticForm(4, _GRAM_F, "F")
@@ -67,14 +81,9 @@ def _check_dim(form: QuadraticForm, v) -> None:
 def evaluate(form: QuadraticForm, v):
     """Q(v), exact. Integer for integer v, Fraction otherwise."""
     _check_dim(form, v)
-    b = form.gram
     total = 0
-    for i in range(form.dim):
-        vi = v[i]
-        if vi == 0:
-            continue
-        row = b[i]
-        total += vi * sum(row[j] * v[j] for j in range(form.dim))
+    for i, j, c in form._terms:
+        total += c * v[i] * v[j]
     return total
 
 

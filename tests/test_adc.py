@@ -10,9 +10,12 @@ from math import gcd
 
 import pytest
 
+from hassettmax import adc
 from hassettmax.adc import (
     DegenerateChordError,
+    DescentStep,
     DescentTrace,
+    RationalPoint,
     ReductionUnavailable,
     adc_check,
     cube_bound,
@@ -27,9 +30,16 @@ from hassettmax.adc import (
     trace_to_dict,
     verify_trace,
 )
-from hassettmax.arith import SplitMix64, is_prime
+from hassettmax.arith import SplitMix64, factorize, is_prime
 from hassettmax.local_global import sqrt_mod_pk
-from hassettmax.qforms import QuadraticForm, bilinear, builtin_form, evaluate
+from hassettmax.qforms import (
+    QuadraticForm,
+    bilinear,
+    builtin_form,
+    content,
+    evaluate,
+    representations,
+)
 
 Q3 = builtin_form("Q3")
 G = builtin_form("G")
@@ -264,6 +274,121 @@ def test_descend_seeded_points_both_forms():
             done += 1
 
 
+def refactoring_descend(form, point):
+    """Reference: the descent loop as it was before the denominator's
+    factorization was carried, re-factoring current.t at every step."""
+    m = point.m
+    steps = []
+    current = point
+
+    def push(kind, data, after):
+        nonlocal current
+        steps.append(DescentStep(kind, data, current, after))
+        current = after
+
+    while current.t > 1:
+        g = gcd(content(current.v), current.t)
+        if g > 1:
+            after = RationalPoint(tuple(x // g for x in current.v), current.t // g, m)
+            push("trivial", {"g": g}, after)
+            continue
+        p = max(factorize(current.t))
+        s = current.t // p
+        try:
+            raw_v, i, t_r, z, shortcut = adc._torus_reduce_full(
+                form, current.v, p, cube_bound(form)
+            )
+        except ReductionUnavailable:
+            if p == 2 and adc._is_builtin_ternary(form):
+                push("divide4", {"p": 2}, RationalPoint(adc._halve(form, current.v), s, m))
+                continue
+            reps = representations(form, m)
+            if reps:
+                push("enumerate", {"p": p}, RationalPoint(reps[0], 1, m))
+                continue
+            break
+        if shortcut:
+            push("torus", {"p": p}, RationalPoint(raw_v, s, m))
+        else:
+            after = RationalPoint(tuple(x // i for x in raw_v), t_r * s, m)
+            push("secant", {"p": p, "i": i, "z": z}, after)
+    return DescentTrace(form.name or "?", point, tuple(steps), current)
+
+
+def log_uniform_entry(rng, hi_exponent):
+    """A signed integer with about log-uniform size in [1, 10^hi_exponent]."""
+    bound = 10 ** rng.randint(0, hi_exponent)
+    return rng.randint(-bound, bound)
+
+
+def chord_points(form, rng, count, hi_exponent):
+    """Seeded second chord intersections through small integer points."""
+    points = []
+    while len(points) < count:
+        z = tuple(rng.randint(-4, 4) for _ in range(form.dim))
+        d = tuple(log_uniform_entry(rng, hi_exponent) for _ in range(form.dim))
+        got = secant_generated_point(form, z, d)
+        if got is None or got[1] <= 1:
+            continue
+        points.append(rational_point(form, *got))
+    return points
+
+
+def rescaled(form, point, k):
+    """The point (k v)/(k t): same value, content sharing k with the denominator."""
+    return rational_point(form, tuple(k * x for x in point.v), k * point.t)
+
+
+def f_residual_points(rng, count):
+    """F points whose value F does not represent integrally: second chord
+    intersections through the rational points (4,4,3,2)/2 (value 35) and
+    (4,3,0,1)/7 (value 2), so the descent keeps a residual denominator."""
+    bases = [((4, 4, 3, 2), 2), ((4, 3, 0, 1), 7)]
+    points = []
+    while len(points) < count:
+        v0, t0 = bases[len(points) % 2]
+        d = tuple(log_uniform_entry(rng, 4) for _ in range(4))
+        qd = evaluate(F, d)
+        if qd == 0:
+            continue
+        bvd = bilinear(F, v0, d)
+        v = tuple(qd * x - 2 * bvd * di for x, di in zip(v0, d))
+        points.append(rational_point(F, v, t0 * qd))
+    return points
+
+
+def test_carried_factorization_keeps_traces_identical():
+    rng = SplitMix64(4)
+    cases = []
+    for form in (Q3, G):
+        chords = chord_points(form, rng, 40, 11)
+        cases += [(form, pt) for pt in chords]
+        for pt in chords[:10]:
+            small = sorted(factorize(pt.t))[:2]
+            # content sharing a square and a second prime with t, and not
+            cases.append((form, rescaled(form, pt, small[0] ** 2 * small[-1])))
+            cases.append((form, rescaled(form, pt, 7**3 * 11)))
+    cases += [(F, pt) for pt in chord_points(F, rng, 12, 5)]
+    cases += [(F, pt) for pt in f_residual_points(rng, 12)]
+
+    kinds = {"mid-trace trivial": 0, "enumerate": 0, "residual": 0}
+    for form, pt in cases:
+        trace = descend(form, pt)
+        assert trace_to_dict(trace) == trace_to_dict(refactoring_descend(form, pt))
+        assert verify_trace(form, trace)
+        kinds["mid-trace trivial"] += any(s.kind == "trivial" for s in trace.steps[1:])
+        kinds["enumerate"] += any(s.kind == "enumerate" for s in trace.steps)
+        kinds["residual"] += trace.terminal.t > 1
+    assert all(count > 0 for count in kinds.values()), kinds
+
+
+def test_descend_audits_the_carried_factorization(monkeypatch):
+    point = rational_point(G, (5, 9, 12), 10)
+    monkeypatch.setattr(adc, "factorize", lambda n: {5: 1} if n == 10 else factorize(n))
+    with pytest.raises(AssertionError, match="carried factorization"):
+        descend(G, point)
+
+
 def test_verify_trace_rejects_tampering():
     trace = descend(G, rational_point(G, (5, 9, 12), 10))
     bad_terminal = DescentTrace(
@@ -297,3 +422,13 @@ def test_adc_check_toy_counterexample():
 def test_adc_check_ternary_forms_clean_small():
     assert adc_check(Q3, 300) == []
     assert adc_check(G, 300) == []
+
+
+@pytest.mark.parametrize(
+    "gram",
+    [((1, 0, 0), (0, -1, 0), (0, 0, 3)), ((2, 3), (3, 2)), ((-4,),)],
+)
+def test_adc_check_rejects_indefinite_forms(gram):
+    form = QuadraticForm(len(gram), gram)
+    with pytest.raises(ValueError, match="^adc_check requires a positive definite form$"):
+        adc_check(form, 50)

@@ -4,10 +4,18 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
-from hypothesis import given, settings
+import sympy
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hassettmax.arith import SplitMix64, ceil_sqrt, factorize, is_prime, is_square
+from hassettmax.arith import (
+    SplitMix64,
+    _strong_lucas_probable_prime,
+    ceil_sqrt,
+    factorize,
+    is_prime,
+    is_square,
+)
 from hassettmax.linalg import (
     det_bareiss,
     identity,
@@ -41,6 +49,57 @@ def test_is_prime_small_and_carmichael():
     assert not is_prime(561)  # Carmichael
     assert not is_prime(341550071728321)  # strong pseudoprime to several bases
     assert is_prime(2**61 - 1)
+
+
+# psi_13: the least strong pseudoprime to every prime base up to 41
+PSI_13 = 3317044064679887385961981
+PSI_13_FACTORS = {1287836182261: 1, 2575672364521: 1}
+SYMPY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+def test_psi13_is_composite():
+    assert not is_prime(PSI_13)
+    assert factorize(PSI_13) == PSI_13_FACTORS
+    assert all(is_prime(p) for p in PSI_13_FACTORS)
+    # the primes on either side: fixed bases below psi_13, Baillie-PSW above
+    assert is_prime(sympy.prevprime(PSI_13))
+    assert is_prime(sympy.nextprime(PSI_13))
+
+
+def test_strong_lucas_selfridge_pseudoprimes():
+    # the strong Lucas pseudoprimes below 10^5 (Selfridge parameters): the
+    # Lucas half of Baillie-PSW alone passes them, base 2 rejects them
+    spsp = [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519, 75077, 97439]
+    found = [
+        n
+        for n in range(49, 10**5, 2)
+        if all(n % p for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47))
+        and _strong_lucas_probable_prime(n)
+        and not sympy.isprime(n)
+    ]
+    assert found == spsp
+    assert not any(is_prime(n) for n in spsp)
+
+
+@SYMPY
+@given(st.integers(PSI_13, 10**40))
+@example(PSI_13)
+@example(PSI_13 + 2)
+@example(10**40 - 1)
+def test_is_prime_matches_sympy_above_psi13(n):
+    assert is_prime(n) == sympy.isprime(n)
+    p = sympy.nextprime(n)
+    assert is_prime(p)
+    assert not is_prime(p * p)
+
+
+@SYMPY
+@given(st.integers(2, 10**20), st.integers(2, 10**20))
+@example(1287836182260, 2575672364520)
+def test_is_prime_rejects_products_of_two_primes(a, b):
+    n = sympy.nextprime(a) * sympy.nextprime(b)
+    assert not is_prime(n)
+    assert is_prime(n) == sympy.isprime(n)
 
 
 def test_factorize_reassembles():

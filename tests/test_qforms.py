@@ -152,6 +152,53 @@ def test_homogeneity_and_polarization():
             assert bilinear(F, v, w) == bilinear(F, w, v)
 
 
+@st.composite
+def evaluation_cases(draw):
+    """A symmetric integer Gram of dimension 1-5 (not necessarily definite)
+    and a vector of ints or Fractions, both with frequent zero entries."""
+    n = draw(st.integers(1, 5))
+    entry = st.just(0) | st.integers(-9, 9) | st.integers(-(10**21), 10**21)
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            g[i][j] = g[j][i] = draw(entry)
+    if draw(st.booleans()):
+        coord = entry
+    else:
+        coord = st.just(Fraction(0)) | entry | st.fractions(max_denominator=10**6)
+    return tuple(map(tuple, g)), [draw(coord) for _ in range(n)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(evaluation_cases())
+@example((((0,),), [5]))
+@example((((0, 0), (0, 0)), [1, 2]))
+@example((((1, 2), (2, 0)), [Fraction(0), Fraction(0)]))
+@example((((3, -1, 0), (-1, 0, 7), (0, 7, 2)), [0, Fraction(1, 3), -4]))
+def test_evaluate_matches_gram_sum(case):
+    gram, v = case
+    form = QuadraticForm(len(gram), gram)
+    n = len(v)
+    expected = sum(gram[i][j] * v[i] * v[j] for i in range(n) for j in range(n))
+    got = evaluate(form, v)
+    assert got == expected
+    assert evaluate(form, tuple(v)) == expected
+    if all(type(x) is int for x in v):
+        assert type(got) is int
+
+
+def test_form_identity_ignores_precomputed_terms():
+    # the evaluation terms are derived state: equality, hash and repr are
+    # those of (dim, gram, name) alone
+    gram = ((1, 0, 0), (0, 1, 0), (0, 0, 3))
+    q3 = QuadraticForm(3, gram, "Q3")
+    assert builtin_form("Q3") == q3
+    assert hash(builtin_form("Q3")) == hash(q3) == hash((3, gram, "Q3"))
+    assert repr(q3) == "QuadraticForm(dim=3, gram=((1, 0, 0), (0, 1, 0), (0, 0, 3)), name='Q3')"
+    assert q3 != QuadraticForm(3, gram)
+    assert len({q3, QuadraticForm(3, gram, "Q3"), builtin_form("Q3")}) == 1
+
+
 def test_gram_symmetry_validation():
     with pytest.raises(ValueError):
         QuadraticForm(2, ((1, 2), (3, 1)))
