@@ -7,12 +7,17 @@ step through the nearby integer point cuts the denominator below p. Small
 primes are cleared by an exact halving identity (p = 2, forms Q3 and G)
 or, as a last resort, by enumeration of integer representations.
 
+A trace holds trivial, secant, divide4 and enumerate steps. A trivial step
+divides out the content v shares with t, so no later prime p of t divides
+every coordinate of v: torus_reduce's shortcut v/p never applies inside a
+descent, and no trace holds a torus step.
+
 The denominator is factored once, at the first reduction, and its
 {prime: exponent} dict is carried from step to step: a trivial step divides
-out the primes of the common content, a torus or halving step drops one p,
-a secant step drops p and adds the factors of its new t_r < p, and an
-enumeration step clears it. The largest prime is always the one reduced, as
-if t were factored afresh. cube_bound(form) is computed once per descent.
+out the primes of the common content, a halving step drops one p, a secant
+step drops p and adds the factors of its new t_r < p, and an enumeration
+step clears it. The largest prime is always the one reduced, as if t were
+factored afresh. cube_bound(form) is computed once per descent.
 
 Every step re-verifies the certified value; nothing is trusted blindly.
 """
@@ -32,6 +37,7 @@ from .qforms import (
     content,
     evaluate,
     integer_image_upto,
+    is_diagonal,
     is_positive_definite,
     representations,
 )
@@ -61,7 +67,7 @@ class RationalPoint:
 
 @dataclass(frozen=True)
 class DescentStep:
-    kind: str  # "secant" | "torus" | "divide4" | "trivial" | "enumerate"
+    kind: str  # "secant" | "divide4" | "trivial" | "enumerate"
     data: dict
     before: RationalPoint
     after: RationalPoint
@@ -145,15 +151,12 @@ def _torus_scan(form: QuadraticForm, v, p: int, bound: int):
 
 
 def _torus_reduce_full(form: QuadraticForm, v, p: int, bound: int):
-    """Returns (v', i, t, z, shortcut) with Q(v'/(i*t)) = Q(v)/p^2;
-    bound is cube_bound(form)."""
-    v = tuple(int(x) for x in v)
+    """Returns (v', i, t, z) with Q(v'/(i*t)) = Q(v)/p^2 from the secant step
+    through z; bound is cube_bound(form)."""
     q = evaluate(form, v)
     if q % (p * p) != 0:
         raise ValueError(f"p^2 = {p * p} does not divide Q(v) = {q}")
     m_red = q // (p * p)
-    if all(x % p == 0 for x in v):
-        return tuple(x // p for x in v), 1, 1, None, True
     found = _torus_scan(form, v, p, bound)
     if found is None:
         raise ReductionUnavailable(f"no qualifying multiple for p = {p}")
@@ -161,12 +164,16 @@ def _torus_reduce_full(form: QuadraticForm, v, p: int, bound: int):
     iv = tuple(i * x for x in v)
     z = tuple((ivj - wj) // p for ivj, wj in zip(iv, w))
     reduced = secant_step(form, RationalPoint(iv, p, i * i * m_red), z)
-    return reduced.v, i, reduced.t, z, False
+    return reduced.v, i, reduced.t, z
 
 
 def torus_reduce(form: QuadraticForm, v, p: int):
     """(v', i, t) with 0 < i, t < p and Q(v'/(i*t)) = Q(v)/p^2."""
-    new_v, i, t, _, _ = _torus_reduce_full(form, v, p, cube_bound(form))
+    bound = cube_bound(form)  # first: it rejects a form not positive definite
+    v = tuple(int(x) for x in v)
+    if all(x % p == 0 for x in v):
+        return tuple(x // p for x in v), 1, 1
+    new_v, i, t, _ = _torus_reduce_full(form, v, p, bound)
     return new_v, i, t
 
 
@@ -187,28 +194,19 @@ def _halve(form: QuadraticForm, v) -> tuple[int, ...]:
     q = evaluate(form, v)
     if q % 4 != 0:
         raise ValueError(f"Q(v) = {q} is not divisible by 4")
-    if all(x % 2 == 0 for x in v):
+    odd = [k for k in range(form.dim) if v[k] % 2]
+    if not odd:
         return tuple(x // 2 for x in v)
-    x, y, z = v
-    if form.gram == builtin_form("Q3").gram:
-        # coefficient layout (1,1,3): z is odd, exactly one of x, y is odd
-        if x % 2 and y % 2 == 0 and z % 2:
-            nx, nz = _halve_pair(x, z)
-            return (nx, y // 2, nz)
-        if y % 2 and x % 2 == 0 and z % 2:
-            ny, nz = _halve_pair(y, z)
-            return (x // 2, ny, nz)
-        raise AssertionError("parity pattern impossible for 4 | Q3(v)")
-    if form.gram == builtin_form("G").gram:
-        # coefficient layout (1,3,3): x is odd, exactly one of y, z is odd
-        if x % 2 and y % 2 and z % 2 == 0:
-            nx, ny = _halve_pair(x, y)
-            return (nx, ny, z // 2)
-        if x % 2 and z % 2 and y % 2 == 0:
-            nx, nz = _halve_pair(x, z)
-            return (nx, y // 2, nz)
-        raise AssertionError("parity pattern impossible for 4 | G(v)")
-    raise ValueError("halving identity implemented for Q3 and G only")
+    if not _is_builtin_ternary(form):
+        raise ValueError("halving identity implemented for Q3 and G only")
+    # coefficients (1,1,3) or (1,3,3), so 4 | Q(v) forces one odd coordinate
+    # of coefficient 1, then one of coefficient 3
+    if [form.gram[k][k] for k in odd] != [1, 3]:
+        raise AssertionError(f"parity pattern impossible for 4 | {form.name}(v)")
+    a, b = odd
+    w = [x // 2 for x in v]
+    w[a], w[b] = _halve_pair(v[a], v[b])
+    return tuple(w)
 
 
 def divide_by_4(v) -> tuple[int, ...]:
@@ -291,10 +289,9 @@ def descend(form: QuadraticForm, point: RationalPoint) -> DescentTrace:
             raise AssertionError("carried factorization lost the denominator")
         p = max(primes)
         s = current.t // p
+        # no torus shortcut: after the trivial steps p does not divide all of v
         try:
-            raw_v, i, t_r, z, shortcut = _torus_reduce_full(
-                form, current.v, p, bound
-            )
+            raw_v, i, t_r, z = _torus_reduce_full(form, current.v, p, bound)
         except ReductionUnavailable:
             if p == 2 and _is_builtin_ternary(form):
                 w = _halve(form, current.v)
@@ -307,21 +304,17 @@ def descend(form: QuadraticForm, point: RationalPoint) -> DescentTrace:
                 primes.clear()
                 continue
             break  # residual denominator stays; form is not ADC here
-        if shortcut:
-            push("torus", {"p": p}, RationalPoint(raw_v, s, m))
-            _drop(primes, p)
-        else:
-            if any(x % i for x in raw_v):
-                raise AssertionError("secant output must be divisible by i")
-            push(
-                "secant",
-                {"p": p, "i": i, "z": z},
-                RationalPoint(tuple(x // i for x in raw_v), t_r * s, m),
-            )
-            _drop(primes, p)
-            # t_r < p is the only new factor of the denominator
-            for q, e in factorize(t_r).items():
-                primes[q] = primes.get(q, 0) + e
+        if any(x % i for x in raw_v):
+            raise AssertionError("secant output must be divisible by i")
+        push(
+            "secant",
+            {"p": p, "i": i, "z": z},
+            RationalPoint(tuple(x // i for x in raw_v), t_r * s, m),
+        )
+        _drop(primes, p)
+        # t_r < p is the only new factor of the denominator
+        for q, e in factorize(t_r).items():
+            primes[q] = primes.get(q, 0) + e
     return DescentTrace(form.name or "?", point, tuple(steps), current)
 
 
@@ -354,15 +347,9 @@ def _rationally_representable(form: QuadraticForm, n: int) -> bool:
         a = form.gram[0][0]
         r = isqrt(abs(n * a))
         return n * a >= 0 and r * r == n * a
-    diag = [form.gram[i][i] for i in range(form.dim)]
-    off_diagonal_zero = all(
-        form.gram[i][j] == 0
-        for i in range(form.dim)
-        for j in range(form.dim)
-        if i != j
-    )
-    if form.dim == 3 and off_diagonal_zero:
-        return local_global.rationally_representable_ternary(tuple(diag), n)
+    if form.dim == 3 and is_diagonal(form):
+        diag = tuple(form.gram[i][i] for i in range(3))
+        return local_global.rationally_representable_ternary(diag, n)
     # sound but not complete: witness search over denominators up to 8
     for t in range(1, 9):
         if representations(form, n * t * t):

@@ -1,5 +1,6 @@
-"""Integer arithmetic helpers: primality, factorization, integer square roots,
-and the deterministic splitmix64 generator used for seeded randomized checks.
+"""Integer arithmetic helpers: primality, factorization, the Jacobi symbol,
+integer square roots, and the deterministic splitmix64 generator used for
+seeded randomized checks.
 
 Everything here is exact. No floats anywhere.
 """
@@ -50,8 +51,10 @@ def _miller_rabin(n: int, bases) -> bool:
     return True
 
 
-def _jacobi(a: int, n: int) -> int:
+def jacobi(a: int, n: int) -> int:
     """Jacobi symbol (a/n) for odd n > 0."""
+    if n <= 0 or n % 2 == 0:
+        raise ValueError("jacobi symbol requires odd positive n")
     a %= n
     result = 1
     while a:
@@ -74,7 +77,7 @@ def _strong_lucas_probable_prime(n: int) -> bool:
         return False  # no D with (D/n) = -1 exists
     D = 5
     while True:
-        j = _jacobi(D, n)
+        j = jacobi(D, n)
         if j == -1:
             break
         if j == 0:  # |D| < n shares a factor with n
@@ -120,7 +123,7 @@ def _pollard_rho(n: int) -> int:
                 ys = y
                 for _ in range(min(m, r - k)):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n
                 g = gcd(q, n)
                 k += m
             r *= 2
@@ -128,7 +131,7 @@ def _pollard_rho(n: int) -> int:
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = gcd(abs(x - ys), n)
+                g = gcd(x - ys, n)
         if g != n:
             return g
 
@@ -149,6 +152,10 @@ def factorize(n: int) -> dict[int, int]:
             continue
         if is_prime(m):
             out[m] = out.get(m, 0) + 1
+            continue
+        r = isqrt(m)
+        if r * r == m:  # rho would need about sqrt(r) steps to split r^2
+            stack += (r, r)
             continue
         d = _pollard_rho(m)
         stack.append(d)

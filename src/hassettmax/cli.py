@@ -52,6 +52,20 @@ def _fmt_vec(v) -> str:
     return "(" + ", ".join(str(x) for x in v) + ")"
 
 
+def _replay(path: str, what: str, decode, check, label: str) -> int:
+    """The --verify-file mode of every command: decode the JSON at path,
+    replay it with check, print label.format(decoded) and the verdict. A
+    payload that does not decode is an unreadable `what` (exit 1)."""
+    try:
+        obj = decode(_load_json(path))
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        print(f"unreadable {what}: {exc}", file=sys.stderr)
+        return 1
+    ok = check(obj)
+    print(label.format(obj) + ": " + ("valid" if ok else "INVALID"))
+    return 0 if ok else 1
+
+
 # --- hassett ---
 
 
@@ -87,14 +101,8 @@ def _hassett_diagnosis(n: int) -> str:
 
 def _cmd_hassett_represent(args) -> int:
     if args.verify_file:
-        try:
-            cert = hassett_rep.certificate_from_dict(_load_json(args.verify_file))
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            print(f"unreadable certificate: {exc}", file=sys.stderr)
-            return 1
-        ok = hassett_rep.verify_certificate(cert)
-        print(f"certificate for n = {cert.n}: " + ("valid" if ok else "INVALID"))
-        return 0 if ok else 1
+        return _replay(args.verify_file, "certificate", hassett_rep.certificate_from_dict,
+                       hassett_rep.verify_certificate, "certificate for n = {0.n}")
     if args.n is None:
         print("error: need n or --verify-file", file=sys.stderr)
         return 2
@@ -139,8 +147,15 @@ def _cmd_adc_check(args) -> int:
     return 0 if not violations else 1
 
 
-def _trace_ok(form, trace) -> bool:
+def _trace_ok(trace) -> bool:
+    form = builtin_form(trace.form_name)
     return adc.verify_trace(form, trace) and trace.terminal.t == 1
+
+
+def _decode_trace(payload):
+    trace = adc.trace_from_dict(payload)
+    builtin_form(trace.form_name)  # a trace of an unknown form is unreadable
+    return trace
 
 
 def _print_trace(trace) -> None:
@@ -159,22 +174,15 @@ def _print_trace(trace) -> None:
 
 def _cmd_adc_descend(args) -> int:
     if args.verify_file:
-        try:
-            trace = adc.trace_from_dict(_load_json(args.verify_file))
-            form = builtin_form(trace.form_name)
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            print(f"unreadable trace: {exc}", file=sys.stderr)
-            return 1
-        ok = _trace_ok(form, trace)
-        print(f"trace for {trace.form_name}: " + ("valid" if ok else "INVALID"))
-        return 0 if ok else 1
+        return _replay(args.verify_file, "trace", _decode_trace, _trace_ok,
+                       "trace for {0.form_name}")
     if args.num is None or args.den is None:
         print("error: need --num and --den, or --verify-file", file=sys.stderr)
         return 2
     form = builtin_form(_FORM_FLAGS[args.form])
     point = adc.rational_point(form, args.num, args.den)
     trace = adc.descend(form, point)
-    ok = _trace_ok(form, trace)
+    ok = _trace_ok(trace)
     if args.json:
         _emit(adc.trace_to_dict(trace))
     else:
@@ -185,21 +193,19 @@ def _cmd_adc_descend(args) -> int:
 # --- local ---
 
 
+def _report_ok(report) -> bool:
+    return local_global.verify_report(report) and report.overall == "solvable"
+
+
 def _cmd_local_certify(args) -> int:
     if args.verify_file:
-        try:
-            report = local_global.report_from_dict(_load_json(args.verify_file))
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            print(f"unreadable report: {exc}", file=sys.stderr)
-            return 1
-        ok = local_global.verify_report(report) and report.overall == "solvable"
-        print(f"report for k = {report.k}: " + ("valid" if ok else "INVALID"))
-        return 0 if ok else 1
+        return _replay(args.verify_file, "report", local_global.report_from_dict,
+                       _report_ok, "report for k = {0.k}")
     if args.k is None:
         print("error: need --k or --verify-file", file=sys.stderr)
         return 2
     report = local_global.certify_global(args.k, args.primes, args.precision)
-    ok = local_global.verify_report(report) and report.overall == "solvable"
+    ok = _report_ok(report)
     if args.json:
         _emit(local_global.report_to_dict(report))
     else:
@@ -276,14 +282,8 @@ def _cmd_geometry_dims(args) -> int:
 
 def _cmd_geometry_cubic(args) -> int:
     if args.verify_file:
-        try:
-            payload = _load_json(args.verify_file)
-        except (OSError, ValueError) as exc:
-            print(f"unreadable cubic: {exc}", file=sys.stderr)
-            return 1
-        ok = geometry.verify_cubic_dict(payload)
-        print("cubic: " + ("valid" if ok else "INVALID"))
-        return 0 if ok else 1
+        return _replay(args.verify_file, "cubic", lambda payload: payload,
+                       geometry.verify_cubic_dict, "cubic")
     config = geometry.standard_config(args.a, args.b)
     cubic = geometry.random_cubic(config, args.seed)
     payload = geometry.cubic_to_dict(cubic, config, args.seed)

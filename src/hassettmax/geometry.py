@@ -22,6 +22,7 @@ from .lattices import GramMatrix5, gram_M, voisin_value
 from .linalg import clear_denominators, kernel_basis, rank
 
 EVAL_SEED = 1729
+POINTS_PER_PLANE = 20  # 80 oracle rows against the 56 monomials
 NUM_VARS = 6
 DEGREE = 3
 
@@ -213,11 +214,11 @@ def linear_system_dim(config: PlaneConfig) -> int:
     return len(cubics_through(config)) - 1
 
 
-def _seeded_plane_points(config: PlaneConfig, points_per_plane: int) -> list:
+def _seeded_plane_points(config: PlaneConfig) -> list:
     rng = SplitMix64(EVAL_SEED)
     points = []
     for basis in config.bases:
-        for _ in range(points_per_plane):
+        for _ in range(POINTS_PER_PLANE):
             params = [rng.randint(-20, 20) for _ in range(3)]
             point = [
                 sum(Fraction(t) * bvec[coord] for t, bvec in zip(params, basis))
@@ -227,9 +228,7 @@ def _seeded_plane_points(config: PlaneConfig, points_per_plane: int) -> list:
     return points
 
 
-def linear_system_dim_by_evaluation(
-    config: PlaneConfig, points_per_plane: int = 20
-) -> int:
+def linear_system_dim_by_evaluation(config: PlaneConfig) -> int:
     """Same dimension count from monomial values at seeded plane points.
 
     Every evaluation row is a rational combination of restriction rows, so
@@ -238,7 +237,7 @@ def linear_system_dim_by_evaluation(
     lambda keeps it on its plane and scales its row by lambda^3, so the rank
     over Q is unchanged.
     """
-    points = _seeded_plane_points(config, points_per_plane)
+    points = _seeded_plane_points(config)
     rows = [_monomial_values(clear_denominators(p)) for p in points]
     return 56 - rank(rows) - 1
 
@@ -314,16 +313,6 @@ def dims_report(config: PlaneConfig) -> dict:
 
 
 # --- serialization ---
-
-
-def config_to_dict(config: PlaneConfig) -> dict:
-    return {
-        "a": str(config.a),
-        "b": str(config.b),
-        "ideals": [
-            [[str(c) for c in form] for form in ideal] for ideal in config.ideals
-        ],
-    }
 
 
 def cubic_to_dict(cubic: CubicPoly, config: PlaneConfig, seed: int) -> dict:

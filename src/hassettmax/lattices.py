@@ -10,10 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import det_bareiss, identity, leading_principal_minors, mat_mul, transpose
-from .qforms import QuadraticForm
-
-BASIS_LABELS = ("o", "P1", "P2", "P3", "P4")
+from .linalg import det_bareiss, identity, mat_mul, transpose
+from .qforms import QuadraticForm, is_positive_definite
 
 _PROFILE_VALUES = {"empty": 0, "point": 1, "line": -1}
 
@@ -136,4 +134,4 @@ def induced_form_F() -> QuadraticForm:
 
 
 def is_positive_definite_gram(m: GramMatrix5) -> bool:
-    return all(x > 0 for x in leading_principal_minors(m.entries))
+    return is_positive_definite(QuadraticForm(5, m.entries))

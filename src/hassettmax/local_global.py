@@ -5,36 +5,19 @@ G(w) congruent to k mod p^precision; at the real place it stores the sign
 verdict. Witnesses are produced by Hensel lifting from seed solutions and
 re-verified by direct evaluation, so every solvable certificate replays.
 
-Also contains the generic square-class machinery (Jacobi symbols, Hilbert
-symbols, p-adic squares) used to decide rational representability of
-diagonal ternary forms exactly.
+Also contains the generic square-class machinery (Hilbert symbols and
+p-adic squares, built on arith.jacobi) used to decide rational
+representability of diagonal ternary forms exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import factorize, is_prime
+from .arith import factorize, is_prime, jacobi
 from .qforms import builtin_form, evaluate
 
 _G = builtin_form("G")
-
-
-def jacobi(a: int, n: int) -> int:
-    if n <= 0 or n % 2 == 0:
-        raise ValueError("jacobi symbol requires odd positive n")
-    a %= n
-    result = 1
-    while a != 0:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0
 
 
 def _split_valuation(a: int, p: int) -> tuple[int, int]:

@@ -91,13 +91,18 @@ def bilinear(form: QuadraticForm, v, w):
     """B(v, w) with B(v, v) = Q(v)."""
     _check_dim(form, v)
     _check_dim(form, w)
-    b = form.gram
-    return sum(
-        v[i] * b[i][j] * w[j]
-        for i in range(form.dim)
-        for j in range(form.dim)
-        if v[i] != 0 and w[j] != 0
-    )
+    total = 0
+    for i, j, c in form._terms:
+        if i == j:
+            total += c * v[i] * w[i]
+        else:  # c = 2 B[i][j]
+            total += c // 2 * (v[i] * w[j] + v[j] * w[i])
+    return total
+
+
+def is_diagonal(form: QuadraticForm) -> bool:
+    """True when every off-diagonal Gram entry is zero."""
+    return all(i == j for i, j, _ in form._terms)
 
 
 def content(v) -> int:
@@ -237,13 +242,7 @@ def primitive_image(form: QuadraticForm, n_max: int) -> list[int]:
 
 def integer_image_upto(form: QuadraticForm, n_max: int) -> set[int]:
     """All positive values of Q on integer vectors, up to n_max."""
-    diag = all(
-        form.gram[i][j] == 0
-        for i in range(form.dim)
-        for j in range(form.dim)
-        if i != j
-    )
-    if diag and form.dim == 3 and is_positive_definite(form):
+    if is_diagonal(form) and form.dim == 3 and is_positive_definite(form):
         # Q is even in each coordinate, so sieving the non-negative octant
         # visits 1/8 of the vectors the generic walk would
         a, b, c = form.gram[0][0], form.gram[1][1], form.gram[2][2]

@@ -276,7 +276,8 @@ def test_descend_seeded_points_both_forms():
 
 def refactoring_descend(form, point):
     """Reference: the descent loop as it was before the denominator's
-    factorization was carried, re-factoring current.t at every step."""
+    factorization was carried and its torus shortcut dropped, re-factoring
+    current.t at every step."""
     m = point.m
     steps = []
     current = point
@@ -294,8 +295,11 @@ def refactoring_descend(form, point):
             continue
         p = max(factorize(current.t))
         s = current.t // p
+        if all(x % p == 0 for x in current.v):  # the torus shortcut
+            push("torus", {"p": p}, RationalPoint(tuple(x // p for x in current.v), s, m))
+            continue
         try:
-            raw_v, i, t_r, z, shortcut = adc._torus_reduce_full(
+            raw_v, i, t_r, z = adc._torus_reduce_full(
                 form, current.v, p, cube_bound(form)
             )
         except ReductionUnavailable:
@@ -307,11 +311,8 @@ def refactoring_descend(form, point):
                 push("enumerate", {"p": p}, RationalPoint(reps[0], 1, m))
                 continue
             break
-        if shortcut:
-            push("torus", {"p": p}, RationalPoint(raw_v, s, m))
-        else:
-            after = RationalPoint(tuple(x // i for x in raw_v), t_r * s, m)
-            push("secant", {"p": p, "i": i, "z": z}, after)
+        after = RationalPoint(tuple(x // i for x in raw_v), t_r * s, m)
+        push("secant", {"p": p, "i": i, "z": z}, after)
     return DescentTrace(form.name or "?", point, tuple(steps), current)
 
 

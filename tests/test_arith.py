@@ -114,6 +114,14 @@ def test_factorize_reassembles():
         factorize(0)
 
 
+def test_factorize_splits_squares_without_rho():
+    # rho alone needs about q^(1/2) steps to split q^2: about 32 s for this q
+    # on a 2-core x86-64 machine
+    q = 1999574419881851
+    assert factorize(2**4 * q**2) == {2: 4, q: 2}
+    assert factorize(q**2 * 1000003) == {q: 2, 1000003: 1}
+
+
 def test_ceil_sqrt_and_is_square():
     for n in range(1, 500):
         c = ceil_sqrt(n)

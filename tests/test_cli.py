@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from hassettmax.cli import main
 
 
@@ -236,6 +238,52 @@ def test_geometry_cubic_round_trip(capsys, tmp_path):
     bad.write_text(json.dumps(payload))
     code, out, _ = run(capsys, "geometry", "cubic", "--verify-file", str(bad))
     assert code == 1 and "INVALID" in out
+
+
+# --- forged --verify-file payloads ---
+
+
+# command -> (arguments that produce a payload, fields set to a wrong type,
+# each as (path into the payload, value))
+REPLAYS = {
+    "hassett represent": (["14", "--json"], [(["v"], 5)]),
+    "adc descend": (
+        ["--form", "g", "--num", "5,9,12", "--den", "10", "--json"],
+        [(["steps", 0, "data"], "x"), (["form"], ["G"])],
+    ),
+    "local certify": (["--k", "7", "--json"], [(["certificates", 0, "witness"], 5)]),
+    "geometry cubic": (["--json"], [(["coeffs"], 5)]),
+}
+
+
+def forged(payload, shape, fields):
+    if shape == "string":
+        return ["x"]
+    if shape == "list":
+        return [[payload]]
+    out = []
+    for (*parents, key), value in fields:
+        copy = json.loads(json.dumps(payload))
+        node = copy
+        for k in parents:
+            node = node[k]
+        node[key] = value
+        out.append(copy)
+    return out
+
+
+@pytest.mark.parametrize("shape", ["string", "list", "wrong-typed-field"])
+@pytest.mark.parametrize("command", sorted(REPLAYS), ids=lambda c: c.replace(" ", "-"))
+def test_verify_file_rejects_malformed_payloads(capsys, tmp_path, command, shape):
+    produce, fields = REPLAYS[command]
+    code, payload, _ = run_json(capsys, *command.split(), *produce)
+    assert code == 0
+    path = tmp_path / "forged.json"
+    for bad in forged(payload, shape, fields):
+        path.write_text(json.dumps(bad))
+        code, out, _ = run(capsys, *command.split(), "--verify-file", str(path))
+        assert code == 1, bad
+        assert ": valid" not in out
 
 
 # --- argparse plumbing ---

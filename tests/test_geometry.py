@@ -19,7 +19,6 @@ from hassettmax.geometry import (
     CubicPoly,
     PlaneConfig,
     alpha_beta,
-    config_to_dict,
     cubic_from_dict,
     cubic_to_dict,
     cubics_through,
@@ -295,19 +294,6 @@ def test_stabilizer_contains_scalars(configs):
 
 
 # --- serialization ---
-
-
-def test_config_to_dict_round_trips_parameters(configs):
-    cfg = standard_config(Fraction(1, 2), 3)
-    payload = config_to_dict(cfg)
-    assert Fraction(payload["a"]) == Fraction(1, 2)
-    assert Fraction(payload["b"]) == 3
-    assert len(payload["ideals"]) == 4
-    back = [
-        [tuple(Fraction(c) for c in form) for form in ideal]
-        for ideal in payload["ideals"]
-    ]
-    assert tuple(tuple(ideal) for ideal in back) == cfg.ideals
 
 
 def test_cubic_serialization_round_trip(configs):

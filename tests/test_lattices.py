@@ -4,6 +4,7 @@ import pytest
 
 from hassettmax.lattices import (
     BasisChange,
+    GramMatrix5,
     apply_basis_change,
     disc_pair,
     gram_M,
@@ -121,6 +122,10 @@ def test_induced_form_equals_builtin_f():
 def test_positive_definiteness_of_variants():
     for alpha, beta in PAIRS:
         assert is_positive_definite_gram(gram_M(alpha, beta))
+    # P4 . P4 = 0 leaves the leading minors 3, 8, 16, 32, -20
+    rows = [list(row) for row in gram_M(0, 0).entries]
+    rows[4][4] = 0
+    assert not is_positive_definite_gram(GramMatrix5(tuple(map(tuple, rows)), 0, 0))
 
 
 def test_unimodularity_detection():

@@ -21,6 +21,7 @@ from hassettmax.qforms import (
     content,
     evaluate,
     integer_image_upto,
+    is_diagonal,
     is_positive_definite,
     is_primitive,
     primitive_image,
@@ -185,6 +186,10 @@ def test_evaluate_matches_gram_sum(case):
     assert evaluate(form, tuple(v)) == expected
     if all(type(x) is int for x in v):
         assert type(got) is int
+    w = v[::-1]
+    assert bilinear(form, v, w) == sum(
+        gram[i][j] * v[i] * w[j] for i in range(n) for j in range(n)
+    )
 
 
 def test_form_identity_ignores_precomputed_terms():
@@ -197,6 +202,14 @@ def test_form_identity_ignores_precomputed_terms():
     assert repr(q3) == "QuadraticForm(dim=3, gram=((1, 0, 0), (0, 1, 0), (0, 0, 3)), name='Q3')"
     assert q3 != QuadraticForm(3, gram)
     assert len({q3, QuadraticForm(3, gram, "Q3"), builtin_form("Q3")}) == 1
+
+
+def test_is_diagonal_reads_every_off_diagonal_entry():
+    assert is_diagonal(Q3) and is_diagonal(G) and not is_diagonal(F)
+    assert is_diagonal(QuadraticForm(3, ((0, 0, 0), (0, 2, 0), (0, 0, 0))))
+    # the only off-diagonal entry comes after three diagonal ones
+    gram = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 2, 1), (0, 0, 1, 2))
+    assert not is_diagonal(QuadraticForm(4, gram))
 
 
 def test_gram_symmetry_validation():
