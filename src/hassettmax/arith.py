@@ -136,6 +136,29 @@ def _pollard_rho(n: int) -> int:
             return g
 
 
+def _iroot(m: int, k: int) -> int:
+    """Floor of the k-th root of m >= 1: Newton's method from above."""
+    x = 1 << -(-m.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + m // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _perfect_power(m: int) -> tuple[int, int] | None:
+    """(r, k) with r**k == m and k prime, or None, for m with no prime
+    factor below 53; then r >= 53, so only the k with 53^k <= m can occur."""
+    k = 2
+    while 53**k <= m:
+        if is_prime(k):
+            r = isqrt(m) if k == 2 else _iroot(m, k)
+            if r**k == m:
+                return r, k
+        k += 1
+    return None
+
+
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1 as {prime: exponent}."""
     if n < 1:
@@ -153,9 +176,10 @@ def factorize(n: int) -> dict[int, int]:
         if is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
-        r = isqrt(m)
-        if r * r == m:  # rho would need about sqrt(r) steps to split r^2
-            stack += (r, r)
+        power = _perfect_power(m)
+        if power:  # rho would need about sqrt(r) steps to split r^k
+            r, k = power
+            stack += [r] * k
             continue
         d = _pollard_rho(m)
         stack.append(d)

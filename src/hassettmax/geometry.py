@@ -5,9 +5,11 @@ ideals (x,y,z), (x,y,u), (x,z,v) and (v-by, u-az, w); the parameters a, b
 control whether the fourth plane meets the second and third ones. From the
 intersection profile we rebuild the rank-5 Gram matrix, compute the space
 of cubics vanishing on all four planes, and count orbit and stabilizer
-dimensions for the simultaneous linear symmetry group. Data are Fractions;
-dimensions are exact ranks from linalg's integer elimination, cross-checked
-by a seeded evaluation oracle whose plane points are scaled to integers.
+dimensions for the simultaneous linear symmetry group. Parameters, ideals
+and cubic coefficients are Fractions. Each plane basis is scaled to integers
+once, by one common factor per plane, so restriction rows, oracle points and
+stabilizer rows are integers. Dimensions are exact ranks from linalg's
+integer elimination, cross-checked by a seeded evaluation oracle.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import prod
+from math import lcm, prod
 
 from .arith import SplitMix64
 from .lattices import GramMatrix5, gram_M, voisin_value
@@ -51,7 +53,7 @@ class PlaneConfig:
     a: Fraction
     b: Fraction
     ideals: tuple  # four triples of 6-coefficient linear forms
-    bases: tuple  # four triples of kernel basis vectors
+    bases: tuple  # four triples of integer kernel basis vectors
 
 
 @dataclass(frozen=True)
@@ -72,6 +74,9 @@ def _form(*pairs) -> tuple:
 
 
 def standard_config(a, b) -> PlaneConfig:
+    """The canonical four planes. One common integer per plane scales its
+    kernel vectors to integers; it scales every row the plane contributes by
+    a constant, so no rank, kernel or projective oracle point changes."""
     a = Fraction(a)
     b = Fraction(b)
     ideals = (
@@ -82,11 +87,11 @@ def standard_config(a, b) -> PlaneConfig:
     )
     bases = []
     for ideal in ideals:
-        rows = [list(f) for f in ideal]
-        if rank(rows) != 3:
+        basis = kernel_basis([list(f) for f in ideal])
+        if len(basis) != 3:
             raise AssertionError("plane ideal must have rank 3")
-        basis = tuple(tuple(vec) for vec in kernel_basis(rows))
-        bases.append(basis)
+        scale = lcm(*(x.denominator for vec in basis for x in vec))
+        bases.append(tuple(tuple(int(x * scale) for x in vec) for vec in basis))
     return PlaneConfig(a, b, ideals, tuple(bases))
 
 
@@ -148,19 +153,16 @@ def gram_from_geometry(config: PlaneConfig) -> GramMatrix5:
 def _poly_times_linear(poly: dict, lin) -> dict:
     out = {}
     for expo, coef in poly.items():
-        for var in range(3):
-            if lin[var] == 0:
-                continue
-            key = list(expo)
-            key[var] += 1
-            key = tuple(key)
-            out[key] = out.get(key, Fraction(0)) + coef * lin[var]
+        for var, c in enumerate(lin):
+            if c:
+                key = expo[:var] + (expo[var] + 1,) + expo[var + 1:]
+                out[key] = out.get(key, 0) + coef * c
     return out
 
 
 def _restrict_monomial(monomial, basis) -> dict:
     """Expand prod_i coord_i^{e_i} on the plane s0*b0 + s1*b1 + s2*b2."""
-    poly = {(0, 0, 0): Fraction(1)}
+    poly = {(0, 0, 0): 1}
     for coord in range(NUM_VARS):
         lin = (basis[0][coord], basis[1][coord], basis[2][coord])
         for _ in range(monomial[coord]):
@@ -174,21 +176,23 @@ def restriction_matrix(config: PlaneConfig) -> list:
     for basis in config.bases:
         columns = [_restrict_monomial(m, basis) for m in MONOMIALS]
         for pm in PARAM_MONOMIALS:
-            rows.append([col.get(pm, Fraction(0)) for col in columns])
+            rows.append([col.get(pm, 0) for col in columns])
     return rows
 
 
 def restrict_to_plane(cubic: CubicPoly, config: PlaneConfig, i: int) -> dict:
-    """The cubic as a polynomial in the three parameters of plane i."""
+    """The cubic as a polynomial in the three parameters of plane i, with
+    integer values up to a positive integer factor; empty exactly when the
+    cubic vanishes on the plane."""
     if not 1 <= i <= 4:
         raise ValueError("plane index out of range")
     basis = config.bases[i - 1]
     total = {}
-    for coeff, monomial in zip(cubic.coeffs, MONOMIALS):
+    for coeff, monomial in zip(clear_denominators(cubic.coeffs), MONOMIALS):
         if coeff == 0:
             continue
         for expo, c in _restrict_monomial(monomial, basis).items():
-            total[expo] = total.get(expo, Fraction(0)) + coeff * c
+            total[expo] = total.get(expo, 0) + coeff * c
     return {e: c for e, c in total.items() if c != 0}
 
 
@@ -220,11 +224,7 @@ def _seeded_plane_points(config: PlaneConfig) -> list:
     for basis in config.bases:
         for _ in range(POINTS_PER_PLANE):
             params = [rng.randint(-20, 20) for _ in range(3)]
-            point = [
-                sum(Fraction(t) * bvec[coord] for t, bvec in zip(params, basis))
-                for coord in range(NUM_VARS)
-            ]
-            points.append(point)
+            points.append([sum(t * x for t, x in zip(params, coords)) for coords in zip(*basis)])
     return points
 
 
@@ -233,12 +233,10 @@ def linear_system_dim_by_evaluation(config: PlaneConfig) -> int:
 
     Every evaluation row is a rational combination of restriction rows, so
     this can only overcount the kernel; agreement with the kernel method
-    certifies the count. Each point is scaled to integers first: scaling by
-    lambda keeps it on its plane and scales its row by lambda^3, so the rank
-    over Q is unchanged.
+    certifies the count. The plane bases are integers, so every point and
+    every row is too.
     """
-    points = _seeded_plane_points(config)
-    rows = [_monomial_values(clear_denominators(p)) for p in points]
+    rows = [_monomial_values(p) for p in _seeded_plane_points(config)]
     return 56 - rank(rows) - 1
 
 
@@ -247,21 +245,15 @@ def stabilizer_dim(config: PlaneConfig) -> tuple[int, int]:
 
     The stabilizer lives in 6x6 matrix space; one constraint row per
     (plane, basis vector, ideal generator) triple requires the generator to
-    kill the image of the basis vector.
+    kill the image of the basis vector: the row is the outer product of the
+    generator and the basis vector, zeros kept as the int 0.
     """
-    rows = []
-    for ideal, basis in zip(config.ideals, config.bases):
-        for bvec in basis:
-            for form in ideal:
-                row = [Fraction(0)] * 36
-                for r in range(NUM_VARS):
-                    if form[r] == 0:
-                        continue
-                    for s in range(NUM_VARS):
-                        if bvec[s] == 0:
-                            continue
-                        row[6 * r + s] += form[r] * bvec[s]
-                rows.append(row)
+    rows = [
+        [f * x if f and x else 0 for f in form for x in bvec]
+        for ideal, basis in zip(config.ideals, config.bases)
+        for bvec in basis
+        for form in ideal
+    ]
     stab = 36 - rank(rows)
     return (stab, 36 - stab)
 
@@ -275,10 +267,9 @@ def random_cubic(config: PlaneConfig, seed: int) -> CubicPoly:
     weights = [rng.randint(-9, 9) for _ in basis]
     coeffs = [Fraction(0)] * 56
     for weight, cubic in zip(weights, basis):
-        if weight == 0:
-            continue
         for idx, c in enumerate(cubic.coeffs):
-            coeffs[idx] += weight * c
+            if weight and c:
+                coeffs[idx] += weight * c
     return CubicPoly(tuple(coeffs))
 
 
@@ -337,7 +328,7 @@ def verify_cubic_dict(d: dict) -> bool:
     """Replay: the stored cubic must match its seed and vanish on all planes."""
     try:
         cubic, config, seed = cubic_from_dict(d)
-    except (KeyError, ValueError, TypeError):
+    except (KeyError, ValueError, TypeError, ZeroDivisionError):
         return False
     if random_cubic(config, seed).coeffs != cubic.coeffs:
         return False

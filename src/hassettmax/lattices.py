@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import det_bareiss, identity, mat_mul, transpose
+from .linalg import det_bareiss, identity, mat_mul
 from .qforms import QuadraticForm, is_positive_definite
 
 _PROFILE_VALUES = {"empty": 0, "point": 1, "line": -1}
@@ -102,14 +102,12 @@ def isometry_to(source: tuple[int, int], target: tuple[int, int]) -> BasisChange
         u = mat_mul(u, _flip_matrix(2))
     if sb != tb:
         u = mat_mul(u, _flip_matrix(3))
-    rows = tuple(tuple(int(x) for x in row) for row in u)
-    return BasisChange(rows, (sa, sb), (ta, tb))
+    return BasisChange(tuple(map(tuple, u)), (sa, sb), (ta, tb))
 
 
 def apply_basis_change(m: GramMatrix5, change: BasisChange) -> tuple[tuple[int, ...], ...]:
-    u = [list(r) for r in change.matrix]
-    prod = mat_mul(mat_mul(transpose(u), [list(r) for r in m.entries]), u)
-    return tuple(tuple(int(x) for x in row) for row in prod)
+    u = change.matrix
+    return tuple(map(tuple, mat_mul(mat_mul(list(zip(*u)), m.entries), u)))
 
 
 def is_unimodular(change: BasisChange) -> bool:

@@ -72,25 +72,9 @@ def kernel_basis(rows) -> list[list[Fraction]]:
     return basis
 
 
-def mat_mul(a, b) -> Matrix:
-    n, k = len(a), len(b)
-    p = len(b[0])
-    out = [[Fraction(0)] * p for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        for j in range(k):
-            x = ai[j]
-            if x == 0:
-                continue
-            bj = b[j]
-            row = out[i]
-            for t in range(p):
-                row[t] += x * bj[t]
-    return out
-
-
-def transpose(a) -> list[list]:
-    return [list(col) for col in zip(*a)]
+def mat_mul(a, b) -> list[list[int]]:
+    """Product of integer matrices."""
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
 def identity(n: int) -> list[list[int]]:
@@ -118,8 +102,3 @@ def det_bareiss(rows) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1] if n else 1
-
-
-def leading_principal_minors(rows) -> list[int]:
-    n = len(rows)
-    return [det_bareiss([row[: k + 1] for row in rows[: k + 1]]) for k in range(n)]

@@ -8,6 +8,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hassettmax import arith
 from hassettmax.arith import (
     SplitMix64,
     _strong_lucas_probable_prime,
@@ -20,7 +21,6 @@ from hassettmax.linalg import (
     det_bareiss,
     identity,
     kernel_basis,
-    leading_principal_minors,
     mat_mul,
     rank,
     rref,
@@ -122,6 +122,39 @@ def test_factorize_splits_squares_without_rho():
     assert factorize(q**2 * 1000003) == {q: 2, 1000003: 1}
 
 
+def test_factorize_splits_perfect_powers_without_rho(monkeypatch):
+    # rho alone took 43.7 s to split q^3 on a 2-core x86-64 machine
+    def no_rho(n):
+        raise AssertionError(f"Pollard rho called on {n}")
+
+    monkeypatch.setattr(arith, "_pollard_rho", no_rho)
+    q = 1999574419881851
+    for k in (2, 3, 5, 6, 7, 11):
+        assert factorize(q**k) == {q: k}
+    assert factorize(3 * q**5) == {3: 1, q: 5}
+    assert factorize(53**2) == {53: 2}  # the least composite the branch sees
+
+
+_BIG_PRIME = st.integers(2**19, 2**59).map(sympy.nextprime)  # 20 to 60 bits
+_SMALL_PRIME = st.integers(2**19, 2**27).map(sympy.nextprime)  # 20 to 28 bits
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    st.tuples(_BIG_PRIME, st.integers(1, 5)),
+    st.lists(st.tuples(_SMALL_PRIME, st.integers(1, 5)), max_size=2),
+)
+@example((1999574419881851, 3), [])
+@example((1048583, 5), [(1048589, 5)])  # a perfect power of a composite
+def test_factorize_matches_sympy(big, small):
+    # rho splits off the primes below 2^28 in about 2^14 steps; what is left
+    # of the one prime up to 2^60 is prime or a perfect power of it
+    n = 1
+    for p, e in [big, *small]:
+        n *= p**e
+    assert factorize(n) == sympy.factorint(n)
+
+
 def test_ceil_sqrt_and_is_square():
     for n in range(1, 500):
         c = ceil_sqrt(n)
@@ -179,11 +212,6 @@ def test_det_bareiss():
         )
     assert det_bareiss(m) == det_rec(m)
     assert det_bareiss([]) == 1  # empty product
-
-
-def test_leading_principal_minors():
-    m = [[2, 1], [1, 2]]
-    assert leading_principal_minors(m) == [2, 3]
 
 
 def test_mat_mul_identity():

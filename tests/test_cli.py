@@ -252,7 +252,7 @@ REPLAYS = {
         [(["steps", 0, "data"], "x"), (["form"], ["G"])],
     ),
     "local certify": (["--k", "7", "--json"], [(["certificates", 0, "witness"], 5)]),
-    "geometry cubic": (["--json"], [(["coeffs"], 5)]),
+    "geometry cubic": (["--json"], [(["coeffs"], 5), (["a"], "1/0")]),
 }
 
 

@@ -3,14 +3,19 @@
 Frozen dimensions below were computed by two independent exact methods
 (restriction-matrix kernel and seeded point evaluation) which the report
 requires to agree. Formula comparison flags are recorded output, checked
-for internal consistency only.
+for internal consistency only. The integer restriction (plane bases scaled
+to integers, one factor per plane) is checked against a Fraction expansion
+over the unscaled kernel bases.
 """
 
 import json
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hassettmax.geometry import (
     EVAL_SEED,
@@ -36,6 +41,7 @@ from hassettmax.geometry import (
     verify_cubic_dict,
 )
 from hassettmax.lattices import gram_M
+from hassettmax.linalg import kernel_basis, rref
 
 PAIRS = [(0, 0), (0, 1), (1, 0), (1, 1)]
 
@@ -224,6 +230,121 @@ def test_random_cubic_vanishes_at_plane_points(configs):
             assert evaluate_cubic(cubic, point) == 0
 
 
+def test_random_cubic_is_the_weighted_kernel_sum(configs):
+    from hassettmax.arith import SplitMix64
+
+    cfg = configs[(1, 1)]
+    basis = cubics_through(cfg)
+    rng = SplitMix64(3)
+    weights = [rng.randint(-9, 9) for _ in basis]
+    expected = tuple(
+        sum((w * c.coeffs[idx] for w, c in zip(weights, basis)), Fraction(0))
+        for idx in range(56)
+    )
+    assert random_cubic(cfg, seed=3).coeffs == expected
+
+
+# --- integer restriction against the Fraction expansion ---
+
+
+def _poly_times_linear_reference(poly, lin):
+    out = {}
+    for expo, coef in poly.items():
+        for var in range(3):
+            if lin[var] == 0:
+                continue
+            key = list(expo)
+            key[var] += 1
+            key = tuple(key)
+            out[key] = out.get(key, Fraction(0)) + coef * lin[var]
+    return out
+
+
+def _restrict_monomial_reference(monomial, basis):
+    """Fraction expansion of a monomial on the plane s0*b0 + s1*b1 + s2*b2."""
+    poly = {(0, 0, 0): Fraction(1)}
+    for coord in range(6):
+        lin = (basis[0][coord], basis[1][coord], basis[2][coord])
+        for _ in range(monomial[coord]):
+            poly = _poly_times_linear_reference(poly, lin)
+    return poly
+
+
+def _fraction_bases(cfg):
+    """The kernel bases of the plane ideals, before any scaling."""
+    return [kernel_basis([list(f) for f in ideal]) for ideal in cfg.ideals]
+
+
+def _restriction_matrix_reference(cfg):
+    rows = []
+    for basis in _fraction_bases(cfg):
+        columns = [_restrict_monomial_reference(m, basis) for m in MONOMIALS]
+        for pm in PARAM_MONOMIALS:
+            rows.append([col.get(pm, Fraction(0)) for col in columns])
+    return rows
+
+
+def _restrict_reference(coeffs, basis):
+    total = {}
+    for coeff, monomial in zip(coeffs, MONOMIALS):
+        if coeff:
+            for expo, c in _restrict_monomial_reference(monomial, basis).items():
+                total[expo] = total.get(expo, Fraction(0)) + coeff * c
+    return {e: c for e, c in total.items() if c != 0}
+
+
+_DIGITS30 = st.integers(10**29, 10**30 - 1)
+_PARAMETERS = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-9, max_value=9, max_denominator=9),
+    st.builds(lambda n, d, sign: Fraction(sign * n, d),
+              _DIGITS30, _DIGITS30, st.sampled_from((1, -1))),
+)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    _PARAMETERS,
+    _PARAMETERS,
+    st.integers(0, 2**32),
+    st.sampled_from(MONOMIALS),
+    st.fractions(min_value=-3, max_value=3, max_denominator=7),
+)
+@example(Fraction(0), Fraction(0), 1, (0, 0, 0, 0, 0, 3), Fraction(1))
+@example(
+    Fraction(123456789012345678901234567891, 987654321098765432109876543211),
+    Fraction(-314159265358979323846264338327, 271828182845904523536028747135),
+    5, (3, 0, 0, 0, 0, 0), Fraction(-2, 3),
+)
+def test_integer_restriction_matches_fraction_reference(a, b, seed, monomial, t):
+    cfg = standard_config(a, b)
+    for basis, fractional in zip(cfg.bases, _fraction_bases(cfg)):
+        # one integer scale per plane: the lcm of the kernel's denominators
+        assert all(type(x) is int for vec in basis for x in vec)
+        scale = lcm(*(x.denominator for vec in fractional for x in vec))
+        assert [list(vec) for vec in basis] == [[scale * x for x in vec] for vec in fractional]
+
+    reference = _restriction_matrix_reference(cfg)
+    assert rref(restriction_matrix(cfg)) == rref(reference)
+    kernel = cubics_through(cfg)
+    assert [list(c.coeffs) for c in kernel] == kernel_basis(reference)
+
+    # the seeded cubic plus t times one monomial: it vanishes on exactly the
+    # planes that kill the monomial (all four when t = 0)
+    coeffs = list(random_cubic(cfg, seed).coeffs)
+    coeffs[MONOMIALS.index(monomial)] += t
+    for cubic in [*kernel, CubicPoly(tuple(coeffs))]:
+        for i, fractional in enumerate(_fraction_bases(cfg), start=1):
+            got = restrict_to_plane(cubic, cfg, i)
+            want = _restrict_reference(cubic.coeffs, fractional)
+            assert got.keys() == want.keys()
+            # the same polynomial up to one positive factor
+            if want:
+                factor = Fraction(next(iter(got.values()))) / next(iter(want.values()))
+                assert factor > 0
+                assert all(got[e] == factor * c for e, c in want.items())
+
+
 # --- dimension counts ---
 
 
@@ -317,6 +438,8 @@ def test_verify_cubic_dict_rejects_tampering(configs):
     idx = next(i for i, c in enumerate(payload["coeffs"]) if c != "0")
     doctored = list(payload["coeffs"])
     doctored[idx] = str(Fraction(doctored[idx]) + 1)
+    assert not verify_cubic_dict(dict(payload, coeffs=doctored))
+    doctored[idx] = "1/0"
     assert not verify_cubic_dict(dict(payload, coeffs=doctored))
 
     reordered = dict(payload, monomials=list(reversed(payload["monomials"])))

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from hassettmax.linalg import det_bareiss, leading_principal_minors
+from hassettmax.linalg import det_bareiss
 from hassettmax.qforms import (
     QuadraticForm,
     bilinear,
@@ -222,6 +222,15 @@ def test_positive_definiteness():
     assert is_positive_definite(Q3)
     assert is_positive_definite(G)
     assert not is_positive_definite(QuadraticForm(2, ((1, 0), (0, -1))))
+
+
+def leading_principal_minors(rows) -> list[int]:
+    """Sylvester's criterion reference: the k x k leading minors, k = 1..n."""
+    return [det_bareiss([row[: k + 1] for row in rows[: k + 1]]) for k in range(len(rows))]
+
+
+def test_leading_principal_minors():
+    assert leading_principal_minors([[2, 1], [1, 2]]) == [2, 3]
 
 
 @st.composite
