@@ -168,22 +168,19 @@ def factorize(n: int) -> dict[int, int]:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    stack = [n] if n > 1 else []
+    stack = [(n, 1)] if n > 1 else []  # (cofactor > 1, its multiplicity)
     while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
+        m, e = stack.pop()
         if is_prime(m):
-            out[m] = out.get(m, 0) + 1
+            out[m] = out.get(m, 0) + e
             continue
         power = _perfect_power(m)
         if power:  # rho would need about sqrt(r) steps to split r^k
             r, k = power
-            stack += [r] * k
+            stack.append((r, e * k))
             continue
         d = _pollard_rho(m)
-        stack.append(d)
-        stack.append(m // d)
+        stack += [(d, e), (m // d, e)]
     return out
 
 

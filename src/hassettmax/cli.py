@@ -19,8 +19,8 @@ _FORM_FLAGS = {"q3": "Q3", "g": "G"}
 
 
 def _fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
+    try:  # a ValueError is argparse's own "invalid _fraction value" (exit 2)
+        return geometry.parse_rational(text)
     except ZeroDivisionError:
         raise argparse.ArgumentTypeError("zero denominator") from None
 
@@ -100,9 +100,6 @@ def _hassett_diagnosis(n: int) -> str:
 
 
 def _cmd_hassett_represent(args) -> int:
-    if args.verify_file:
-        return _replay(args.verify_file, "certificate", hassett_rep.certificate_from_dict,
-                       hassett_rep.verify_certificate, "certificate for n = {0.n}")
     if args.n is None:
         print("error: need n or --verify-file", file=sys.stderr)
         return 2
@@ -173,9 +170,6 @@ def _print_trace(trace) -> None:
 
 
 def _cmd_adc_descend(args) -> int:
-    if args.verify_file:
-        return _replay(args.verify_file, "trace", _decode_trace, _trace_ok,
-                       "trace for {0.form_name}")
     if args.num is None or args.den is None:
         print("error: need --num and --den, or --verify-file", file=sys.stderr)
         return 2
@@ -198,9 +192,6 @@ def _report_ok(report) -> bool:
 
 
 def _cmd_local_certify(args) -> int:
-    if args.verify_file:
-        return _replay(args.verify_file, "report", local_global.report_from_dict,
-                       _report_ok, "report for k = {0.k}")
     if args.k is None:
         print("error: need --k or --verify-file", file=sys.stderr)
         return 2
@@ -281,9 +272,6 @@ def _cmd_geometry_dims(args) -> int:
 
 
 def _cmd_geometry_cubic(args) -> int:
-    if args.verify_file:
-        return _replay(args.verify_file, "cubic", lambda payload: payload,
-                       geometry.verify_cubic_dict, "cubic")
     config = geometry.standard_config(args.a, args.b)
     cubic = geometry.random_cubic(config, args.seed)
     payload = geometry.cubic_to_dict(cubic, config, args.seed)
@@ -299,6 +287,18 @@ def _cmd_geometry_cubic(args) -> int:
 # --- parser ---
 
 
+def _command(actions, name: str, help: str, func, replay=None):
+    """A subcommand with --json. Given replay = (what, decode, check, label),
+    it also takes --verify-file, which main runs through _replay instead of
+    func."""
+    command = actions.add_parser(name, help=help)
+    command.add_argument("--json", action="store_true")
+    if replay:
+        command.add_argument("--verify-file", dest="verify_file")
+    command.set_defaults(func=func, replay=replay, verify_file=None)
+    return command
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hassettmax",
@@ -309,69 +309,54 @@ def _build_parser() -> argparse.ArgumentParser:
 
     hassett = groups.add_parser("hassett", help="primitive representation pipeline")
     hactions = hassett.add_subparsers(dest="action", required=True)
-    verify = hactions.add_parser("verify", help="check the primitive image up to N")
+    verify = _command(hactions, "verify", "check the primitive image up to N",
+                      _cmd_hassett_verify)
     verify.add_argument("--max", type=int, required=True)
-    verify.add_argument("--json", action="store_true")
-    verify.set_defaults(func=_cmd_hassett_verify)
-    represent = hactions.add_parser("represent", help="certificate for one n")
+    represent = _command(hactions, "represent", "certificate for one n", _cmd_hassett_represent,
+                         ("certificate", hassett_rep.certificate_from_dict,
+                          hassett_rep.verify_certificate, "certificate for n = {0.n}"))
     represent.add_argument("n", type=int, nargs="?")
-    represent.add_argument("--json", action="store_true")
-    represent.add_argument("--verify-file", dest="verify_file")
-    represent.set_defaults(func=_cmd_hassett_represent)
 
     adc_group = groups.add_parser("adc", help="descent and ADC verification")
     aactions = adc_group.add_subparsers(dest="action", required=True)
-    check = aactions.add_parser("check", help="scan for ADC violations")
+    check = _command(aactions, "check", "scan for ADC violations", _cmd_adc_check)
     check.add_argument("--form", choices=sorted(_FORM_FLAGS), required=True)
     check.add_argument("--max", type=int, required=True)
-    check.add_argument("--json", action="store_true")
-    check.set_defaults(func=_cmd_adc_check)
-    descend = aactions.add_parser("descend", help="denominator descent trace")
+    descend = _command(aactions, "descend", "denominator descent trace", _cmd_adc_descend,
+                       ("trace", _decode_trace, _trace_ok, "trace for {0.form_name}"))
     descend.add_argument("--form", choices=sorted(_FORM_FLAGS), default="q3")
     descend.add_argument("--num", type=_int_csv(3))
     descend.add_argument("--den", type=int)
-    descend.add_argument("--json", action="store_true")
-    descend.add_argument("--verify-file", dest="verify_file")
-    descend.set_defaults(func=_cmd_adc_descend)
 
     local = groups.add_parser("local", help="local solvability certificates")
     lactions = local.add_subparsers(dest="action", required=True)
-    certify = lactions.add_parser("certify", help="certify G(w) = k at all places")
+    certify = _command(lactions, "certify", "certify G(w) = k at all places", _cmd_local_certify,
+                       ("report", local_global.report_from_dict, _report_ok,
+                        "report for k = {0.k}"))
     certify.add_argument("--k", type=int)
     certify.add_argument("--primes", type=_int_list, default=None)
     certify.add_argument("--precision", type=int, default=3)
-    certify.add_argument("--json", action="store_true")
-    certify.add_argument("--verify-file", dest="verify_file")
-    certify.set_defaults(func=_cmd_local_certify)
 
     lattice = groups.add_parser("lattice", help="rank-5 Gram matrices")
     tactions = lattice.add_subparsers(dest="action", required=True)
-    gram = tactions.add_parser("gram", help="print the Gram matrix")
+    gram = _command(tactions, "gram", "print the Gram matrix", _cmd_lattice_gram)
     gram.add_argument("--alpha", type=int, choices=(0, 1), required=True)
     gram.add_argument("--beta", type=int, choices=(0, 1), required=True)
-    gram.add_argument("--json", action="store_true")
-    gram.set_defaults(func=_cmd_lattice_gram)
-    isometry = tactions.add_parser("isometry", help="basis change between variants")
+    isometry = _command(tactions, "isometry", "basis change between variants",
+                        _cmd_lattice_isometry)
     isometry.add_argument("--from", dest="from_pair", type=_int_csv(2), required=True)
     isometry.add_argument("--to", dest="to_pair", type=_int_csv(2), required=True)
-    isometry.add_argument("--json", action="store_true")
-    isometry.set_defaults(func=_cmd_lattice_isometry)
 
     geo = groups.add_parser("geometry", help="plane configurations and cubics")
     gactions = geo.add_subparsers(dest="action", required=True)
-    dims = gactions.add_parser("dims", help="dimension report")
-    dims.add_argument("--a", type=_fraction, default=Fraction(1))
-    dims.add_argument("--b", type=_fraction, default=Fraction(1))
-    dims.add_argument("--json", action="store_true")
-    dims.set_defaults(func=_cmd_geometry_dims)
-    cubic = gactions.add_parser("cubic", help="emit a seeded vanishing cubic")
-    cubic.add_argument("--a", type=_fraction, default=Fraction(1))
-    cubic.add_argument("--b", type=_fraction, default=Fraction(1))
+    dims = _command(gactions, "dims", "dimension report", _cmd_geometry_dims)
+    cubic = _command(gactions, "cubic", "emit a seeded vanishing cubic", _cmd_geometry_cubic,
+                     ("cubic", lambda payload: payload, geometry.verify_cubic_dict, "cubic"))
+    for command in (dims, cubic):
+        command.add_argument("--a", type=_fraction, default=Fraction(1))
+        command.add_argument("--b", type=_fraction, default=Fraction(1))
     cubic.add_argument("--seed", type=int, default=1)
     cubic.add_argument("--out")
-    cubic.add_argument("--json", action="store_true")
-    cubic.add_argument("--verify-file", dest="verify_file")
-    cubic.set_defaults(func=_cmd_geometry_cubic)
 
     return parser
 
@@ -383,6 +368,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        if args.verify_file:
+            return _replay(args.verify_file, *args.replay)
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -316,9 +316,17 @@ def cubic_to_dict(cubic: CubicPoly, config: PlaneConfig, seed: int) -> dict:
     }
 
 
+def parse_rational(text: str) -> Fraction:
+    """Fraction(text) without exponent notation, which would let a few
+    bytes such as "1e100000" stand for a 100001-digit parameter."""
+    if isinstance(text, str) and "e" in text.lower():
+        raise ValueError(f"exponent notation is not accepted: {text!r}")
+    return Fraction(text)
+
+
 def cubic_from_dict(d: dict) -> tuple[CubicPoly, PlaneConfig, int]:
-    config = standard_config(Fraction(d["a"]), Fraction(d["b"]))
-    cubic = CubicPoly(tuple(Fraction(c) for c in d["coeffs"]))
+    config = standard_config(parse_rational(d["a"]), parse_rational(d["b"]))
+    cubic = CubicPoly(tuple(map(parse_rational, d["coeffs"])))
     if [list(m) for m in MONOMIALS] != [list(m) for m in d["monomials"]]:
         raise ValueError("monomial order mismatch")
     return cubic, config, int(d["seed"])

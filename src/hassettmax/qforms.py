@@ -10,15 +10,17 @@ package live here:
 
 Enumeration is one Fincke-Pohst walk over an integer LDL scaled by Bareiss
 elimination: every bound is an integer square root and every step an int
-operation, with no floats and no fractions. For diagonal ternary forms
-integer_image_upto keeps a sieve over the non-negative octant, which visits
-1/8 of the vectors the walk would.
+operation, with no floats and no fractions. For diagonal forms
+integer_image_upto skips the walk: it builds the image one coordinate at a
+time, shifting the sorted values so far by c x^2 for each x >= 0.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cache
+from itertools import islice
 from math import gcd, isqrt, lcm
 
 _GRAM_F = (
@@ -242,23 +244,16 @@ def primitive_image(form: QuadraticForm, n_max: int) -> list[int]:
 
 def integer_image_upto(form: QuadraticForm, n_max: int) -> set[int]:
     """All positive values of Q on integer vectors, up to n_max."""
-    if is_diagonal(form) and form.dim == 3 and is_positive_definite(form):
-        # Q is even in each coordinate, so sieving the non-negative octant
-        # visits 1/8 of the vectors the generic walk would
-        a, b, c = form.gram[0][0], form.gram[1][1], form.gram[2][2]
-        vals = set()
-        x = 0
-        while a * x * x <= n_max:
-            ax = a * x * x
-            y = 0
-            while ax + b * y * y <= n_max:
-                axy = ax + b * y * y
-                z = 0
-                while axy + c * z * z <= n_max:
-                    vals.add(axy + c * z * z)
-                    z += 1
-                y += 1
-            x += 1
-        vals.discard(0)
-        return vals
+    if is_diagonal(form) and is_positive_definite(form):
+        # Q = sum c_i v_i^2 is even in each coordinate: each x >= 1 of the
+        # next coordinate shifts the sorted values so far by c x^2
+        image = {0}
+        for i in range(form.dim):
+            c = form.gram[i][i]
+            vals = sorted(image)
+            for x in range(1, isqrt(max(n_max, 0) // c) + 1):
+                s = c * x * x
+                image.update(map(s.__add__, islice(vals, bisect_right(vals, n_max - s))))
+        image.discard(0)
+        return image
     return {q for _, q in vectors_up_to(form, n_max) if q > 0}

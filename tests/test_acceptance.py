@@ -104,9 +104,10 @@ def test_04_adc_verification():
     t0 = time.monotonic()
     assert adc_check(Q3, 5000) == []
     assert adc_check(G, 5000) == []
+    assert adc_check(Q3, 10**5) == adc_check(G, 10**5) == []
     elapsed = time.monotonic() - t0
     assert elapsed < 120
-    print(f"[PASS] 4: no ADC violations for Q3 or G up to 5000 ({elapsed:.1f}s)")
+    print(f"[PASS] 4: no ADC violations for Q3 or G up to 100000 ({elapsed:.1f}s)")
 
 
 def test_05_descent_soundness():

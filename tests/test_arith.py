@@ -135,6 +135,20 @@ def test_factorize_splits_perfect_powers_without_rho(monkeypatch):
     assert factorize(53**2) == {53: 2}  # the least composite the branch sees
 
 
+def test_factorize_splits_the_root_of_a_power_once(monkeypatch):
+    calls = []
+
+    def counting_rho(n):
+        calls.append(n)
+        return rho(n)
+
+    rho = arith._pollard_rho
+    monkeypatch.setattr(arith, "_pollard_rho", counting_rho)
+    r = 1000003 * 1000033
+    assert factorize(r**7) == {1000003: 7, 1000033: 7}
+    assert calls == [r]
+
+
 _BIG_PRIME = st.integers(2**19, 2**59).map(sympy.nextprime)  # 20 to 60 bits
 _SMALL_PRIME = st.integers(2**19, 2**27).map(sympy.nextprime)  # 20 to 28 bits
 

@@ -221,6 +221,9 @@ def test_geometry_dims_accepts_fractions(capsys):
     assert payload["alpha"] == "0" and payload["beta"] == "0"
     code, _, _ = run(capsys, "geometry", "dims", "--a", "1/0")
     assert code == 2
+    # exponent notation would stand for a 100001-digit parameter
+    code, _, err = run(capsys, "geometry", "dims", "--a", "1e100000")
+    assert code == 2 and "invalid" in err
 
 
 def test_geometry_cubic_round_trip(capsys, tmp_path):
@@ -252,7 +255,9 @@ REPLAYS = {
         [(["steps", 0, "data"], "x"), (["form"], ["G"])],
     ),
     "local certify": (["--k", "7", "--json"], [(["certificates", 0, "witness"], 5)]),
-    "geometry cubic": (["--json"], [(["coeffs"], 5), (["a"], "1/0")]),
+    "geometry cubic": (
+        ["--json"], [(["coeffs"], 5), (["a"], "1/0"), (["a"], "1e64000"), (["a"], 5)]
+    ),
 }
 
 

@@ -408,12 +408,18 @@ def test_enumeration_matches_box_brute_force(form, bound):
 
 
 @PROPERTY
-@given(st.lists(st.integers(1, 6), min_size=3, max_size=3), st.integers(0, 60))
+@given(st.lists(st.integers(1, 6), min_size=1, max_size=4), st.integers(0, 60))
 def test_diagonal_sieve_matches_box_brute_force(diagonal, bound):
-    a, b, c = diagonal
-    form = QuadraticForm(3, ((a, 0, 0), (0, b, 0), (0, 0, c)))
+    dim = len(diagonal)
+    form = QuadraticForm(dim, tuple(tuple(c if i == j else 0 for j in range(dim))
+                                    for i, c in enumerate(diagonal)))
     expected = {n for n in brute_table(form, bound) if n > 0}
     assert integer_image_upto(form, bound) == expected
+
+
+def test_integer_image_sizes():
+    assert len(integer_image_upto(Q3, 10**5)) == 87501
+    assert len(integer_image_upto(G, 10**5)) == 62501
 
 
 def test_enumeration_edge_cases():
