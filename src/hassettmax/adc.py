@@ -36,10 +36,11 @@ from .qforms import (
     builtin_form,
     content,
     evaluate,
-    integer_image_upto,
+    image_mask,
     is_diagonal,
     is_positive_definite,
     representations,
+    set_bits,
 )
 from . import local_global
 
@@ -339,35 +340,38 @@ def verify_trace(form: QuadraticForm, trace: DescentTrace) -> bool:
     return prev == trace.terminal
 
 
-def _rationally_representable(form: QuadraticForm, n: int) -> bool:
-    """Exact for unary and diagonal ternary forms; bounded search otherwise."""
-    if n == 0:
-        return True
+def _rational_test(form: QuadraticForm):
+    """n -> is n >= 1 a value of Q over the rationals. Built once per form:
+    exact for unary forms and, through the Hasse-Minkowski test of
+    local_global, for diagonal ternary forms; a bounded search otherwise."""
     if form.dim == 1:
         a = form.gram[0][0]
-        r = isqrt(abs(n * a))
-        return n * a >= 0 and r * r == n * a
+
+        def unary(n: int) -> bool:
+            r = isqrt(n * a)
+            return r * r == n * a
+
+        return unary
     if form.dim == 3 and is_diagonal(form):
         diag = tuple(form.gram[i][i] for i in range(3))
-        return local_global.rationally_representable_ternary(diag, n)
+        return lambda n: local_global.rationally_representable_ternary(diag, n)
     # sound but not complete: witness search over denominators up to 8
-    for t in range(1, 9):
-        if representations(form, n * t * t):
-            return True
-    return False
+    return lambda n: any(representations(form, n * t * t) for t in range(1, 9))
 
 
 def adc_check(form: QuadraticForm, n_max: int) -> list[int]:
-    """Integers n in [1, n_max] rationally but not integrally represented."""
+    """Integers n in [1, n_max] rationally but not integrally represented.
+
+    The candidates are the zero bits of qforms.image_mask, read in one pass;
+    only they reach the rational test.
+    """
     try:
-        image = integer_image_upto(form, n_max)
+        image = image_mask(form, n_max)
     except ValueError:  # the only one it raises: not positive definite
         raise ValueError("adc_check requires a positive definite form") from None
-    return [
-        n
-        for n in range(1, n_max + 1)
-        if n not in image and _rationally_representable(form, n)
-    ]
+    rational = _rational_test(form)
+    outside = ~image & ((2 << max(n_max, 0)) - 2)  # bits 1..n_max not in the image
+    return [n for n in set_bits(outside) if rational(n)]
 
 
 # --- serialization (integers as decimal strings) ---

@@ -35,6 +35,22 @@ def _int_csv(arity: int):
     return parse
 
 
+def _int_at_most(limit: int):
+    """An int option bounded above, so a few bytes cannot ask for a run
+    that never ends (or, for adc check, for a mask of that many bits)."""
+
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if n > limit:
+            raise argparse.ArgumentTypeError(f"{n} is above the limit {limit}")
+        return n
+
+    return parse
+
+
 def _int_list(text: str):
     return [int(x) for x in text.split(",")]
 
@@ -311,7 +327,7 @@ def _build_parser() -> argparse.ArgumentParser:
     hactions = hassett.add_subparsers(dest="action", required=True)
     verify = _command(hactions, "verify", "check the primitive image up to N",
                       _cmd_hassett_verify)
-    verify.add_argument("--max", type=int, required=True)
+    verify.add_argument("--max", type=_int_at_most(10**4), required=True)
     represent = _command(hactions, "represent", "certificate for one n", _cmd_hassett_represent,
                          ("certificate", hassett_rep.certificate_from_dict,
                           hassett_rep.verify_certificate, "certificate for n = {0.n}"))
@@ -321,7 +337,7 @@ def _build_parser() -> argparse.ArgumentParser:
     aactions = adc_group.add_subparsers(dest="action", required=True)
     check = _command(aactions, "check", "scan for ADC violations", _cmd_adc_check)
     check.add_argument("--form", choices=sorted(_FORM_FLAGS), required=True)
-    check.add_argument("--max", type=int, required=True)
+    check.add_argument("--max", type=_int_at_most(10**7), required=True)
     descend = _command(aactions, "descend", "denominator descent trace", _cmd_adc_descend,
                        ("trace", _decode_trace, _trace_ok, "trace for {0.form_name}"))
     descend.add_argument("--form", choices=sorted(_FORM_FLAGS), default="q3")

@@ -7,12 +7,16 @@ re-verified by direct evaluation, so every solvable certificate replays.
 
 Also contains the generic square-class machinery (Hilbert symbols and
 p-adic squares, built on arith.jacobi) used to decide rational
-representability of diagonal ternary forms exactly.
+representability of diagonal ternary forms exactly. The parts of that test
+that depend on the form alone, the Hasse comparison at each prime and the
+primes where it can fail, are cached per coefficient triple, so a scan over
+many n (adc.adc_check) pays for them once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .arith import factorize, is_prime, jacobi
 from .qforms import builtin_form, evaluate
@@ -65,11 +69,33 @@ def is_padic_square(a: int, p: int) -> bool:
     return jacobi(u % p, p) == 1
 
 
+@cache  # per (coeffs, p): the same few forms and primes recur
+def _hasse_differs(coeffs: tuple[int, int, int], p: int) -> bool:
+    """(-1, -disc)_p != the Hasse invariant of <c1, c2, c3> at p; only then
+    can the form fail to represent some n over Q_p."""
+    d = coeffs[0] * coeffs[1] * coeffs[2]
+    eps = (
+        hilbert_symbol(coeffs[0], coeffs[1], p)
+        * hilbert_symbol(coeffs[0], coeffs[2], p)
+        * hilbert_symbol(coeffs[1], coeffs[2], p)
+    )
+    return hilbert_symbol(-1, -d, p) != eps
+
+
+@cache
+def _obstructing_primes(coeffs: tuple[int, int, int]) -> tuple[int, ...]:
+    """The primes of 2*disc at which <c1, c2, c3> fails to represent some n
+    over Q_p; no other prime can (there both symbols are 1)."""
+    d = coeffs[0] * coeffs[1] * coeffs[2]
+    return tuple(p for p in sorted(factorize(abs(2 * d))) if _hasse_differs(coeffs, p))
+
+
 def ternary_represents_locally(coeffs: tuple[int, int, int], n: int, p) -> bool:
     """Does <c1, c2, c3> represent n over Q_p (p None = over R)?
 
     Rank-3 criterion: q represents n unless n lies in the square class of
-    -disc(q) while (-1, -disc)_p differs from the Hasse invariant of q.
+    -disc(q) while (-1, -disc)_p differs from the Hasse invariant of q. That
+    comparison depends only on (coeffs, p) and is computed once for each.
     """
     if n == 0:
         return True
@@ -80,27 +106,21 @@ def ternary_represents_locally(coeffs: tuple[int, int, int], n: int, p) -> bool:
             return n < 0
         return True
     d = coeffs[0] * coeffs[1] * coeffs[2]
-    eps = (
-        hilbert_symbol(coeffs[0], coeffs[1], p)
-        * hilbert_symbol(coeffs[0], coeffs[2], p)
-        * hilbert_symbol(coeffs[1], coeffs[2], p)
-    )
-    same_class = is_padic_square(n * -d, p)
-    return (not same_class) or hilbert_symbol(-1, -d, p) == eps
+    return not _hasse_differs(coeffs, p) or not is_padic_square(n * -d, p)
 
 
 def rationally_representable_ternary(coeffs: tuple[int, int, int], n: int) -> bool:
     """Exact Hasse-Minkowski test for a diagonal ternary form.
 
-    Only the real place and primes dividing 2*disc can obstruct, so the
-    check is finite.
+    Only the real place and the primes of 2*disc can obstruct, so the check
+    is finite; the obstructing primes are found once per coeffs, so a call
+    factors nothing after the first for the same form.
     """
     if n == 0:
         return True
     if not ternary_represents_locally(coeffs, n, None):
         return False
-    bad = sorted(factorize(abs(2 * coeffs[0] * coeffs[1] * coeffs[2])))
-    return all(ternary_represents_locally(coeffs, n, p) for p in bad)
+    return all(ternary_represents_locally(coeffs, n, p) for p in _obstructing_primes(coeffs))
 
 
 def sqrt_mod_p(a: int, p: int) -> int:

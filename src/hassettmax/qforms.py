@@ -10,17 +10,20 @@ package live here:
 
 Enumeration is one Fincke-Pohst walk over an integer LDL scaled by Bareiss
 elimination: every bound is an integer square root and every step an int
-operation, with no floats and no fractions. For diagonal forms
-integer_image_upto skips the walk: it builds the image one coordinate at a
-time, shifting the sorted values so far by c x^2 for each x >= 0.
+operation, with no floats and no fractions.
+
+image_mask holds a form's values up to a bound as the bits of one Python
+int. For a positive definite diagonal form it skips the walk: each
+coordinate ORs the mask so far, shifted by c x^2 for every x >= 1, so the
+work is a few hundred big-integer shifts, not one Python step per value.
+integer_image_upto and adc.adc_check read that mask in a single C pass.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import islice
+from itertools import compress, count
 from math import gcd, isqrt, lcm
 
 _GRAM_F = (
@@ -242,18 +245,47 @@ def primitive_image(form: QuadraticForm, n_max: int) -> list[int]:
     return sorted(seen)
 
 
-def integer_image_upto(form: QuadraticForm, n_max: int) -> set[int]:
-    """All positive values of Q on integer vectors, up to n_max."""
+# byte tables between a 0/1 flag per value and the ASCII digits of int(_, 2)
+# and bin(): one C pass each way
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def image_mask(form: QuadraticForm, n_max: int) -> int:
+    """The values of Q on integer vectors up to n_max, as a bitmask: bit q
+    is set when some v has Q(v) = q. Bit 0 is always set (the zero vector),
+    and no bit above max(n_max, 0) is.
+
+    Requires a positive definite form; any other raises the ValueError of
+    vectors_up_to.
+    """
+    n_max = max(n_max, 0)
     if is_diagonal(form) and is_positive_definite(form):
         # Q = sum c_i v_i^2 is even in each coordinate: each x >= 1 of the
-        # next coordinate shifts the sorted values so far by c x^2
-        image = {0}
+        # next coordinate adds the values so far shifted by c x^2
+        width = (1 << (n_max + 1)) - 1
+        mask = 1
         for i in range(form.dim):
             c = form.gram[i][i]
-            vals = sorted(image)
-            for x in range(1, isqrt(max(n_max, 0) // c) + 1):
-                s = c * x * x
-                image.update(map(s.__add__, islice(vals, bisect_right(vals, n_max - s))))
-        image.discard(0)
-        return image
-    return {q for _, q in vectors_up_to(form, n_max) if q > 0}
+            grown = mask
+            for x in range(1, isqrt(n_max // c) + 1):
+                grown |= mask << c * x * x
+            mask = grown & width
+        return mask
+    seen = bytearray(n_max + 1)
+    for _, q in vectors_up_to(form, n_max):
+        seen[q] = 1
+    # "1" at string index n_max - q is bit q
+    return int(seen[::-1].translate(_DIGITS), 2)
+
+
+def set_bits(mask: int):
+    """The positions of the set bits of mask >= 0, in increasing order."""
+    flags = bin(mask)[:1:-1].encode().translate(_FLAGS)  # bit i at index i
+    return compress(count(), flags)
+
+
+def integer_image_upto(form: QuadraticForm, n_max: int) -> set[int]:
+    """All positive values of Q on integer vectors, up to n_max: the set
+    bits >= 1 of image_mask."""
+    return set(set_bits(image_mask(form, n_max) & -2))

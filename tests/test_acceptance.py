@@ -110,6 +110,14 @@ def test_04_adc_verification():
     print(f"[PASS] 4: no ADC violations for Q3 or G up to 100000 ({elapsed:.1f}s)")
 
 
+def test_04b_adc_verification_to_a_million():
+    t0 = time.monotonic()
+    assert adc_check(Q3, 10**6) == adc_check(G, 10**6) == []
+    elapsed = time.monotonic() - t0
+    assert elapsed < 30
+    print(f"[PASS] 4b: no ADC violations for Q3 or G up to 1000000 ({elapsed:.1f}s)")
+
+
 def test_05_descent_soundness():
     # chord construction through small integer solutions; den cap ~1e9
     entry_bound = {"Q3": 14000, "G": 11900}

@@ -6,11 +6,13 @@ of the line z + s*d with the quadric is rational with denominator Q(d).
 """
 
 import json
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from hassettmax import adc
+from hassettmax import adc, local_global
 from hassettmax.adc import (
     DegenerateChordError,
     DescentStep,
@@ -38,6 +40,8 @@ from hassettmax.qforms import (
     builtin_form,
     content,
     evaluate,
+    integer_image_upto,
+    is_diagonal,
     representations,
 )
 
@@ -433,3 +437,72 @@ def test_adc_check_rejects_indefinite_forms(gram):
     form = QuadraticForm(len(gram), gram)
     with pytest.raises(ValueError, match="^adc_check requires a positive definite form$"):
         adc_check(form, 50)
+
+
+# --- adc_check against the per-n loop it replaced ---
+
+
+def reference_rationally_representable(form, n):
+    """Per-n rational test: exact for unary and diagonal ternary forms,
+    a witness search over denominators up to 8 otherwise."""
+    if n == 0:
+        return True
+    if form.dim == 1:
+        a = form.gram[0][0]
+        r = isqrt(abs(n * a))
+        return n * a >= 0 and r * r == n * a
+    if form.dim == 3 and is_diagonal(form):
+        diag = tuple(form.gram[i][i] for i in range(3))
+        return local_global.rationally_representable_ternary(diag, n)
+    for t in range(1, 9):
+        if representations(form, n * t * t):
+            return True
+    return False
+
+
+def reference_adc_check(form, n_max):
+    """The image as a set, then every n in [1, n_max] outside it tested."""
+    image = integer_image_upto(form, n_max)
+    return [
+        n
+        for n in range(1, n_max + 1)
+        if n not in image and reference_rationally_representable(form, n)
+    ]
+
+
+def diagonal_form(*coeffs):
+    return QuadraticForm(
+        len(coeffs),
+        tuple(tuple(c if i == j else 0 for j in range(len(coeffs))) for i, c in enumerate(coeffs)),
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.tuples(*[st.integers(1, 12)] * 3), st.integers(0, 1500))
+@example((1, 1, 3), 1500)
+@example((5, 7, 11), 1500)
+def test_adc_check_matches_reference_loop_on_diagonal_ternary_forms(coeffs, n_max):
+    # most of these forms are not ADC, so the violation lists are nonempty
+    form = diagonal_form(*coeffs)
+    assert adc_check(form, n_max) == reference_adc_check(form, n_max)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 12), st.integers(0, 1500))
+def test_adc_check_matches_reference_loop_on_unary_forms(a, n_max):
+    form = diagonal_form(a)
+    assert adc_check(form, n_max) == reference_adc_check(form, n_max)
+
+
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 1500))
+def test_adc_check_matches_reference_loop_on_the_search_fallback(n_max):
+    # x^2 + 2xy + 5y^2 = (x + y)^2 + 4y^2 is not ADC: 2 = Q(1/2, 1/2)
+    form = QuadraticForm(2, ((1, 1), (1, 5)))
+    assert adc_check(form, n_max) == reference_adc_check(form, n_max)
+
+
+def test_adc_check_search_fallback_finds_violations():
+    # x^2 + 4y^2 misses every n = 2 mod 4; those that are twice a sum of two
+    # squares are rational values, since 2 = (1/2)^2 + 4 (1/2)^2
+    assert adc_check(QuadraticForm(2, ((1, 1), (1, 5))), 60) == [2, 10, 18, 26, 34, 50, 58]

@@ -92,6 +92,16 @@ def test_adc_check(capsys):
     assert "no ADC violations" in out
 
 
+def test_scan_bounds_are_refused_before_any_loop(capsys):
+    # exit 2 (usage), not 1: adc check uses 1 for "violations found"
+    code, _, err = run(capsys, "adc", "check", "--form", "q3", "--max", "3000000000")
+    assert code == 2 and "above the limit 10000000" in err
+    code, _, err = run(capsys, "hassett", "verify", "--max", "10001")
+    assert code == 2 and "above the limit 10000" in err
+    code, _, err = run(capsys, "adc", "check", "--form", "g", "--max", "many")
+    assert code == 2 and "invalid int value" in err
+
+
 def test_adc_descend_text(capsys):
     code, out, _ = run(
         capsys, "adc", "descend", "--form", "g", "--num", "5,9,12", "--den", "10"

@@ -8,8 +8,10 @@ product formula and bimultiplicativity, exhaustive residue tables for the
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from hassettmax.arith import SplitMix64, is_prime
+from hassettmax.arith import SplitMix64, factorize, is_prime
 from hassettmax.local_global import (
     LocalCertificate,
     certify_global,
@@ -154,6 +156,73 @@ def test_rational_representability_matches_enumeration():
     for n in range(1, 401):
         assert rationally_representable_ternary((1, 1, 3), n) == (n in image_q3)
         assert rationally_representable_ternary((1, 3, 3), n) == (n in image_g)
+
+
+def reference_represents_locally(coeffs, n, p):
+    """The rank-3 local criterion with every symbol computed per call."""
+    if n == 0:
+        return True
+    if p is None:
+        if all(c > 0 for c in coeffs):
+            return n > 0
+        if all(c < 0 for c in coeffs):
+            return n < 0
+        return True
+    d = coeffs[0] * coeffs[1] * coeffs[2]
+    eps = (
+        hilbert_symbol(coeffs[0], coeffs[1], p)
+        * hilbert_symbol(coeffs[0], coeffs[2], p)
+        * hilbert_symbol(coeffs[1], coeffs[2], p)
+    )
+    same_class = is_padic_square(n * -d, p)
+    return (not same_class) or hilbert_symbol(-1, -d, p) == eps
+
+
+def reference_rationally_representable(coeffs, n):
+    """Hasse-Minkowski over the real place and every prime of 2*disc,
+    factoring 2*disc per call."""
+    if n == 0:
+        return True
+    if not reference_represents_locally(coeffs, n, None):
+        return False
+    bad = sorted(factorize(abs(2 * coeffs[0] * coeffs[1] * coeffs[2])))
+    return all(reference_represents_locally(coeffs, n, p) for p in bad)
+
+
+NONZERO_COEFF = st.integers(-30, 30).filter(bool)
+TARGET = st.integers(-500, 500)
+SMALL_PRIMES = [p for p in range(2, 32) if is_prime(p)]
+CACHED = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+@CACHED
+@given(st.tuples(NONZERO_COEFF, NONZERO_COEFF, NONZERO_COEFF), TARGET,
+       st.sampled_from([None] + SMALL_PRIMES))
+@example((1, 1, 3), 0, 3)
+@example((1, 3, 3), 2, 3)
+@example((-1, -3, -3), -2, 3)
+def test_ternary_represents_locally_matches_per_call_reference(coeffs, n, p):
+    assert ternary_represents_locally(coeffs, n, p) == reference_represents_locally(coeffs, n, p)
+
+
+@CACHED
+@given(st.tuples(NONZERO_COEFF, NONZERO_COEFF, NONZERO_COEFF), TARGET)
+@example((1, 1, 3), 0)
+@example((1, 1, 3), 6)
+@example((-7, 5, 30), -500)
+def test_rationally_representable_ternary_matches_per_call_reference(coeffs, n):
+    assert rationally_representable_ternary(coeffs, n) == reference_rationally_representable(
+        coeffs, n
+    )
+
+
+@CACHED
+@given(st.integers(-500, 500), st.sampled_from(SMALL_PRIMES))
+def test_unsolvable_certificates_replay_the_per_call_criterion(k, p):
+    # verify_local_certificate accepts a witness-free "unsolvable" verdict
+    # exactly when G = <1, 3, 3> fails to represent k over Q_p
+    cert = LocalCertificate(k, p, 3, None, "unsolvable")
+    assert verify_local_certificate(cert) == (not reference_represents_locally((1, 3, 3), k, p))
 
 
 def test_negative_targets_fail_at_the_real_place():
