@@ -351,7 +351,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         "report for k = {0.k}"))
     certify.add_argument("--k", type=int)
     certify.add_argument("--primes", type=_int_list, default=None)
-    certify.add_argument("--precision", type=int, default=3)
+    certify.add_argument("--precision", type=_int_at_most(10**3), default=3)
 
     lattice = groups.add_parser("lattice", help="rank-5 Gram matrices")
     tactions = lattice.add_subparsers(dest="action", required=True)

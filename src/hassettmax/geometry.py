@@ -8,8 +8,11 @@ of cubics vanishing on all four planes, and count orbit and stabilizer
 dimensions for the simultaneous linear symmetry group. Parameters, ideals
 and cubic coefficients are Fractions. Each plane basis is scaled to integers
 once, by one common factor per plane, so restriction rows, oracle points and
-stabilizer rows are integers. Dimensions are exact ranks from linalg's
-integer elimination, cross-checked by a seeded evaluation oracle.
+stabilizer rows are integers. One table of monomial index triples drives
+both monomial values at a point and each plane's block of the restriction,
+a product of three linear forms in the plane parameters. Dimensions are
+exact ranks from linalg's forward integer elimination, cross-checked by a
+seeded evaluation oracle; cubics are read off the integer echelon rows.
 """
 
 from __future__ import annotations
@@ -17,11 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import lcm, prod
+from math import lcm
 
 from .arith import SplitMix64
 from .lattices import GramMatrix5, gram_M, voisin_value
-from .linalg import clear_denominators, kernel_basis, rank
+from .linalg import clear_denominators, echelon, kernel_basis, rank
 
 EVAL_SEED = 1729
 POINTS_PER_PLANE = 20  # 80 oracle rows against the 56 monomials
@@ -42,6 +45,12 @@ PARAM_MONOMIALS = tuple(
         (e for e in product(range(DEGREE + 1), repeat=3) if sum(e) == DEGREE),
         reverse=True,
     )
+)
+
+# each monomial as the ascending triple of its variable indices: x^2*y is
+# (0, 0, 1)
+_INDEX_TRIPLES = tuple(
+    tuple(var for var, e in enumerate(m) for _ in range(e)) for m in MONOMIALS
 )
 
 assert len(MONOMIALS) == 56
@@ -90,7 +99,10 @@ def standard_config(a, b) -> PlaneConfig:
         basis = kernel_basis([list(f) for f in ideal])
         if len(basis) != 3:
             raise AssertionError("plane ideal must have rank 3")
-        scale = lcm(*(x.denominator for vec in basis for x in vec))
+        # a list, not a generator: lcm(*generator) builds its 18 arguments
+        # by resizing a tuple, and CPython keeps each such tuple on its free
+        # list once freed (up to 2000 of them, 368 KB per process)
+        scale = lcm(*[x.denominator for vec in basis for x in vec])
         bases.append(tuple(tuple(int(x * scale) for x in vec) for vec in basis))
     return PlaneConfig(a, b, ideals, tuple(bases))
 
@@ -150,50 +162,58 @@ def gram_from_geometry(config: PlaneConfig) -> GramMatrix5:
     return built
 
 
-def _poly_times_linear(poly: dict, lin) -> dict:
-    out = {}
-    for expo, coef in poly.items():
-        for var, c in enumerate(lin):
-            if c:
-                key = expo[:var] + (expo[var] + 1,) + expo[var + 1:]
-                out[key] = out.get(key, 0) + coef * c
-    return out
+def _cubic_product(p, q, r) -> tuple:
+    """Coefficients of p*q*r for three linear forms in (s0, s1, s2), in
+    PARAM_MONOMIALS order: s0^3, s0^2 s1, s0^2 s2, s0 s1^2, s0 s1 s2,
+    s0 s2^2, s1^3, s1^2 s2, s1 s2^2, s2^3."""
+    p0, p1, p2 = p
+    q0, q1, q2 = q
+    r0, r1, r2 = r
+    # p*q in s0^2, s0 s1, s0 s2, s1^2, s1 s2, s2^2
+    a, b, c = p0 * q0, p0 * q1 + p1 * q0, p0 * q2 + p2 * q0
+    d, e, f = p1 * q1, p1 * q2 + p2 * q1, p2 * q2
+    return (
+        a * r0,
+        a * r1 + b * r0,
+        a * r2 + c * r0,
+        b * r1 + d * r0,
+        b * r2 + c * r1 + e * r0,
+        c * r2 + f * r0,
+        d * r1,
+        d * r2 + e * r1,
+        e * r2 + f * r1,
+        f * r2,
+    )
 
 
-def _restrict_monomial(monomial, basis) -> dict:
-    """Expand prod_i coord_i^{e_i} on the plane s0*b0 + s1*b1 + s2*b2."""
-    poly = {(0, 0, 0): 1}
-    for coord in range(NUM_VARS):
-        lin = (basis[0][coord], basis[1][coord], basis[2][coord])
-        for _ in range(monomial[coord]):
-            poly = _poly_times_linear(poly, lin)
-    return poly
+def _plane_block(basis) -> list:
+    """The plane's 10x56 block of the restriction: column m holds monomial m
+    on the plane s0*b0 + s1*b1 + s2*b2, the product of the linear forms of
+    the coordinates in m's index triple. Integer for an integer basis."""
+    forms = list(zip(*basis))  # coordinate c is the form (b0[c], b1[c], b2[c])
+    columns = [_cubic_product(forms[i], forms[j], forms[k]) for i, j, k in _INDEX_TRIPLES]
+    return [list(row) for row in zip(*columns)]
+
+
+def _restrict(coeffs, basis) -> dict:
+    """Integer coefficients on a plane as {PARAM_MONOMIALS entry: nonzero value}."""
+    values = (sum(c * x for c, x in zip(coeffs, row) if c) for row in _plane_block(basis))
+    return {e: v for e, v in zip(PARAM_MONOMIALS, values) if v}
 
 
 def restriction_matrix(config: PlaneConfig) -> list:
     """40x56 map from cubic coefficients to their four plane restrictions."""
-    rows = []
-    for basis in config.bases:
-        columns = [_restrict_monomial(m, basis) for m in MONOMIALS]
-        for pm in PARAM_MONOMIALS:
-            rows.append([col.get(pm, 0) for col in columns])
-    return rows
+    return [row for basis in config.bases for row in _plane_block(basis)]
 
 
 def restrict_to_plane(cubic: CubicPoly, config: PlaneConfig, i: int) -> dict:
     """The cubic as a polynomial in the three parameters of plane i, with
     integer values up to a positive integer factor; empty exactly when the
-    cubic vanishes on the plane."""
+    cubic vanishes on the plane. The cubic's denominators are cleared and
+    its integer coefficients applied to the plane's block."""
     if not 1 <= i <= 4:
         raise ValueError("plane index out of range")
-    basis = config.bases[i - 1]
-    total = {}
-    for coeff, monomial in zip(clear_denominators(cubic.coeffs), MONOMIALS):
-        if coeff == 0:
-            continue
-        for expo, c in _restrict_monomial(monomial, basis).items():
-            total[expo] = total.get(expo, 0) + coeff * c
-    return {e: c for e, c in total.items() if c != 0}
+    return _restrict(clear_denominators(cubic.coeffs), config.bases[i - 1])
 
 
 def cubics_through(config: PlaneConfig) -> list[CubicPoly]:
@@ -204,8 +224,7 @@ def cubics_through(config: PlaneConfig) -> list[CubicPoly]:
 
 def _monomial_values(point) -> list:
     """Values of the 56 MONOMIALS at a point, exact in the point's type."""
-    powers = [(1, x, x * x, x * x * x) for x in point]
-    return [prod(pw[e] for pw, e in zip(powers, m)) for m in MONOMIALS]
+    return [point[i] * point[j] * point[k] for i, j, k in _INDEX_TRIPLES]
 
 
 def evaluate_cubic(cubic: CubicPoly, point) -> Fraction:
@@ -214,8 +233,9 @@ def evaluate_cubic(cubic: CubicPoly, point) -> Fraction:
 
 
 def linear_system_dim(config: PlaneConfig) -> int:
-    """Projective dimension: basis size minus one."""
-    return len(cubics_through(config)) - 1
+    """Projective dimension: basis size minus one. The basis of
+    cubics_through has one vector per non-pivot column of the restriction."""
+    return 56 - rank(restriction_matrix(config)) - 1
 
 
 def _seeded_plane_points(config: PlaneConfig) -> list:
@@ -259,25 +279,33 @@ def stabilizer_dim(config: PlaneConfig) -> tuple[int, int]:
 
 
 def random_cubic(config: PlaneConfig, seed: int) -> CubicPoly:
-    """Deterministic small-integer combination of the vanishing basis."""
-    basis = cubics_through(config)
-    if not basis:
+    """Deterministic small-integer combination of the vanishing basis.
+
+    The weights are drawn in ascending free-column order, one per
+    cubics_through vector. Each kernel vector is 1 at its free column and
+    -row[fc]/row[pc] at each pivot column pc, read off the integer echelon
+    rows, so the free coefficients are the weights and each pivot
+    coefficient is one quotient -sum(w * row[fc]) / row[pc]."""
+    rows, pivots = echelon(restriction_matrix(config))
+    free = [c for c in range(56) if c not in pivots]
+    if not free:
         raise ValueError("no cubics vanish on the configuration")
     rng = SplitMix64(seed)
-    weights = [rng.randint(-9, 9) for _ in basis]
+    weights = [rng.randint(-9, 9) for _ in free]
     coeffs = [Fraction(0)] * 56
-    for weight, cubic in zip(weights, basis):
-        for idx, c in enumerate(cubic.coeffs):
-            if weight and c:
-                coeffs[idx] += weight * c
+    for weight, fc in zip(weights, free):
+        coeffs[fc] = Fraction(weight)
+    terms = [(w, fc) for w, fc in zip(weights, free) if w]
+    for row, pc in zip(rows, pivots):
+        coeffs[pc] = Fraction(-sum(w * row[fc] for w, fc in terms), row[pc])
     return CubicPoly(tuple(coeffs))
 
 
 def dims_report(config: PlaneConfig) -> dict:
     """All dimension counts plus recorded (not asserted) formula comparisons."""
     alpha, beta = alpha_beta(config)
-    basis_size = len(cubics_through(config))
-    fiber = basis_size - 1
+    fiber = linear_system_dim(config)
+    basis_size = fiber + 1
     fiber_eval = linear_system_dim_by_evaluation(config)
     stab, orbit = stabilizer_dim(config)
     d_a = 1 if alpha == 0 else 0
@@ -340,4 +368,5 @@ def verify_cubic_dict(d: dict) -> bool:
         return False
     if random_cubic(config, seed).coeffs != cubic.coeffs:
         return False
-    return all(not restrict_to_plane(cubic, config, i) for i in (1, 2, 3, 4))
+    coeffs = clear_denominators(cubic.coeffs)
+    return all(not _restrict(coeffs, basis) for basis in config.bases)

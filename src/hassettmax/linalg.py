@@ -1,9 +1,12 @@
 """Exact linear algebra over the rationals.
 
 Matrices are lists of lists; entries are ints or Fractions and stay exact
-throughout. rref scales each row to integers, eliminates fraction-free and
-divides every updated row by its content, so Fractions appear only in its
-output. Determinants use Bareiss elimination.
+throughout. One integer elimination core, echelon, serves rref, rank and
+kernel_basis: it scales each row to integers, takes as pivot the row with
+the least |entry| in the column, eliminates fraction-free and divides every
+updated row by its content. rref and kernel_basis read their Fractions off
+its rows; rank clears only below each pivot and builds no Fraction at all.
+Determinants use Bareiss elimination.
 """
 
 from __future__ import annotations
@@ -16,8 +19,46 @@ Matrix = list[list[Fraction]]
 
 def clear_denominators(row) -> list[int]:
     """The row times the lcm of its denominators: an integer row."""
+    if all(type(x) is int for x in row):
+        return list(row)
     den = lcm(*(x.denominator for x in row))
     return [x.numerator * (den // x.denominator) for x in row]
+
+
+def echelon(rows, reduced: bool = True) -> tuple[list[list[int]], list[int]]:
+    """Integer echelon form: (nonzero rows, pivot column indices).
+
+    Row r has its pivot at column pivots[r] and zeros below it in that
+    column; reduced=True also clears above it, so that dividing each row by
+    its pivot gives the RREF. Rows are scaled by nonzero rationals only,
+    which keeps their span; the pivot rows come out in no fixed sign."""
+    m = [clear_denominators(row) for row in rows]
+    nrows, ncols = len(m), len(m[0]) if m else 0
+    pivots: list[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        live = [i for i in range(r, nrows) if m[i][c]]
+        if not live:
+            continue
+        # the least pivot keeps the multipliers of the other rows small
+        pr = min(live, key=lambda i: abs(m[i][c]))
+        m[r], m[pr] = m[pr], m[r]
+        # the pivot row is zero left of c, and so is every row below it
+        tail = m[r][c:]
+        pv = tail[0]
+        for i in range(nrows) if reduced else range(r + 1, nrows):
+            f = m[i][c]
+            if i != r and f:
+                g = gcd(pv, f)
+                s, t = pv // g, f // g
+                head = m[i][:c]
+                if s != 1 and i < r:
+                    head = [s * a for a in head]
+                row = head + [s * a - t * b for a, b in zip(m[i][c:], tail)]
+                g = gcd(*row)
+                m[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(c)
+    return m[: len(pivots)], pivots
 
 
 def rref(rows) -> tuple[Matrix, list[int]]:
@@ -25,49 +66,33 @@ def rref(rows) -> tuple[Matrix, list[int]]:
 
     Scaling a row by a nonzero rational keeps its span, and the RREF is
     unique, so integer elimination gives the same Fractions as over Q."""
-    m = [clear_denominators(row) for row in rows]
-    nrows, ncols = len(m), len(m[0]) if m else 0
-    pivots: list[int] = []
-    for c in range(ncols):
-        r = len(pivots)
-        pr = next((i for i in range(r, nrows) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        prow = m[r]
-        pv = prow[c]
-        for i in range(nrows):
-            f = m[i][c]
-            if i != r and f:
-                g = gcd(pv, f)
-                s, t = pv // g, f // g
-                row = [s * a - t * b for a, b in zip(m[i], prow)]
-                g = gcd(*row)
-                m[i] = [x // g for x in row] if g > 1 else row
-        pivots.append(c)
+    m, pivots = echelon(rows)
+    ncols = len(rows[0]) if rows else 0
     zero = Fraction(0)  # the RREF is mostly zeros; skip Fraction's gcd for them
     out = [[Fraction(a, row[pc]) if a else zero for a in row]
            for row, pc in zip(m, pivots)]
-    out += [[zero] * ncols for _ in range(len(pivots), nrows)]
+    out += [[zero] * ncols for _ in range(len(pivots), len(rows))]
     return out, pivots
 
 
 def rank(rows) -> int:
-    return len(rref(rows)[1])
+    """Rank over Q, by forward elimination only."""
+    return len(echelon(rows, reduced=False)[1])
 
 
 def kernel_basis(rows) -> list[list[Fraction]]:
     """Basis of the right kernel. One vector per free column, free variable
     set to 1, listed in ascending free-column order."""
-    m, pivots = rref(rows)
-    ncols = len(m[0]) if m else 0
+    m, pivots = echelon(rows)
+    ncols = len(rows[0]) if rows else 0
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -m[r][fc]
+        for row, pc in zip(m, pivots):
+            if row[fc]:
+                v[pc] = Fraction(-row[fc], row[pc])
         basis.append(v)
     return basis
 

@@ -319,3 +319,37 @@ def test_rref_rank_kernel_match_fraction_gauss_jordan(rows):
     for v in kern:
         for row in rows:
             assert sum(a * x for a, x in zip(row, v)) == 0
+
+
+# pivots are chosen by least |entry|, so check that nothing depends on the
+# order or the scale of the rows
+_NONZERO_SCALES = st.one_of(
+    st.sampled_from((-3, -2, -1, 1, 2, 3)),
+    st.builds(Fraction, st.integers(1, _HUGE) | st.integers(-_HUGE, -1), st.integers(1, _HUGE)),
+)
+
+
+@st.composite
+def _reordered(draw):
+    """A matrix and a copy with its rows permuted and scaled by nonzero rationals."""
+    rows = draw(_matrices())
+    order = draw(st.permutations(range(len(rows))))
+    scales = [draw(_NONZERO_SCALES) for _ in order]
+    return rows, [[s * x for x in rows[i]] for s, i in zip(scales, order)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_reordered())
+@example(([], []))
+@example(([[], []], [[], []]))
+@example(([[0, 0, 0], [0, 0, 0]], [[0, 0, 0], [0, 0, 0]]))
+@example(
+    ([[0, 0, 0], [6, 2, 4], [0, 0, 0], [1, 5, 0]],
+     [[Fraction(-1, 3), Fraction(-5, 3), 0], [0, 0, 0], [0, 0, 0], [3, 1, 2]]),
+)
+def test_elimination_ignores_row_order_and_scale(pair):
+    rows, shuffled = pair
+    m, pivots = rref(rows)
+    assert rref(shuffled) == (m, pivots)
+    assert rank(shuffled) == rank(rows) == len(pivots)
+    assert kernel_basis(shuffled) == kernel_basis(rows)

@@ -98,6 +98,8 @@ def test_scan_bounds_are_refused_before_any_loop(capsys):
     assert code == 2 and "above the limit 10000000" in err
     code, _, err = run(capsys, "hassett", "verify", "--max", "10001")
     assert code == 2 and "above the limit 10000" in err
+    code, _, err = run(capsys, "local", "certify", "--k", "7", "--precision", "100000")
+    assert code == 2 and "above the limit 1000" in err
     code, _, err = run(capsys, "adc", "check", "--form", "g", "--max", "many")
     assert code == 2 and "invalid int value" in err
 

@@ -11,18 +11,20 @@ over the unscaled kernel bases.
 import json
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import lcm, prod
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hassettmax.arith import SplitMix64
 from hassettmax.geometry import (
     EVAL_SEED,
     MONOMIALS,
     PARAM_MONOMIALS,
     CubicPoly,
     PlaneConfig,
+    _monomial_values,
     alpha_beta,
     cubic_from_dict,
     cubic_to_dict,
@@ -343,6 +345,55 @@ def test_integer_restriction_matches_fraction_reference(a, b, seed, monomial, t)
                 factor = Fraction(next(iter(got.values()))) / next(iter(want.values()))
                 assert factor > 0
                 assert all(got[e] == factor * c for e, c in want.items())
+
+
+def _monomial_values_reference(point):
+    powers = [(1, x, x * x, x * x * x) for x in point]
+    return [prod(pw[e] for pw, e in zip(powers, m)) for m in MONOMIALS]
+
+
+_COORDINATES = st.one_of(
+    st.just(0),
+    st.integers(-9, 9),
+    st.integers(-(10**30), 10**30),
+    st.fractions(max_denominator=10**30),
+)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    _PARAMETERS,
+    _PARAMETERS,
+    st.lists(_COORDINATES, min_size=6, max_size=6),
+    st.integers(0, 2**32),
+)
+@example(Fraction(0), Fraction(0), [0] * 6, 1)
+@example(
+    Fraction(123456789012345678901234567891, 987654321098765432109876543211),
+    Fraction(-314159265358979323846264338327, 271828182845904523536028747135),
+    [Fraction(-(10**30), 7), 10**30, 0, -1, Fraction(1, 3), 2], 7,
+)
+def test_rank_index_triple_and_block_identities(a, b, point, seed):
+    cfg = standard_config(a, b)
+    kernel = cubics_through(cfg)
+    assert dims_report(cfg)["basis_size"] == len(kernel)
+    assert _monomial_values(point) == _monomial_values_reference(point)
+
+    # plane p's block is its Fraction expansion times scale_p^3
+    scales = [lcm(*(x.denominator for vec in fr for x in vec)) for fr in _fraction_bases(cfg)]
+    reference = _restriction_matrix_reference(cfg)
+    assert restriction_matrix(cfg) == [
+        [scales[n // len(PARAM_MONOMIALS)] ** 3 * x for x in row]
+        for n, row in enumerate(reference)
+    ]
+
+    # the integer-echelon cubic is the weighted sum of the kernel vectors
+    rng = SplitMix64(seed)
+    weights = [rng.randint(-9, 9) for _ in kernel]
+    assert random_cubic(cfg, seed).coeffs == tuple(
+        sum((w * c.coeffs[idx] for w, c in zip(weights, kernel)), Fraction(0))
+        for idx in range(56)
+    )
 
 
 # --- dimension counts ---
