@@ -7,10 +7,10 @@ step through the nearby integer point cuts the denominator below p. Small
 primes are cleared by an exact halving identity (p = 2, forms Q3 and G)
 or, as a last resort, by enumeration of integer representations.
 
-A trace holds trivial, secant, divide4 and enumerate steps. A trivial step
-divides out the content v shares with t, so no later prime p of t divides
-every coordinate of v: torus_reduce's shortcut v/p never applies inside a
-descent, and no trace holds a torus step.
+A trace holds trivial, secant, divide4 and enumerate steps, each strictly
+shrinking t. A trivial step divides out the content v shares with t, so no
+later prime p of t divides every coordinate of v: torus_reduce's shortcut
+v/p never applies inside a descent, and no trace holds a torus step.
 
 The denominator is factored once, at the first reduction, and its
 {prime: exponent} dict is carried from step to step: a trivial step divides
@@ -139,29 +139,21 @@ def _centered_residue(x: int, p: int) -> int:
     return r if x > 0 else -r
 
 
-def _torus_scan(form: QuadraticForm, v, p: int, bound: int):
-    """Smallest i in [1, min(p-1, bound)] whose centered residue w of
-    i*v mod p has 0 < Q(w) < p^2, or None; bound is cube_bound(form)."""
-    p2 = p * p
-    for i in range(1, min(p - 1, bound) + 1):
-        w = tuple(_centered_residue(i * x, p) for x in v)
-        qw = evaluate(form, w)
-        if 0 < qw < p2:
-            return i, w, qw
-    return None
-
-
 def _torus_reduce_full(form: QuadraticForm, v, p: int, bound: int):
     """Returns (v', i, t, z) with Q(v'/(i*t)) = Q(v)/p^2 from the secant step
-    through z; bound is cube_bound(form)."""
+    through z = (i*v - w)/p, for the least i in [1, min(p-1, bound)] whose
+    centered residue w of i*v mod p has 0 < Q(w) < p^2; bound is cube_bound."""
     q = evaluate(form, v)
-    if q % (p * p) != 0:
-        raise ValueError(f"p^2 = {p * p} does not divide Q(v) = {q}")
-    m_red = q // (p * p)
-    found = _torus_scan(form, v, p, bound)
-    if found is None:
+    p2 = p * p
+    if q % p2 != 0:
+        raise ValueError(f"p^2 = {p2} does not divide Q(v) = {q}")
+    m_red = q // p2
+    for i in range(1, min(p - 1, bound) + 1):
+        w = tuple(_centered_residue(i * x, p) for x in v)
+        if 0 < evaluate(form, w) < p2:
+            break
+    else:
         raise ReductionUnavailable(f"no qualifying multiple for p = {p}")
-    i, w, _ = found
     iv = tuple(i * x for x in v)
     z = tuple((ivj - wj) // p for ivj, wj in zip(iv, w))
     reduced = secant_step(form, RationalPoint(iv, p, i * i * m_red), z)
@@ -320,7 +312,9 @@ def descend(form: QuadraticForm, point: RationalPoint) -> DescentTrace:
 
 
 def verify_trace(form: QuadraticForm, trace: DescentTrace) -> bool:
-    """Replay a trace: value preservation, monotone denominators, chaining."""
+    """Certify a chain from start to terminal of steps of descend's kinds, each
+    keeping m = Q(v/t) and strictly shrinking t. That the terminal has t = 1,
+    an integer representation, is the caller's check (cli._trace_ok)."""
     m = trace.start.m
     if evaluate(form, trace.start.v) != m * trace.start.t ** 2:
         return False
@@ -328,13 +322,13 @@ def verify_trace(form: QuadraticForm, trace: DescentTrace) -> bool:
     for step in trace.steps:
         if step.before != prev:
             return False
+        if step.kind not in ("trivial", "secant", "divide4", "enumerate"):
+            return False
         if step.after.m != m:
             return False
         if evaluate(form, step.after.v) != m * step.after.t ** 2:
             return False
-        if step.after.t > step.before.t:
-            return False
-        if step.kind in ("secant", "torus", "divide4") and step.after.t >= step.before.t:
+        if step.after.t >= step.before.t:
             return False
         prev = step.after
     return prev == trace.terminal

@@ -203,6 +203,17 @@ def _cmd_adc_descend(args) -> int:
 # --- local ---
 
 
+_MAX_PRECISION = 10**3
+
+
+def _decode_report(payload):
+    report = local_global.report_from_dict(payload)
+    for cert in report.certificates:  # the replay computes p**precision
+        if cert.precision > _MAX_PRECISION:
+            raise ValueError(f"precision {cert.precision} is above the limit {_MAX_PRECISION}")
+    return report
+
+
 def _report_ok(report) -> bool:
     return local_global.verify_report(report) and report.overall == "solvable"
 
@@ -347,11 +358,11 @@ def _build_parser() -> argparse.ArgumentParser:
     local = groups.add_parser("local", help="local solvability certificates")
     lactions = local.add_subparsers(dest="action", required=True)
     certify = _command(lactions, "certify", "certify G(w) = k at all places", _cmd_local_certify,
-                       ("report", local_global.report_from_dict, _report_ok,
+                       ("report", _decode_report, _report_ok,
                         "report for k = {0.k}"))
     certify.add_argument("--k", type=int)
     certify.add_argument("--primes", type=_int_list, default=None)
-    certify.add_argument("--precision", type=_int_at_most(10**3), default=3)
+    certify.add_argument("--precision", type=_int_at_most(_MAX_PRECISION), default=3)
 
     lattice = groups.add_parser("lattice", help="rank-5 Gram matrices")
     tactions = lattice.add_subparsers(dest="action", required=True)

@@ -3,7 +3,8 @@
 The Gram matrix family is indexed by two bits (alpha, beta). Basis order is
 (o, P1, P2, P3, P4) where o is the distinguished self-pairing-3 class. The
 two generators of the isometry group used here swap P2 (resp. P3) with the
-residual class of the pair (P1, P2) (resp. (P1, P3)); each flips one bit.
+residual class of the pair (P1, P2) (resp. (P1, P3)); each flips one bit,
+and the two commute.
 """
 
 from __future__ import annotations
@@ -76,32 +77,19 @@ def residual_class(m: GramMatrix5, i: int, j: int) -> tuple[int, ...]:
     return tuple(r)
 
 
-def _flip_matrix(column: int) -> list[list[int]]:
-    # identity with one plane column replaced by the residual substitution
-    u = identity(5)
-    for row in range(5):
-        u[row][column] = 0
-    u[0][column] = 1
-    u[1][column] = -1
-    u[column][column] = -1
-    return u
-
-
 def isometry_to(source: tuple[int, int], target: tuple[int, int]) -> BasisChange:
-    """Unimodular U with U^T M_source U = M_target.
-
-    Composed from the alpha flip (P2 column) then the beta flip (P3 column);
-    the two commute, so the order is a convention only.
-    """
+    """Unimodular U with U^T M_source U = M_target: the identity with its P2
+    column (alpha flip) and/or its P3 column (beta flip) replaced by the
+    residual class o - P1 - Pc. Each flip fixes the other basis vectors."""
     sa, sb = source
     ta, tb = target
-    gram_M(sa, sb)
+    m = gram_M(sa, sb)
     gram_M(ta, tb)
     u = identity(5)
-    if sa != ta:
-        u = mat_mul(u, _flip_matrix(2))
-    if sb != tb:
-        u = mat_mul(u, _flip_matrix(3))
+    for column, flip in ((2, sa != ta), (3, sb != tb)):
+        if flip:
+            for row, x in enumerate(residual_class(m, 1, column)):
+                u[row][column] = x
     return BasisChange(tuple(map(tuple, u)), (sa, sb), (ta, tb))
 
 

@@ -1,9 +1,10 @@
 """Local solvability certificates for the ternary form G = x^2 + 3y^2 + 3z^2.
 
-A certificate at an odd place p stores an integer witness w with
-G(w) congruent to k mod p^precision; at the real place it stores the sign
-verdict. Witnesses are produced by Hensel lifting from seed solutions and
-re-verified by direct evaluation, so every solvable certificate replays.
+A certificate at a prime p stores an integer witness w with G(w) congruent
+to k mod p^precision, Hensel-lifted from a seed (at 2, from a table indexed
+by k mod 8); at the real place it stores the sign verdict. The verifier
+re-evaluates w and requires the Hasse-Minkowski verdict, so a forged
+certificate does not replay.
 
 Also contains the generic square-class machinery (Hilbert symbols and
 p-adic squares, built on arith.jacobi) used to decide rational
@@ -239,27 +240,23 @@ def _validate_place(place) -> None:
     raise ValueError(f"place must be 'real' or a prime, got {place!r}")
 
 
+# _BASE_2[k % 8]: the lexicographically first triple in (Z/8)^3 with an odd
+# coordinate and G = k mod 8, except (1, 1, 1) for k = 7 (x lifts to
+# sqrt(k - 6)). G's coefficients are odd, so the first odd coordinate lifts.
+_BASE_2 = (
+    (1, 1, 2), (1, 0, 0), (2, 1, 1), (0, 0, 1),
+    (1, 0, 1), (1, 0, 2), (0, 1, 1), (1, 1, 1),
+)
+
+
 def _witness_2(k: int, precision: int) -> tuple[int, int, int]:
+    coeffs = (1, 3, 3)
+    w = list(_BASE_2[k % 8])
+    i = next(j for j in range(3) if w[j] % 2)
+    rest = sum(coeffs[j] * w[j] * w[j] for j in range(3) if j != i)
     mod = 1 << precision
-    if k % 8 == 7:
-        # lift the base solution (x, 1, 1) with x^2 = k - 6
-        x = sqrt_mod_2k((k - 6) % mod, precision)
-        return (x, 1, 1)
-    inv3 = pow(3, -1, mod)
-    for x, y, z in ((a, b, c) for a in range(8) for b in range(8) for c in range(8)):
-        if x % 2 == 0 and y % 2 == 0 and z % 2 == 0:
-            continue
-        if (x * x + 3 * y * y + 3 * z * z - k) % 8:
-            continue
-        if x % 2:
-            lifted = sqrt_mod_2k((k - 3 * y * y - 3 * z * z) % mod, precision)
-            return (lifted, y, z)
-        if y % 2:
-            lifted = sqrt_mod_2k(inv3 * (k - x * x - 3 * z * z) % mod, precision)
-            return (x, lifted, z)
-        lifted = sqrt_mod_2k(inv3 * (k - x * x - 3 * y * y) % mod, precision)
-        return (x, y, lifted)
-    raise AssertionError("G covers every residue mod 8 with an odd coordinate")
+    w[i] = sqrt_mod_2k((k - rest) * pow(coeffs[i], -1, mod) % mod, precision)
+    return tuple(w)
 
 
 def _certify_3(k: int, precision: int) -> LocalCertificate:
@@ -314,7 +311,8 @@ def certify_local(k: int, place, precision: int = 3) -> LocalCertificate:
 
 
 def verify_local_certificate(cert: LocalCertificate) -> bool:
-    """Independent replay of one certificate."""
+    """Independent replay of one certificate: at a prime p the verdict must be
+    ternary_represents_locally's, and "solvable" needs G(w) = k mod p^precision."""
     if cert.precision < 1 or cert.verdict not in ("solvable", "unsolvable"):
         return False
     if cert.place == "real":
@@ -323,23 +321,22 @@ def verify_local_certificate(cert: LocalCertificate) -> bool:
         )
     if not (isinstance(cert.place, int) and is_prime(cert.place)):
         return False
+    solvable = ternary_represents_locally((1, 3, 3), cert.k, cert.place)
     if cert.verdict == "unsolvable":
-        expected = ternary_represents_locally((1, 3, 3), cert.k, cert.place)
-        return cert.witness is None and not expected
-    if cert.witness is None or len(cert.witness) != 3:
+        return cert.witness is None and not solvable
+    if not solvable or cert.witness is None or len(cert.witness) != 3:
         return False
     mod = cert.place**cert.precision
     return (evaluate(_G, cert.witness) - cert.k) % mod == 0
 
 
 def default_extra_primes(k: int) -> list[int]:
-    """Odd primes <= 50 dividing k, plus 5 and 7 as spot checks (3 excluded)."""
-    extras = {5, 7}
-    if k != 0:
-        extras.update(
-            p for p in factorize(abs(k)) if p % 2 and p != 3 and p <= 50
-        )
-    return sorted(extras)
+    """Odd primes <= 50 dividing k, plus 5 and 7 as spot checks (3 excluded).
+    Trial division: a huge k is never factored."""
+    if k == 0:
+        return [5, 7]
+    primes = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+    return [p for p in primes if p in (5, 7) or k % p == 0]
 
 
 def certify_global(

@@ -407,6 +407,23 @@ def test_verify_trace_rejects_tampering():
     assert not verify_trace(G, no_steps)
 
 
+def test_verify_trace_rejects_steps_that_keep_the_denominator():
+    trace = descend(G, rational_point(G, (5, 9, 12), 10))
+    start = trace.start
+    bogus = DescentStep("bogus", {}, start, start)
+    padded = DescentTrace(trace.form_name, start, (bogus,) + trace.steps, trace.terminal)
+    assert not verify_trace(G, padded)
+    negated = RationalPoint(tuple(-x for x in start.v), start.t, start.m)
+    idle = DescentStep("trivial", {"g": 1}, start, negated)
+    assert not verify_trace(G, DescentTrace(trace.form_name, start, (idle,), negated))
+    # a real step under a kind descend never emits
+    first = trace.steps[0]
+    torus = DescentStep("torus", first.data, first.before, first.after)
+    relabeled = DescentTrace(trace.form_name, start, (torus,) + trace.steps[1:], trace.terminal)
+    assert not verify_trace(G, relabeled)
+    assert verify_trace(G, trace)
+
+
 def test_trace_serialization_round_trip():
     trace = descend(G, rational_point(G, (5, 9, 12), 10))
     payload = trace_to_dict(trace)

@@ -187,6 +187,29 @@ def test_local_verify_file_round_trip(capsys, tmp_path):
     assert code == 1 and "INVALID" in out
 
 
+def test_local_verify_file_rejects_forged_and_oversized_reports(capsys, tmp_path):
+    code, out, _ = run(capsys, "local", "certify", "--k", "162", "--json")
+    assert code == 1
+    payload = json.loads(out)
+    # G(0, 0, 0) = 162 mod 27, yet G does not represent 162 over Q_3
+    for cert in payload["certificates"]:
+        if cert["place"] == "3":
+            cert["verdict"], cert["witness"] = "solvable", ["0", "0", "0"]
+    payload["overall"] = "solvable"
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(payload))
+    code, out, _ = run(capsys, "local", "certify", "--verify-file", str(path))
+    assert code == 1 and "INVALID" in out
+
+    code, out, _ = run(capsys, "local", "certify", "--k", "7", "--json")
+    payload = json.loads(out)
+    for cert in payload["certificates"]:
+        cert["precision"] = "100000000"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "local", "certify", "--verify-file", str(path))
+    assert code == 1 and "above the limit 1000" in err and "valid" not in out
+
+
 # --- lattice ---
 
 

@@ -15,7 +15,7 @@ from hassettmax.lattices import (
     residual_class,
     voisin_value,
 )
-from hassettmax.linalg import det_bareiss
+from hassettmax.linalg import det_bareiss, identity, mat_mul
 from hassettmax.qforms import builtin_form
 
 PAIRS = [(0, 0), (0, 1), (1, 0), (1, 1)]
@@ -75,6 +75,27 @@ def test_isometries_connect_all_variants():
             assert det_bareiss(change.matrix) in (1, -1)
             got = apply_basis_change(gram_M(*source), change)
             assert got == gram_M(*target).entries, (source, target)
+
+
+def reference_flip(column):
+    u = identity(5)
+    for row in range(5):
+        u[row][column] = 0
+    u[0][column] = 1
+    u[1][column] = -1
+    u[column][column] = -1
+    return u
+
+
+def test_isometry_is_the_product_of_flip_matrices():
+    for source in PAIRS:
+        for target in PAIRS:
+            u = identity(5)
+            if source[0] != target[0]:
+                u = mat_mul(u, reference_flip(2))
+            if source[1] != target[1]:
+                u = mat_mul(u, reference_flip(3))
+            assert isometry_to(source, target).matrix == tuple(map(tuple, u))
 
 
 def test_flip_matrices_are_involutions():

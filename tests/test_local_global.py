@@ -6,6 +6,8 @@ product formula and bimultiplicativity, exhaustive residue tables for the
 """
 
 import json
+import time
+from math import prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 from hassettmax.arith import SplitMix64, factorize, is_prime
 from hassettmax.local_global import (
+    _BASE_2,
     LocalCertificate,
     certify_global,
     certify_local,
@@ -390,6 +393,68 @@ def test_seed_table_covers_all_residues_mod_8():
     assert sorted(covered) == list(range(8))
 
 
+def first_search_hit(r):
+    """The 2-adic seed search that _BASE_2 tabulates: the first (x, y, z) over
+    (Z/8)^3, in lexicographic order, with an odd coordinate and G = r mod 8."""
+    for x in range(8):
+        for y in range(8):
+            for z in range(8):
+                if (x % 2 or y % 2 or z % 2) and (x * x + 3 * y * y + 3 * z * z - r) % 8 == 0:
+                    return (x, y, z)
+    raise AssertionError(f"no seed for {r}")
+
+
+def reference_witness_2(k, precision):
+    """Reference copy of the 2-adic witness built by search: a special case
+    for k = 7 mod 8, else the first hit with its first odd coordinate lifted."""
+    mod = 1 << precision
+    if k % 8 == 7:
+        return (sqrt_mod_2k((k - 6) % mod, precision), 1, 1)
+    inv3 = pow(3, -1, mod)
+    x, y, z = first_search_hit(k % 8)
+    if x % 2:
+        return (sqrt_mod_2k((k - 3 * y * y - 3 * z * z) % mod, precision), y, z)
+    if y % 2:
+        return (x, sqrt_mod_2k(inv3 * (k - x * x - 3 * z * z) % mod, precision), z)
+    return (x, y, sqrt_mod_2k(inv3 * (k - x * x - 3 * y * y) % mod, precision))
+
+
+def test_base_2_table_is_the_first_search_hit():
+    assert [_BASE_2[r] for r in range(7)] == [first_search_hit(r) for r in range(7)]
+    assert _BASE_2[7] == (1, 1, 1) and evaluate(G, _BASE_2[7]) % 8 == 7
+
+
+def test_certify_local_2adic_matches_the_search_reference():
+    for precision in (1, 2, 3, 4, 7, 20):
+        for k in range(-3000, 3000):
+            cert = certify_local(k, 2, precision)
+            want = (0, 0, 0) if k == 0 else reference_witness_2(k, precision)
+            assert cert == LocalCertificate(k, 2, precision, want, "solvable"), (k, precision)
+
+
+def flipped(cert):
+    """cert with the other verdict, and a witness only where one is allowed."""
+    if cert.verdict == "solvable":
+        return LocalCertificate(cert.k, cert.place, cert.precision, None, "unsolvable")
+    witness = None if cert.place == "real" else (0, 0, 0)
+    return LocalCertificate(cert.k, cert.place, cert.precision, witness, "solvable")
+
+
+def test_flipped_verdicts_are_rejected():
+    for k in range(-60, 400):
+        for place in ("real", 2, 3, 5, 7, 11):
+            cert = certify_local(k, place, 3)
+            assert verify_local_certificate(cert), cert
+            assert not verify_local_certificate(flipped(cert)), cert
+    # the forgery G(0, 0, 0) = 162 mod 27, though G misses 162 over Q_3
+    assert not verify_local_certificate(LocalCertificate(162, 3, 3, (0, 0, 0), "solvable"))
+    for k in range(1, 2000):
+        for p in (2, 3, 5, 7):
+            forged = LocalCertificate(k, p, 1, (0, 0, 0), "solvable")
+            want = k % p == 0 and ternary_represents_locally((1, 3, 3), k, p)
+            assert verify_local_certificate(forged) == want, (k, p)
+
+
 # --- global reports ---
 
 
@@ -407,6 +472,37 @@ def test_default_extra_primes():
     assert default_extra_primes(55) == [5, 7, 11]
     assert default_extra_primes(7 * 53) == [5, 7]  # 53 > 50 cut
     assert default_extra_primes(0) == [5, 7]
+
+
+def reference_default_extra_primes(k):
+    extras = {5, 7}
+    if k != 0:
+        extras.update(p for p in factorize(abs(k)) if p % 2 and p != 3 and p <= 50)
+    return sorted(extras)
+
+
+NEAR_50 = [p for p in range(2, 80) if is_prime(p)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.one_of(
+    st.integers(-10**15, 10**15),
+    st.lists(st.sampled_from(NEAR_50), min_size=1, max_size=6).map(prod),
+))
+@example(0)
+@example(47 * 53)
+@example(-3 * 43 * 47 * 53 * 59)
+@example(2**4 * 9 * 5**3 * 49 * 41)
+def test_default_extra_primes_matches_the_factorize_reference(k):
+    assert default_extra_primes(k) == reference_default_extra_primes(k)
+
+
+def test_default_extra_primes_does_not_factor_a_huge_k():
+    # (2^61 - 1) times the next prime above 2^60: two 61-bit factors
+    k = 2658455991569831820747511920005742559
+    start = time.perf_counter()
+    assert default_extra_primes(k) == [5, 7]
+    assert time.perf_counter() - start < 1
 
 
 def test_certify_global_unsolvable_cases():
