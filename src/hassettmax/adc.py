@@ -36,6 +36,7 @@ from .qforms import (
     builtin_form,
     content,
     evaluate,
+    flags_to_mask,
     image_mask,
     is_diagonal,
     is_positive_definite,
@@ -334,38 +335,43 @@ def verify_trace(form: QuadraticForm, trace: DescentTrace) -> bool:
     return prev == trace.terminal
 
 
-def _rational_test(form: QuadraticForm):
-    """n -> is n >= 1 a value of Q over the rationals. Built once per form:
-    exact for unary forms and, through the Hasse-Minkowski test of
-    local_global, for diagonal ternary forms; a bounded search otherwise."""
+def _rational_test(form: QuadraticForm, n_max: int, candidates: int) -> list[int]:
+    """The set bits n of candidates (all in [1, n_max]) that are values of Q
+    over the rationals. Exact for unary and diagonal ternary forms, where the
+    rational values up to n_max form one bitmask; a bounded search per
+    candidate otherwise."""
     if form.dim == 1:
+        # a x^2 takes the rational values a0 t^2, a0 the square-free part of a
         a = form.gram[0][0]
-
-        def unary(n: int) -> bool:
-            r = isqrt(n * a)
-            return r * r == n * a
-
-        return unary
+        a0 = prod(p for p, e in factorize(a).items() if e % 2)
+        flags = bytearray(n_max + 1)
+        for t in range(1, isqrt(n_max // a0) + 1):
+            flags[a0 * t * t] = 1
+        return list(set_bits(candidates & flags_to_mask(flags)))
     if form.dim == 3 and is_diagonal(form):
         diag = tuple(form.gram[i][i] for i in range(3))
-        return lambda n: local_global.rationally_representable_ternary(diag, n)
+        return list(set_bits(candidates & local_global.rational_values_mask(diag, n_max)))
     # sound but not complete: witness search over denominators up to 8
-    return lambda n: any(representations(form, n * t * t) for t in range(1, 9))
+    return [
+        n for n in set_bits(candidates)
+        if any(representations(form, n * t * t) for t in range(1, 9))
+    ]
 
 
 def adc_check(form: QuadraticForm, n_max: int) -> list[int]:
     """Integers n in [1, n_max] rationally but not integrally represented.
 
-    The candidates are the zero bits of qforms.image_mask, read in one pass;
-    only they reach the rational test.
+    The candidates are the zero bits of qforms.image_mask; for unary and
+    diagonal ternary forms the answer is that mask's complement ANDed with
+    the mask of rational values, read in one pass with no step per candidate.
     """
     try:
         image = image_mask(form, n_max)
     except ValueError:  # the only one it raises: not positive definite
         raise ValueError("adc_check requires a positive definite form") from None
-    rational = _rational_test(form)
-    outside = ~image & ((2 << max(n_max, 0)) - 2)  # bits 1..n_max not in the image
-    return [n for n in set_bits(outside) if rational(n)]
+    n_max = max(n_max, 0)
+    outside = ~image & ((2 << n_max) - 2)  # bits 1..n_max not in the image
+    return _rational_test(form, n_max, outside)
 
 
 # --- serialization (integers as decimal strings) ---

@@ -10,8 +10,10 @@ Also contains the generic square-class machinery (Hilbert symbols and
 p-adic squares, built on arith.jacobi) used to decide rational
 representability of diagonal ternary forms exactly. The parts of that test
 that depend on the form alone, the Hasse comparison at each prime and the
-primes where it can fail, are cached per coefficient triple, so a scan over
-many n (adc.adc_check) pays for them once.
+primes where it can fail, are cached per coefficient triple.
+rationally_representable_ternary decides one n; rational_values_mask
+decides every n up to a bound at once (adc.adc_check), clearing each
+obstructed square class as one arithmetic progression.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .arith import factorize, is_prime, jacobi
-from .qforms import builtin_form, evaluate
+from .qforms import builtin_form, evaluate, flags_to_mask
 
 _G = builtin_form("G")
 
@@ -122,6 +124,36 @@ def rationally_representable_ternary(coeffs: tuple[int, int, int], n: int) -> bo
     if not ternary_represents_locally(coeffs, n, None):
         return False
     return all(ternary_represents_locally(coeffs, n, p) for p in _obstructing_primes(coeffs))
+
+
+def rational_values_mask(coeffs: tuple[int, int, int], n_max: int) -> int:
+    """The n in [1, n_max] that <c1, c2, c3>, with every c_i > 0, represents
+    over Q, as the bits of one int: bit n is set exactly when
+    rationally_representable_ternary(coeffs, n).
+
+    With -disc = p^e u at an obstructing prime p, n = p^k w is obstructed
+    there exactly when k = e mod 2 and w u is a p-adic square, a condition
+    on w mod p (mod 8 at p = 2). Each such class is one arithmetic
+    progression, cleared by a single slice assignment.
+    """
+    if min(coeffs) <= 0:
+        raise ValueError("rational_values_mask requires positive coefficients")
+    n_max = max(n_max, 0)
+    flags = bytearray(b"\x01") * (n_max + 1)
+    flags[0] = 0
+    d = coeffs[0] * coeffs[1] * coeffs[2]
+    for p in _obstructing_primes(coeffs):
+        e, u = _split_valuation(-d, p)
+        unit_mod = 8 if p == 2 else p
+        pk = p ** (e % 2)
+        while pk <= n_max:
+            step = pk * unit_mod
+            for s in range(1, min(unit_mod, n_max // pk + 1)):
+                if s % p and is_padic_square(s * u, p):
+                    start = pk * s
+                    flags[start::step] = bytes(len(range(start, n_max + 1, step)))
+            pk *= p * p
+    return flags_to_mask(flags)
 
 
 def sqrt_mod_p(a: int, p: int) -> int:
@@ -260,20 +292,19 @@ def _witness_2(k: int, precision: int) -> tuple[int, int, int]:
 
 
 def _certify_3(k: int, precision: int) -> LocalCertificate:
-    if k % 9 == 0:
-        inner = _certify_3(k // 9, precision)
-        witness = None
-        if inner.witness is not None:
-            witness = tuple(3 * x for x in inner.witness)
-        return LocalCertificate(k, 3, precision, witness, inner.verdict)
-    mod = 3**precision
-    if k % 3 == 0:
-        y, z = hensel_lift_two_squares(k // 3, 3, precision)
-        return LocalCertificate(k, 3, precision, (0, y, z), "solvable")
-    if k % 3 == 1:
-        x = sqrt_mod_pk(k % mod, 3, precision)
-        return LocalCertificate(k, 3, precision, (x, 0, 0), "solvable")
-    return LocalCertificate(k, 3, precision, None, "unsolvable")
+    # k = 9^e k' with 9 not dividing k': certify k', then scale by 3^e once
+    e, k0 = 0, k
+    while k0 and k0 % 9 == 0:
+        k0 //= 9
+        e += 1
+    if k0 % 3 == 0:
+        witness = (0, *hensel_lift_two_squares(k0 // 3, 3, precision))
+    elif k0 % 3 == 1:
+        witness = (sqrt_mod_pk(k0 % 3**precision, 3, precision), 0, 0)
+    else:
+        return LocalCertificate(k, 3, precision, None, "unsolvable")
+    scale = 3**e
+    return LocalCertificate(k, 3, precision, tuple(scale * x for x in witness), "solvable")
 
 
 def _witness_p(k: int, p: int, precision: int) -> tuple[int, int, int]:

@@ -16,7 +16,8 @@ image_mask holds a form's values up to a bound as the bits of one Python
 int. For a positive definite diagonal form it skips the walk: each
 coordinate ORs the mask so far, shifted by c x^2 for every x >= 1, so the
 work is a few hundred big-integer shifts, not one Python step per value.
-integer_image_upto and adc.adc_check read that mask in a single C pass.
+integer_image_upto reads that mask in a single C pass; adc.adc_check ANDs
+its complement with a mask of the rational values first.
 """
 
 from __future__ import annotations
@@ -275,8 +276,13 @@ def image_mask(form: QuadraticForm, n_max: int) -> int:
     seen = bytearray(n_max + 1)
     for _, q in vectors_up_to(form, n_max):
         seen[q] = 1
-    # "1" at string index n_max - q is bit q
-    return int(seen[::-1].translate(_DIGITS), 2)
+    return flags_to_mask(seen)
+
+
+def flags_to_mask(flags: bytearray) -> int:
+    """The int whose bit i is set when flags[i] is 1 (each flag 0 or 1)."""
+    # "1" at string index len - 1 - i is bit i
+    return int(flags[::-1].translate(_DIGITS), 2)
 
 
 def set_bits(mask: int):

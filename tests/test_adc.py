@@ -456,6 +456,12 @@ def test_adc_check_rejects_indefinite_forms(gram):
         adc_check(form, 50)
 
 
+@pytest.mark.parametrize("n_max", [0, -1, -10**6])
+def test_adc_check_empty_range(n_max):
+    for form in (Q3, G, QuadraticForm(1, ((4,),)), QuadraticForm(2, ((1, 1), (1, 5)))):
+        assert adc_check(form, n_max) == []
+
+
 # --- adc_check against the per-n loop it replaced ---
 
 

@@ -17,6 +17,7 @@ from hassettmax.arith import SplitMix64, factorize, is_prime
 from hassettmax.local_global import (
     _BASE_2,
     LocalCertificate,
+    _certify_3,
     certify_global,
     certify_local,
     default_extra_primes,
@@ -24,6 +25,7 @@ from hassettmax.local_global import (
     hilbert_symbol,
     is_padic_square,
     jacobi,
+    rational_values_mask,
     rationally_representable_ternary,
     report_from_dict,
     report_to_dict,
@@ -228,6 +230,39 @@ def test_unsolvable_certificates_replay_the_per_call_criterion(k, p):
     assert verify_local_certificate(cert) == (not reference_represents_locally((1, 3, 3), k, p))
 
 
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.tuples(*[st.integers(1, 30)] * 3), st.integers(0, 3000))
+@example((1, 1, 1), 3000)  # obstructed at 2: n = 4^a (8b + 7)
+@example((1, 1, 3), 3000)
+@example((1, 3, 3), 3000)
+@example((2, 3, 5), 3000)
+@example((3, 5, 7), 3000)
+@example((1, 1, 9), 3000)
+@example((1, 3, 3), 0)
+@example((1, 1, 1), 1)
+def test_rational_values_mask_matches_the_per_n_test(coeffs, n_max):
+    mask = rational_values_mask(coeffs, n_max)
+    assert mask >> (n_max + 1) == 0 and mask & 1 == 0
+    for n in range(1, n_max + 1):
+        assert (mask >> n) & 1 == rationally_representable_ternary(coeffs, n), n
+
+
+def test_rational_values_mask_sum_of_three_squares():
+    # Legendre: n is a sum of three rational squares unless n = 4^a (8b + 7)
+    def legendre_excluded(n):
+        while n % 4 == 0:
+            n //= 4
+        return n % 8 == 7
+
+    mask = rational_values_mask((1, 1, 1), 5000)
+    assert [n for n in range(1, 5001) if not (mask >> n) & 1] == [
+        n for n in range(1, 5001) if legendre_excluded(n)
+    ]
+    assert rational_values_mask((1, 1, 1), -5) == rational_values_mask((1, 1, 1), 0) == 0
+    with pytest.raises(ValueError, match="positive coefficients"):
+        rational_values_mask((1, -1, 3), 100)
+
+
 def test_negative_targets_fail_at_the_real_place():
     assert not ternary_represents_locally((1, 3, 3), -5, None)
     assert not rationally_representable_ternary((1, 3, 3), -5)
@@ -344,6 +379,45 @@ def test_certify_local_3adic_cases():
         cert = certify_local(k, 3, 3)
         assert (cert.verdict == "unsolvable") == g_fails_at_3(k)
         assert verify_local_certificate(cert)
+
+
+def reference_certify_3(k, precision):
+    """The recursive 3-adic certificate: one level per factor 9 of k."""
+    if k % 9 == 0:
+        inner = reference_certify_3(k // 9, precision)
+        witness = None
+        if inner.witness is not None:
+            witness = tuple(3 * x for x in inner.witness)
+        return LocalCertificate(k, 3, precision, witness, inner.verdict)
+    mod = 3**precision
+    if k % 3 == 0:
+        y, z = hensel_lift_two_squares(k // 3, 3, precision)
+        return LocalCertificate(k, 3, precision, (0, y, z), "solvable")
+    if k % 3 == 1:
+        x = sqrt_mod_pk(k % mod, 3, precision)
+        return LocalCertificate(k, 3, precision, (x, 0, 0), "solvable")
+    return LocalCertificate(k, 3, precision, None, "unsolvable")
+
+
+@pytest.mark.parametrize("precision", [1, 2, 3, 7, 20])
+def test_certify_3_matches_the_recursive_reference(precision):
+    for k in range(-3000, 3000):
+        if k == 0:
+            continue  # certify_local answers k = 0 before reaching _certify_3
+        for j in range(5):
+            kj = k * 9**j
+            assert _certify_3(kj, precision) == reference_certify_3(kj, precision), kj
+
+
+def test_certify_local_at_3_handles_a_deep_power_of_9():
+    # one level of recursion per factor 9 used to exhaust the stack here
+    cert = certify_local(7 * 9**1200, 3, 3)
+    assert cert.verdict == "solvable" and verify_local_certificate(cert)
+    assert len(str(2 * 9**1500)) == 1432
+    for k, overall in [(2 * 9**1500, "unsolvable"), (7 * 9**1500, "solvable")]:
+        report = certify_global(k)
+        assert report.overall == overall
+        assert verify_report(report)
 
 
 def test_certify_local_generic_prime_precision():

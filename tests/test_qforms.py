@@ -20,12 +20,14 @@ from hassettmax.qforms import (
     builtin_form,
     content,
     evaluate,
+    flags_to_mask,
     integer_image_upto,
     is_diagonal,
     is_positive_definite,
     is_primitive,
     primitive_image,
     representations,
+    set_bits,
     vectors_up_to,
 )
 
@@ -330,6 +332,13 @@ def test_integer_image_fast_path_matches_enumeration():
     table_f = brute_f_table(150)
     expected_f = {n for n in table_f if n > 0}
     assert integer_image_upto(F, 150) == expected_f
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(0, 1), min_size=1, max_size=300))
+def test_flags_to_mask_sets_bit_i_for_flag_i(flags):
+    mask = flags_to_mask(bytearray(flags))
+    assert list(set_bits(mask)) == [i for i, f in enumerate(flags) if f]
 
 
 def test_image_containment_in_hassett():
