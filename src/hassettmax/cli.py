@@ -214,16 +214,11 @@ def _decode_report(payload):
     return report
 
 
-def _report_ok(report) -> bool:
-    return local_global.verify_report(report) and report.overall == "solvable"
-
-
 def _cmd_local_certify(args) -> int:
     if args.k is None:
         print("error: need --k or --verify-file", file=sys.stderr)
         return 2
     report = local_global.certify_global(args.k, args.primes, args.precision)
-    ok = _report_ok(report)
     if args.json:
         _emit(local_global.report_to_dict(report))
     else:
@@ -232,7 +227,7 @@ def _cmd_local_certify(args) -> int:
             witness = "" if cert.witness is None else f"  witness {_fmt_vec(cert.witness)}"
             print(f"  place {str(cert.place):>5}  {cert.verdict}{witness}")
         print(f"overall: {report.overall}")
-    return 0 if ok else 1
+    return 0 if report.overall == "solvable" else 1
 
 
 # --- lattice ---
@@ -358,8 +353,8 @@ def _build_parser() -> argparse.ArgumentParser:
     local = groups.add_parser("local", help="local solvability certificates")
     lactions = local.add_subparsers(dest="action", required=True)
     certify = _command(lactions, "certify", "certify G(w) = k at all places", _cmd_local_certify,
-                       ("report", _decode_report, _report_ok,
-                        "report for k = {0.k}"))
+                       ("report", _decode_report, local_global.verify_report,
+                        "report for k = {0.k}, overall {0.overall}"))
     certify.add_argument("--k", type=int)
     certify.add_argument("--primes", type=_int_list, default=None)
     certify.add_argument("--precision", type=_int_at_most(_MAX_PRECISION), default=3)

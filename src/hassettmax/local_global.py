@@ -1,10 +1,12 @@
 """Local solvability certificates for the ternary form G = x^2 + 3y^2 + 3z^2.
 
-A certificate at a prime p stores an integer witness w with G(w) congruent
-to k mod p^precision, Hensel-lifted from a seed (at 2, from a table indexed
-by k mod 8); at the real place it stores the sign verdict. The verifier
-re-evaluates w and requires the Hasse-Minkowski verdict, so a forged
-certificate does not replay.
+One rule, _solvable (Hasse-Minkowski through ternary_represents_locally),
+decides every verdict, for the producer and the verifier alike; k = 0 is
+solvable everywhere (w = 0). A "solvable" certificate at a prime p stores
+an integer witness w with G(w) congruent to k mod p^precision, Hensel-lifted
+from a seed (at 2, from a table indexed by k mod 8); at the real place and
+for "unsolvable" it stores no witness. The verifier re-evaluates w and
+recomputes the verdict, so a forged certificate does not replay.
 
 Also contains the generic square-class machinery (Hilbert symbols and
 p-adic squares, built on arith.jacobi) used to decide rational
@@ -198,11 +200,11 @@ def sqrt_mod_pk(a: int, p: int, k: int) -> int:
     x = sqrt_mod_p(a, p)
     mod = p
     while mod < pk:
-        # simple-zero Newton step: the derivative 2x is a unit
-        inv = pow(2 * x % (mod * p), -1, mod * p)
-        x = (x - (x * x - a) * inv) % (mod * p)
-        mod *= p
-    return x % pk
+        # simple-zero Newton step: the derivative 2x is a unit, so a root
+        # mod p^j lifts to the unique root mod p^(2j) above it
+        mod = min(mod * mod, pk)
+        x = (x - (x * x - a) * pow(2 * x, -1, mod)) % mod
+    return x
 
 
 def sqrt_mod_2k(a: int, k: int) -> int:
@@ -264,12 +266,14 @@ class GlobalSolvabilityReport:
     overall: str
 
 
-def _validate_place(place) -> None:
-    if place == "real":
-        return
-    if isinstance(place, int) and is_prime(place):
-        return
-    raise ValueError(f"place must be 'real' or a prime, got {place!r}")
+def _is_place(place) -> bool:
+    return place == "real" or (isinstance(place, int) and is_prime(place))
+
+
+def _solvable(k: int, place) -> bool:
+    """The one rule for every local verdict: does G represent k over Q_place
+    (over R for "real")?"""
+    return ternary_represents_locally((1, 3, 3), k, None if place == "real" else place)
 
 
 # _BASE_2[k % 8]: the lexicographically first triple in (Z/8)^3 with an odd
@@ -291,20 +295,18 @@ def _witness_2(k: int, precision: int) -> tuple[int, int, int]:
     return tuple(w)
 
 
-def _certify_3(k: int, precision: int) -> LocalCertificate:
-    # k = 9^e k' with 9 not dividing k': certify k', then scale by 3^e once
+def _witness_3(k: int, precision: int) -> tuple[int, int, int]:
+    # k = 9^e k' with 9 not dividing k': lift for k', then scale by 3^e once.
+    # certify_local calls this only for k != 0 solvable at 3: k' = 0, 1 mod 3.
     e, k0 = 0, k
-    while k0 and k0 % 9 == 0:
+    while k0 % 9 == 0:
         k0 //= 9
         e += 1
     if k0 % 3 == 0:
         witness = (0, *hensel_lift_two_squares(k0 // 3, 3, precision))
-    elif k0 % 3 == 1:
-        witness = (sqrt_mod_pk(k0 % 3**precision, 3, precision), 0, 0)
     else:
-        return LocalCertificate(k, 3, precision, None, "unsolvable")
-    scale = 3**e
-    return LocalCertificate(k, 3, precision, tuple(scale * x for x in witness), "solvable")
+        witness = (sqrt_mod_pk(k0 % 3**precision, 3, precision), 0, 0)
+    return tuple(3**e * x for x in witness)
 
 
 def _witness_p(k: int, p: int, precision: int) -> tuple[int, int, int]:
@@ -322,43 +324,40 @@ def _witness_p(k: int, p: int, precision: int) -> tuple[int, int, int]:
 def certify_local(k: int, place, precision: int = 3) -> LocalCertificate:
     """Solvability certificate for G(w) = k at one place.
 
-    At a prime p the witness satisfies G(w) = k mod p^precision; at the
-    real place the verdict is the sign test.
+    The verdict is _solvable's. A solvable one at a prime p carries a
+    witness with G(w) = k mod p^precision.
     """
-    _validate_place(place)
+    if not _is_place(place):
+        raise ValueError(f"place must be 'real' or a prime, got {place!r}")
     if precision < 1:
         raise ValueError("precision must be >= 1")
+    if not _solvable(k, place):
+        return LocalCertificate(k, place, precision, None, "unsolvable")
     if place == "real":
-        verdict = "solvable" if k > 0 else "unsolvable"
-        return LocalCertificate(k, "real", precision, None, verdict)
-    p = place
-    if k == 0:
-        return LocalCertificate(k, p, precision, (0, 0, 0), "solvable")
-    if p == 2:
-        return LocalCertificate(k, 2, precision, _witness_2(k, precision), "solvable")
-    if p == 3:
-        return _certify_3(k, precision)
-    return LocalCertificate(k, p, precision, _witness_p(k, p, precision), "solvable")
+        witness = None
+    elif k == 0:
+        witness = (0, 0, 0)
+    elif place == 2:
+        witness = _witness_2(k, precision)
+    elif place == 3:
+        witness = _witness_3(k, precision)
+    else:
+        witness = _witness_p(k, place, precision)
+    return LocalCertificate(k, place, precision, witness, "solvable")
 
 
 def verify_local_certificate(cert: LocalCertificate) -> bool:
-    """Independent replay of one certificate: at a prime p the verdict must be
-    ternary_represents_locally's, and "solvable" needs G(w) = k mod p^precision."""
-    if cert.precision < 1 or cert.verdict not in ("solvable", "unsolvable"):
+    """Independent replay of one certificate: the verdict must be _solvable's,
+    and "solvable" at a prime p needs a witness with G(w) = k mod p^precision."""
+    if cert.precision < 1 or not _is_place(cert.place):
         return False
-    if cert.place == "real":
-        return cert.witness is None and cert.verdict == (
-            "solvable" if cert.k > 0 else "unsolvable"
-        )
-    if not (isinstance(cert.place, int) and is_prime(cert.place)):
+    if cert.verdict != ("solvable" if _solvable(cert.k, cert.place) else "unsolvable"):
         return False
-    solvable = ternary_represents_locally((1, 3, 3), cert.k, cert.place)
-    if cert.verdict == "unsolvable":
-        return cert.witness is None and not solvable
-    if not solvable or cert.witness is None or len(cert.witness) != 3:
+    if cert.verdict == "unsolvable" or cert.place == "real":
+        return cert.witness is None
+    if cert.witness is None or len(cert.witness) != 3:
         return False
-    mod = cert.place**cert.precision
-    return (evaluate(_G, cert.witness) - cert.k) % mod == 0
+    return (evaluate(_G, cert.witness) - cert.k) % cert.place**cert.precision == 0
 
 
 def default_extra_primes(k: int) -> list[int]:

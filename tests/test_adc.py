@@ -5,6 +5,7 @@ integer solution z of Q = m and any direction d, the second intersection
 of the line z + s*d with the quadric is rational with denominator Q(d).
 """
 
+import itertools
 import json
 from math import gcd, isqrt
 
@@ -187,6 +188,47 @@ def test_torus_reduction_seeded_sweep():
         assert evaluate(Q3, new_v) == (q // (p * p)) * (i * t) ** 2
         done += 1
     assert done >= 20
+
+
+def lift_to_p_squared(form, v, p):
+    """v + p*u with p^2 | Q for a diagonal ternary form and odd p, or None
+    when there is none: if no c_j v_j is a unit mod p, every lift of v has
+    the value of v mod p^2."""
+    coeffs = [form.gram[j][j] for j in range(3)]
+    j = next((j for j in range(3) if coeffs[j] * v[j] % p), None)
+    if j is None:
+        return tuple(v) if evaluate(form, v) % (p * p) == 0 else None
+    lift = list(v)
+    lift[j] += p * (-(evaluate(form, v) // p) * pow(2 * coeffs[j] * v[j], -1, p) % p)
+    assert evaluate(form, lift) % (p * p) == 0
+    return tuple(lift)
+
+
+def test_small_odd_primes_always_have_a_torus_step():
+    # descend reaches its enumerate fallback only when _torus_reduce_full finds
+    # no multiple i. Its test reads v mod p alone, and after the trivial steps
+    # v is nonzero mod p. So checking every such class v with p | Q(v) at the
+    # odd primes up to 23 shows the fallback is unreachable for Q3 and G: above
+    # 27 = cube_bound the pigeonhole bound gives an i, and p = 2 is divide4.
+    for form in (Q3, G):
+        bound = cube_bound(form)
+        assert bound == 27
+        classes = lifted = 0
+        for p in (3, 5, 7, 11, 13, 17, 19, 23):
+            for v in itertools.product(range(p), repeat=3):
+                if v == (0, 0, 0) or evaluate(form, v) % p:
+                    continue
+                classes += 1
+                assert any(
+                    0 < evaluate(form, [adc._centered_residue(i * x, p) for x in v]) < p * p
+                    for i in range(1, min(p - 1, bound) + 1)
+                ), (form.name, p, v)
+                lift = lift_to_p_squared(form, v, p)
+                if lift is not None:  # a state descend can meet: run its step
+                    lifted += 1
+                    adc._torus_reduce_full(form, lift, p, bound)
+        # the classes with no lift are (0, 0, z) for Q3 and (0, y, z) for G at p = 3
+        assert (classes, lifted) == {"Q3": (1538, 1536), "G": (1544, 1536)}[form.name]
 
 
 # --- halving and 3G reduction ---

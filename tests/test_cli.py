@@ -187,6 +187,21 @@ def test_local_verify_file_round_trip(capsys, tmp_path):
     assert code == 1 and "INVALID" in out
 
 
+@pytest.mark.parametrize("k, code, overall", [
+    ("5", 1, "unsolvable"),  # 5 = 2 mod 3 is not a 3-adic value of G
+    (str(2 * 9**1500), 1, "unsolvable"),
+    ("0", 0, "solvable"),  # G(0, 0, 0) = 0
+], ids=["5", "2*9**1500", "0"])
+def test_local_verify_file_accepts_every_honest_report(capsys, tmp_path, k, code, overall):
+    # certify exits 1 for an unsolvable k; the replay exits 0 when the claims hold
+    got, out, _ = run(capsys, "local", "certify", "--k", k, "--json")
+    assert got == code and json.loads(out)["overall"] == overall
+    path = tmp_path / "report.json"
+    path.write_text(out)
+    got, out, _ = run(capsys, "local", "certify", "--verify-file", str(path))
+    assert got == 0 and out == f"report for k = {k}, overall {overall}: valid\n"
+
+
 def test_local_verify_file_rejects_forged_and_oversized_reports(capsys, tmp_path):
     code, out, _ = run(capsys, "local", "certify", "--k", "162", "--json")
     assert code == 1

@@ -17,7 +17,6 @@ from hassettmax.arith import SplitMix64, factorize, is_prime
 from hassettmax.local_global import (
     _BASE_2,
     LocalCertificate,
-    _certify_3,
     certify_global,
     certify_local,
     default_extra_primes,
@@ -283,6 +282,28 @@ def test_sqrt_mod_p_all_residues():
                     sqrt_mod_p(a, p)
 
 
+def reference_sqrt_mod_pk(a, p, k):
+    """The lift of sqrt_mod_p(a, p) one p-adic digit per Newton step."""
+    pk = p**k
+    x, mod = sqrt_mod_p(a, p), p
+    while mod < pk:
+        inv = pow(2 * x % (mod * p), -1, mod * p)
+        x = (x - (x * x - a) * inv) % (mod * p)
+        mod *= p
+    return x % pk
+
+
+def test_sqrt_mod_pk_matches_the_per_digit_reference():
+    # k = 1000 only at p <= 7, where the per-digit reference stays fast
+    for p in ODD_PRIMES[:8]:
+        residues = sorted({x * x % p for x in range(1, p)})
+        for k in [*range(1, 41), 97, *([1000] if p <= 7 else [])]:
+            pk = p**k
+            for r in residues:
+                for a in (r, (r + 7 * p * k) % pk, pk - p + r):
+                    assert sqrt_mod_pk(a, p, k) == reference_sqrt_mod_pk(a, p, k), (a, p, k)
+
+
 def test_sqrt_mod_pk():
     rng = SplitMix64(8)
     for _ in range(100):
@@ -403,10 +424,10 @@ def reference_certify_3(k, precision):
 def test_certify_3_matches_the_recursive_reference(precision):
     for k in range(-3000, 3000):
         if k == 0:
-            continue  # certify_local answers k = 0 before reaching _certify_3
+            continue  # the recursive reference never ends at 0
         for j in range(5):
             kj = k * 9**j
-            assert _certify_3(kj, precision) == reference_certify_3(kj, precision), kj
+            assert certify_local(kj, 3, precision) == reference_certify_3(kj, precision), kj
 
 
 def test_certify_local_at_3_handles_a_deep_power_of_9():
@@ -431,10 +452,23 @@ def test_certify_local_generic_prime_precision():
 def test_certify_local_real_and_zero():
     assert certify_local(7, "real").verdict == "solvable"
     assert certify_local(-3, "real").verdict == "unsolvable"
-    assert certify_local(0, "real").verdict == "unsolvable"
-    zero = certify_local(0, 5)
-    assert zero.witness == (0, 0, 0) and zero.verdict == "solvable"
-    assert verify_local_certificate(zero)
+    # G(0, 0, 0) = 0: k = 0 is solvable at every place, and replays
+    for place in ("real", 2, 3, 5, 7, 11):
+        zero = certify_local(0, place)
+        assert zero.verdict == "solvable", place
+        assert zero.witness == (None if place == "real" else (0, 0, 0))
+        assert verify_local_certificate(zero)
+
+
+def test_verdicts_follow_the_old_per_place_rules_away_from_zero():
+    # the real-place sign test, g_fails_at_3 at 3, and solvable elsewhere
+    for k in [*range(-60, 4001), 2 * 9**1500, -(7 * 9**40)]:
+        if k == 0:
+            continue
+        report = certify_global(k, extra_primes=[5, 7, 11, 13])
+        want = [k > 0, True, not g_fails_at_3(k), True, True, True, True]
+        assert [c.verdict == "solvable" for c in report.certificates] == want, k
+        assert verify_report(report)
 
 
 def test_certify_local_rejects_bad_places():
@@ -582,8 +616,10 @@ def test_default_extra_primes_does_not_factor_a_huge_k():
 def test_certify_global_unsolvable_cases():
     assert certify_global(5).overall == "unsolvable"  # 5 = 2 mod 3
     assert certify_global(-7).overall == "unsolvable"  # real place
-    assert certify_global(0).overall == "unsolvable"  # strict positivity
     assert verify_report(certify_global(5))
+    zero = certify_global(0)  # G(0, 0, 0) = 0: solvable at every place
+    assert zero.overall == "solvable" and verify_report(zero)
+    assert all(c.verdict == "solvable" for c in zero.certificates)
 
 
 def test_certify_global_explicit_primes():
