@@ -68,9 +68,15 @@ def _fmt_vec(v) -> str:
     return "(" + ", ".join(str(x) for x in v) + ")"
 
 
-def _replay(path: str, what: str, decode, check, label: str) -> int:
+def _short_int(n: int) -> str:
+    """n in full up to 40 digits, else its first 20 characters and digit count."""
+    text, digits = str(n), len(str(abs(n)))
+    return text if digits <= 40 else f"{text[:20]}... ({digits} digits)"
+
+
+def _replay(path: str, what: str, decode, check, label) -> int:
     """The --verify-file mode of every command: decode the JSON at path,
-    replay it with check, print label.format(decoded) and the verdict. A
+    replay it with check, print label(decoded) and the verdict. A
     payload that does not decode is an unreadable `what` (exit 1)."""
     try:
         obj = decode(_load_json(path))
@@ -78,7 +84,7 @@ def _replay(path: str, what: str, decode, check, label: str) -> int:
         print(f"unreadable {what}: {exc}", file=sys.stderr)
         return 1
     ok = check(obj)
-    print(label.format(obj) + ": " + ("valid" if ok else "INVALID"))
+    print(label(obj) + ": " + ("valid" if ok else "INVALID"))
     return 0 if ok else 1
 
 
@@ -222,7 +228,7 @@ def _cmd_local_certify(args) -> int:
     if args.json:
         _emit(local_global.report_to_dict(report))
     else:
-        print(f"k = {report.k}")
+        print(f"k = {_short_int(report.k)}")
         for cert in report.certificates:
             witness = "" if cert.witness is None else f"  witness {_fmt_vec(cert.witness)}"
             print(f"  place {str(cert.place):>5}  {cert.verdict}{witness}")
@@ -336,7 +342,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--max", type=_int_at_most(10**4), required=True)
     represent = _command(hactions, "represent", "certificate for one n", _cmd_hassett_represent,
                          ("certificate", hassett_rep.certificate_from_dict,
-                          hassett_rep.verify_certificate, "certificate for n = {0.n}"))
+                          hassett_rep.verify_certificate, lambda c: f"certificate for n = {c.n}"))
     represent.add_argument("n", type=int, nargs="?")
 
     adc_group = groups.add_parser("adc", help="descent and ADC verification")
@@ -345,7 +351,7 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--form", choices=sorted(_FORM_FLAGS), required=True)
     check.add_argument("--max", type=_int_at_most(10**7), required=True)
     descend = _command(aactions, "descend", "denominator descent trace", _cmd_adc_descend,
-                       ("trace", _decode_trace, _trace_ok, "trace for {0.form_name}"))
+                       ("trace", _decode_trace, _trace_ok, lambda t: f"trace for {t.form_name}"))
     descend.add_argument("--form", choices=sorted(_FORM_FLAGS), default="q3")
     descend.add_argument("--num", type=_int_csv(3))
     descend.add_argument("--den", type=int)
@@ -354,7 +360,7 @@ def _build_parser() -> argparse.ArgumentParser:
     lactions = local.add_subparsers(dest="action", required=True)
     certify = _command(lactions, "certify", "certify G(w) = k at all places", _cmd_local_certify,
                        ("report", _decode_report, local_global.verify_report,
-                        "report for k = {0.k}, overall {0.overall}"))
+                        lambda r: f"report for k = {_short_int(r.k)}, overall {r.overall}"))
     certify.add_argument("--k", type=int)
     certify.add_argument("--primes", type=_int_list, default=None)
     certify.add_argument("--precision", type=_int_at_most(_MAX_PRECISION), default=3)
@@ -373,7 +379,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gactions = geo.add_subparsers(dest="action", required=True)
     dims = _command(gactions, "dims", "dimension report", _cmd_geometry_dims)
     cubic = _command(gactions, "cubic", "emit a seeded vanishing cubic", _cmd_geometry_cubic,
-                     ("cubic", lambda payload: payload, geometry.verify_cubic_dict, "cubic"))
+                     ("cubic", lambda d: d, geometry.verify_cubic_dict, lambda d: "cubic"))
     for command in (dims, cubic):
         command.add_argument("--a", type=_fraction, default=Fraction(1))
         command.add_argument("--b", type=_fraction, default=Fraction(1))

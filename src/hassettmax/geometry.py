@@ -6,20 +6,20 @@ control whether the fourth plane meets the second and third ones. From the
 intersection profile we rebuild the rank-5 Gram matrix, compute the space
 of cubics vanishing on all four planes, and count orbit and stabilizer
 dimensions for the simultaneous linear symmetry group. Parameters, ideals
-and cubic coefficients are Fractions. Each plane basis is scaled to integers
-once, by one common factor per plane, so restriction rows, oracle points and
-stabilizer rows are integers. One table of monomial index triples drives
-both monomial values at a point and each plane's block of the restriction,
-a product of three linear forms in the plane parameters. Dimensions are
-exact ranks from linalg's forward integer elimination, cross-checked by a
-seeded evaluation oracle; cubics are read off the integer echelon rows.
+and cubic coefficients are Fractions. Each plane basis is its ideal's kernel
+basis in closed form times one integer, so restriction rows, oracle points
+and stabilizer rows are integers. One table of monomial index triples drives
+monomial values at a point and each plane's block of the restriction; the
+blocks of planes 1-3 are built once. Dimensions are exact ranks from linalg's
+integer elimination, cross-checked by a seeded evaluation oracle ranked plane
+by plane; cubics are read off the integer echelon rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import compress, product
 from math import lcm
 
 from .arith import SplitMix64
@@ -82,10 +82,15 @@ def _form(*pairs) -> tuple:
     return tuple(coeffs)
 
 
+# kernel_basis of (x,y,z), (x,y,u), (x,z,v): unit vectors at the free columns
+_FIXED_BASES = tuple(tuple(tuple(int(i == c) for i in range(NUM_VARS)) for c in free)
+                     for free in ((3, 4, 5), (2, 4, 5), (1, 3, 5)))
+
+
 def standard_config(a, b) -> PlaneConfig:
-    """The canonical four planes. One common integer per plane scales its
-    kernel vectors to integers; it scales every row the plane contributes by
-    a constant, so no rank, kernel or projective oracle point changes."""
+    """The canonical four planes. Each basis is its ideal's kernel_basis, in
+    closed form, times the lcm of its denominators: a constant factor on the
+    plane's rows, so no rank, kernel or projective oracle point changes."""
     a = Fraction(a)
     b = Fraction(b)
     ideals = (
@@ -94,17 +99,13 @@ def standard_config(a, b) -> PlaneConfig:
         (_form((0, 1)), _form((2, 1)), _form((4, 1))),
         (_form((4, 1), (1, -b)), _form((3, 1), (2, -a)), _form((5, 1))),
     )
-    bases = []
-    for ideal in ideals:
-        basis = kernel_basis([list(f) for f in ideal])
-        if len(basis) != 3:
-            raise AssertionError("plane ideal must have rank 3")
-        # a list, not a generator: lcm(*generator) builds its 18 arguments
-        # by resizing a tuple, and CPython keeps each such tuple on its free
-        # list once freed (up to 2000 of them, 368 KB per process)
-        scale = lcm(*[x.denominator for vec in basis for x in vec])
-        bases.append(tuple(tuple(int(x * scale) for x in vec) for vec in basis))
-    return PlaneConfig(a, b, ideals, tuple(bases))
+    # plane 4 by free column: x; u with z = u/a, or z if a = 0 (u - a*z);
+    # v with y = v/b, or y if b = 0 (v - b*y); s clears the 1/a and 1/b
+    s = lcm(a.numerator or 1, b.numerator or 1)
+    ua = (3, (0, 0, s // a.numerator * a.denominator, s, 0, 0)) if a else (2, (0, 0, s, 0, 0, 0))
+    vb = (4, (0, s // b.numerator * b.denominator, 0, 0, s, 0)) if b else (1, (0, s, 0, 0, 0, 0))
+    fourth = tuple(vec for _, vec in sorted([(0, (s, 0, 0, 0, 0, 0)), ua, vb]))
+    return PlaneConfig(a, b, ideals, (*_FIXED_BASES, fourth))
 
 
 def intersection_profile(config: PlaneConfig, i: int, j: int) -> str:
@@ -192,18 +193,26 @@ def _plane_block(basis) -> list:
     the coordinates in m's index triple. Integer for an integer basis."""
     forms = list(zip(*basis))  # coordinate c is the form (b0[c], b1[c], b2[c])
     columns = [_cubic_product(forms[i], forms[j], forms[k]) for i, j, k in _INDEX_TRIPLES]
-    return [list(row) for row in zip(*columns)]
+    return list(zip(*columns))
+
+
+# the blocks of planes 1-3 depend on no parameter: built once, rows immutable
+_FIXED_BLOCKS = {basis: _plane_block(basis) for basis in _FIXED_BASES}
+
+
+def _block(basis) -> list:
+    return _FIXED_BLOCKS.get(basis) or _plane_block(basis)
 
 
 def _restrict(coeffs, basis) -> dict:
     """Integer coefficients on a plane as {PARAM_MONOMIALS entry: nonzero value}."""
-    values = (sum(c * x for c, x in zip(coeffs, row) if c) for row in _plane_block(basis))
+    values = (sum(c * x for c, x in zip(coeffs, row) if c) for row in _block(basis))
     return {e: v for e, v in zip(PARAM_MONOMIALS, values) if v}
 
 
 def restriction_matrix(config: PlaneConfig) -> list:
     """40x56 map from cubic coefficients to their four plane restrictions."""
-    return [row for basis in config.bases for row in _plane_block(basis)]
+    return [list(row) for basis in config.bases for row in _block(basis)]
 
 
 def restrict_to_plane(cubic: CubicPoly, config: PlaneConfig, i: int) -> dict:
@@ -238,14 +247,12 @@ def linear_system_dim(config: PlaneConfig) -> int:
     return 56 - rank(restriction_matrix(config)) - 1
 
 
-def _seeded_plane_points(config: PlaneConfig) -> list:
-    rng = SplitMix64(EVAL_SEED)
-    points = []
-    for basis in config.bases:
-        for _ in range(POINTS_PER_PLANE):
-            params = [rng.randint(-20, 20) for _ in range(3)]
-            points.append([sum(t * x for t, x in zip(params, coords)) for coords in zip(*basis)])
-    return points
+# the oracle's (s0, s1, s2), 20 per plane in plane order from one
+# SplitMix64(EVAL_SEED) sequence: no draw depends on the configuration
+_PLANE_PARAMS = tuple(
+    tuple(tuple(rng.randint(-20, 20) for _ in range(3)) for _ in range(POINTS_PER_PLANE))
+    for rng in [SplitMix64(EVAL_SEED)] for _ in range(4)
+)
 
 
 def linear_system_dim_by_evaluation(config: PlaneConfig) -> int:
@@ -254,10 +261,22 @@ def linear_system_dim_by_evaluation(config: PlaneConfig) -> int:
     Every evaluation row is a rational combination of restriction rows, so
     this can only overcount the kernel; agreement with the kernel method
     certifies the count. The plane bases are integers, so every point and
-    every row is too.
+    every row is too. A plane's 20 rows vanish off the monomials in its
+    nonzero coordinates (its mask) and span at most 10 dimensions: each
+    plane is echelonned on its mask, and the rank is that of the at most 40
+    surviving rows, put back on all 56 columns.
     """
-    rows = [_monomial_values(p) for p in _seeded_plane_points(config)]
-    return 56 - rank(rows) - 1
+    survivors = []
+    for basis, draws in zip(config.bases, _PLANE_PARAMS):
+        forms = list(zip(*basis))
+        live = [any(form) for form in forms]
+        mask = [live[i] and live[j] and live[k] for i, j, k in _INDEX_TRIPLES]
+        points = [[sum(s * x for s, x in zip(params, form)) for form in forms] for params in draws]
+        triples = list(compress(_INDEX_TRIPLES, mask))
+        rows, _ = echelon([[p[i] * p[j] * p[k] for i, j, k in triples] for p in points],
+                          reduced=False)
+        survivors += ([next(row) if m else 0 for m in mask] for row in map(iter, rows))
+    return 56 - rank(survivors) - 1
 
 
 def stabilizer_dim(config: PlaneConfig) -> tuple[int, int]:

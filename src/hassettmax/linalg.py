@@ -1,12 +1,12 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of lists; entries are ints or Fractions and stay exact
-throughout. One integer elimination core, echelon, serves rref, rank and
-kernel_basis: it scales each row to integers, takes as pivot the row with
-the least |entry| in the column, eliminates fraction-free and divides every
-updated row by its content. rref and kernel_basis read their Fractions off
-its rows; rank clears only below each pivot and builds no Fraction at all.
-Determinants use Bareiss elimination.
+Matrices are lists of rows of ints or Fractions, exact throughout. One
+integer elimination core, echelon, serves rref, rank, kernel_basis and
+geometry's plane-by-plane oracle: it scales each row to integers (an all-int
+row is copied as is), takes as pivot the row with the least |entry| in the
+column, eliminates fraction-free and divides every updated row by its
+content. rref and kernel_basis read their Fractions off its rows; rank
+clears only below each pivot. Determinants use Bareiss elimination.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ Matrix = list[list[Fraction]]
 
 def clear_denominators(row) -> list[int]:
     """The row times the lcm of its denominators: an integer row."""
-    if all(type(x) is int for x in row):
+    if set(map(type, row)) <= {int}:
         return list(row)
     den = lcm(*(x.denominator for x in row))
     return [x.numerator * (den // x.denominator) for x in row]

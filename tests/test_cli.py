@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from hassettmax.cli import main
+from hassettmax.cli import _short_int, main
 
 
 def run(capsys, *argv):
@@ -187,19 +187,35 @@ def test_local_verify_file_round_trip(capsys, tmp_path):
     assert code == 1 and "INVALID" in out
 
 
-@pytest.mark.parametrize("k, code, overall", [
-    ("5", 1, "unsolvable"),  # 5 = 2 mod 3 is not a 3-adic value of G
-    (str(2 * 9**1500), 1, "unsolvable"),
-    ("0", 0, "solvable"),  # G(0, 0, 0) = 0
+_DEEP_K = str(2 * 9**1500)
+
+
+@pytest.mark.parametrize("k, code, overall, shown", [
+    ("5", 1, "unsolvable", "5"),  # 5 = 2 mod 3 is not a 3-adic value of G
+    (_DEEP_K, 1, "unsolvable", "46216191562238185453... (1432 digits)"),
+    ("0", 0, "solvable", "0"),  # G(0, 0, 0) = 0
 ], ids=["5", "2*9**1500", "0"])
-def test_local_verify_file_accepts_every_honest_report(capsys, tmp_path, k, code, overall):
+def test_local_verify_file_accepts_every_honest_report(capsys, tmp_path, k, code, overall, shown):
     # certify exits 1 for an unsolvable k; the replay exits 0 when the claims hold
     got, out, _ = run(capsys, "local", "certify", "--k", k, "--json")
     assert got == code and json.loads(out)["overall"] == overall
+    assert json.loads(out)["k"] == k  # JSON keeps k whole
     path = tmp_path / "report.json"
     path.write_text(out)
     got, out, _ = run(capsys, "local", "certify", "--verify-file", str(path))
-    assert got == 0 and out == f"report for k = {k}, overall {overall}: valid\n"
+    assert got == 0 and out == f"report for k = {shown}, overall {overall}: valid\n"
+    got, out, _ = run(capsys, "local", "certify", "--k", k)
+    assert got == code and out.splitlines()[0] == f"k = {shown}"
+
+
+@pytest.mark.parametrize("n, shown", [
+    (10**39, str(10**39)),  # 40 digits: whole
+    (-(10**39), str(-(10**39))),
+    (10**40, "10000000000000000000... (41 digits)"),
+    (-(10**40), "-1000000000000000000... (41 digits)"),
+])
+def test_short_int_keeps_up_to_40_digits(n, shown):
+    assert _short_int(n) == shown
 
 
 def test_local_verify_file_rejects_forged_and_oversized_reports(capsys, tmp_path):

@@ -19,9 +19,11 @@ from hypothesis import strategies as st
 
 from hassettmax.arith import SplitMix64
 from hassettmax.geometry import (
+    _PLANE_PARAMS,
     EVAL_SEED,
     MONOMIALS,
     PARAM_MONOMIALS,
+    POINTS_PER_PLANE,
     CubicPoly,
     PlaneConfig,
     _monomial_values,
@@ -43,7 +45,7 @@ from hassettmax.geometry import (
     verify_cubic_dict,
 )
 from hassettmax.lattices import gram_M
-from hassettmax.linalg import kernel_basis, rref
+from hassettmax.linalg import kernel_basis, rank, rref
 
 PAIRS = [(0, 0), (0, 1), (1, 0), (1, 1)]
 
@@ -277,13 +279,23 @@ def _fraction_bases(cfg):
     return [kernel_basis([list(f) for f in ideal]) for ideal in cfg.ideals]
 
 
-def _restriction_matrix_reference(cfg):
-    rows = []
+def _scaled_bases_reference(cfg):
+    """Each plane's kernel_basis times the lcm of its denominators: the
+    bases standard_config writes down in closed form."""
+    bases = []
     for basis in _fraction_bases(cfg):
-        columns = [_restrict_monomial_reference(m, basis) for m in MONOMIALS]
-        for pm in PARAM_MONOMIALS:
-            rows.append([col.get(pm, Fraction(0)) for col in columns])
-    return rows
+        scale = lcm(*[x.denominator for vec in basis for x in vec])
+        bases.append(tuple(tuple(int(x * scale) for x in vec) for vec in basis))
+    return tuple(bases)
+
+
+def _block_reference(basis):
+    columns = [_restrict_monomial_reference(m, basis) for m in MONOMIALS]
+    return [[col.get(pm, Fraction(0)) for col in columns] for pm in PARAM_MONOMIALS]
+
+
+def _restriction_matrix_reference(cfg):
+    return [row for basis in _fraction_bases(cfg) for row in _block_reference(basis)]
 
 
 def _restrict_reference(coeffs, basis):
@@ -302,6 +314,27 @@ _PARAMETERS = st.one_of(
     st.builds(lambda n, d, sign: Fraction(sign * n, d),
               _DIGITS30, _DIGITS30, st.sampled_from((1, -1))),
 )
+
+
+_PAIR30 = (
+    Fraction(123456789012345678901234567891, 987654321098765432109876543211),
+    Fraction(-314159265358979323846264338327, 271828182845904523536028747135),
+)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(_PARAMETERS, _PARAMETERS)
+@example(Fraction(0), Fraction(0))
+@example(Fraction(0), Fraction(-7, 3))
+@example(Fraction(-5, 2), Fraction(0))
+@example(Fraction(-4, 9), Fraction(-6, 5))
+@example(*_PAIR30)
+@example(Fraction(2**61 - 1), Fraction(0))
+@example(Fraction(2**61 - 1), Fraction(-(2**61 - 1), 3))
+def test_closed_form_bases_are_the_scaled_kernel_bases(a, b):
+    cfg = standard_config(a, b)
+    assert cfg.bases == _scaled_bases_reference(cfg)
+    assert all(type(x) is int for basis in cfg.bases for vec in basis for x in vec)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -350,6 +383,66 @@ def test_integer_restriction_matches_fraction_reference(a, b, seed, monomial, t)
 def _monomial_values_reference(point):
     powers = [(1, x, x * x, x * x * x) for x in point]
     return [prod(pw[e] for pw, e in zip(powers, m)) for m in MONOMIALS]
+
+
+def _oracle_rows_reference(cfg):
+    """All 80 oracle rows, drawn per call as the seeded points always were:
+    20 points per plane from one SplitMix64(EVAL_SEED), 56 values each."""
+    rng = SplitMix64(EVAL_SEED)
+    rows = []
+    for basis in cfg.bases:
+        for _ in range(POINTS_PER_PLANE):
+            params = [rng.randint(-20, 20) for _ in range(3)]
+            point = [sum(t * x for t, x in zip(params, coords)) for coords in zip(*basis)]
+            rows.append(_monomial_values_reference(point))
+    return rows
+
+
+def test_import_time_draws_are_the_per_call_draws():
+    rng = SplitMix64(EVAL_SEED)
+    per_call = [[rng.randint(-20, 20) for _ in range(3)] for _ in range(4 * POINTS_PER_PLANE)]
+    assert [len(plane) for plane in _PLANE_PARAMS] == [POINTS_PER_PLANE] * 4
+    assert [list(params) for plane in _PLANE_PARAMS for params in plane] == per_call
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(_PARAMETERS, _PARAMETERS)
+@example(Fraction(0), Fraction(0))
+@example(Fraction(-3, 7), Fraction(0))
+@example(*_PAIR30)
+@example(Fraction(2**61 - 1), Fraction(0))
+def test_plane_by_plane_oracle_is_the_rank_of_all_80_rows(a, b):
+    cfg = standard_config(a, b)
+    rows = _oracle_rows_reference(cfg)
+    assert len(rows) == 80
+    assert linear_system_dim_by_evaluation(cfg) == 56 - rank(rows) - 1
+
+
+def test_plane_by_plane_oracle_on_rank_deficient_planes(configs):
+    cfg = configs[(1, 1)]
+    p1, p2, p3, p4 = cfg.bases
+    zero = (0,) * 6
+    for bases in [
+        (p1, p2, p3, (p4[0], p4[0], p4[2])),  # plane 4 a line: block rank 4
+        ((p1[0], p1[1], p1[1]), p2, p3, p4),  # plane 1 off the fixed blocks
+        (p1, (p2[2], zero, p2[2]), p3, p4),  # plane 2 a point: block rank 1
+        (p1, p2, p3, (zero, zero, zero)),
+    ]:
+        twin = PlaneConfig(cfg.a, cfg.b, cfg.ideals, bases)
+        matrix = restriction_matrix(twin)
+        assert matrix == [row for basis in bases for row in _block_reference(basis)]
+        assert [rank(matrix[n:n + 10]) for n in (0, 10, 20, 30)] != [10] * 4
+        rows = _oracle_rows_reference(twin)
+        assert linear_system_dim_by_evaluation(twin) == 56 - rank(rows) - 1
+
+
+def test_restriction_matrix_rows_are_fresh_lists(configs):
+    cfg = configs[(0, 1)]
+    matrix = restriction_matrix(cfg)
+    assert all(type(row) is list for row in matrix)
+    for row in matrix:
+        row[:] = [7] * 56
+    assert restriction_matrix(cfg) == _restriction_matrix_reference(cfg)
 
 
 _COORDINATES = st.one_of(
