@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, prod
+from math import gcd, prod
 from itertools import product
 
 from .arith import ceil_sqrt, factorize
@@ -36,7 +36,6 @@ from .qforms import (
     builtin_form,
     content,
     evaluate,
-    flags_to_mask,
     image_mask,
     is_diagonal,
     is_positive_definite,
@@ -342,12 +341,8 @@ def _rational_test(form: QuadraticForm, n_max: int, candidates: int) -> list[int
     candidate otherwise."""
     if form.dim == 1:
         # a x^2 takes the rational values a0 t^2, a0 the square-free part of a
-        a = form.gram[0][0]
-        a0 = prod(p for p, e in factorize(a).items() if e % 2)
-        flags = bytearray(n_max + 1)
-        for t in range(1, isqrt(n_max // a0) + 1):
-            flags[a0 * t * t] = 1
-        return list(set_bits(candidates & flags_to_mask(flags)))
+        a0 = prod(p for p, e in factorize(form.gram[0][0]).items() if e % 2)
+        return list(set_bits(candidates & image_mask(QuadraticForm(1, ((a0,),)), n_max)))
     if form.dim == 3 and is_diagonal(form):
         diag = tuple(form.gram[i][i] for i in range(3))
         return list(set_bits(candidates & local_global.rational_values_mask(diag, n_max)))

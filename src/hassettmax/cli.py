@@ -1,8 +1,8 @@
 """Command-line front end: verification pipelines with JSON certificates.
 
-Exit codes: 0 verified/success, 1 verification failure or domain error,
-2 usage error. JSON goes to stdout, diagnostics to stderr. All integers in
-JSON payloads are decimal strings.
+Exit codes: 0 verified/success, 1 verification failure, domain error or
+unwritable --out file, 2 usage error. JSON goes to stdout, diagnostics to
+stderr. All integers in JSON payloads are decimal strings.
 """
 
 from __future__ import annotations
@@ -304,8 +304,12 @@ def _cmd_geometry_cubic(args) -> int:
     cubic = geometry.random_cubic(config, args.seed)
     payload = geometry.cubic_to_dict(cubic, config, args.seed)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                json.dump(payload, handle, indent=2)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         print(f"wrote cubic (a={config.a}, b={config.b}, seed={args.seed}) to {args.out}")
     else:
         _emit(payload)

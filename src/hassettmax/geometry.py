@@ -12,14 +12,16 @@ and stabilizer rows are integers. One table of monomial index triples drives
 monomial values at a point and each plane's block of the restriction; the
 blocks of planes 1-3 are built once. Dimensions are exact ranks from linalg's
 integer elimination, cross-checked by a seeded evaluation oracle ranked plane
-by plane; cubics are read off the integer echelon rows.
+by plane on all 56 monomials, whose rows for planes 1-3 are built on first
+use; cubics are read off the integer echelon rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, product
+from functools import cache
+from itertools import product
 from math import lcm
 
 from .arith import SplitMix64
@@ -255,27 +257,35 @@ _PLANE_PARAMS = tuple(
 )
 
 
+def _plane_rows(basis, draws) -> list:
+    """Echelon rows of the monomial values at one plane's oracle points:
+    at most 10, since the plane's cubics form a 10-dimensional space."""
+    forms = list(zip(*basis))
+    points = ([sum(s * x for s, x in zip(params, form)) for form in forms] for params in draws)
+    return echelon([_monomial_values(p) for p in points], reduced=False)[0]
+
+
+@cache
+def _fixed_plane_rows(i: int) -> tuple:
+    """_plane_rows of plane i + 1 in {1, 2, 3}, built on first use; immutable."""
+    return tuple(map(tuple, _plane_rows(_FIXED_BASES[i], _PLANE_PARAMS[i])))
+
+
 def linear_system_dim_by_evaluation(config: PlaneConfig) -> int:
     """Same dimension count from monomial values at seeded plane points.
 
     Every evaluation row is a rational combination of restriction rows, so
     this can only overcount the kernel; agreement with the kernel method
     certifies the count. The plane bases are integers, so every point and
-    every row is too. A plane's 20 rows vanish off the monomials in its
-    nonzero coordinates (its mask) and span at most 10 dimensions: each
-    plane is echelonned on its mask, and the rank is that of the at most 40
-    surviving rows, put back on all 56 columns.
+    every row is too. Each plane's 20 rows are echelonned on their own,
+    and the rank is that of the at most 40 survivors. Planes 1-3 with their
+    fixed bases always give the same survivors, which are kept after the
+    first call; any other basis, and plane 4, is echelonned per call.
     """
     survivors = []
-    for basis, draws in zip(config.bases, _PLANE_PARAMS):
-        forms = list(zip(*basis))
-        live = [any(form) for form in forms]
-        mask = [live[i] and live[j] and live[k] for i, j, k in _INDEX_TRIPLES]
-        points = [[sum(s * x for s, x in zip(params, form)) for form in forms] for params in draws]
-        triples = list(compress(_INDEX_TRIPLES, mask))
-        rows, _ = echelon([[p[i] * p[j] * p[k] for i, j, k in triples] for p in points],
-                          reduced=False)
-        survivors += ([next(row) if m else 0 for m in mask] for row in map(iter, rows))
+    for i, (basis, draws) in enumerate(zip(config.bases, _PLANE_PARAMS)):
+        fixed = i < 3 and basis == _FIXED_BASES[i]
+        survivors += _fixed_plane_rows(i) if fixed else _plane_rows(basis, draws)
     return 56 - rank(survivors) - 1
 
 

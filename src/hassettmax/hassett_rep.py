@@ -4,7 +4,8 @@ Pipeline for n in the admissible set: pick the branch value u, form
 k = 8n - 57u^2, find an all-odd representation of k by G = x^2+3y^2+3z^2,
 normalize signs into the image of the affine map T, invert T, and read off
 an integer vector v with F(v) = n. Three small n are handled by fixed
-special vectors. Every certificate replays from scratch.
+special vectors. Every certificate replays from scratch: represent returns
+a certificate only after verify_certificate has accepted it.
 """
 
 from __future__ import annotations
@@ -180,31 +181,21 @@ def odd_representation(k: int) -> tuple[int, int, int]:
 
 
 def represent(n: int) -> HassettCertificate:
-    """End-to-end certificate that F primitively represents n."""
+    """End-to-end certificate that F primitively represents n, replayed
+    through verify_certificate before it is returned."""
     branch = choose_branch(n)
     if branch.kind == "special":
-        v = branch.vector
-        if evaluate(_F, v) != n or not is_primitive(v):
-            raise AssertionError("special vector table is corrupt")
-        return HassettCertificate(n, "special", None, None, None, None, v, None)
-    u = branch.u
-    k = k_value(n, u)
-    checks = check_k_properties(k)
-    if not all(checks):
-        raise AssertionError(f"k = {k} fails its arithmetic properties")
-    g = sign_normalize(odd_representation(k), u)
-    xyz = invert_T(g, u)
-    x, y, z = xyz
-    if x % 2:
-        raise AssertionError("first T-preimage coordinate must be even")
-    v = (x // 2, y, z, u)
-    if 8 * evaluate(_F, v) != evaluate(_G, g) + 57 * u * u:
-        raise AssertionError("identity 8F = G + 57u^2 failed to replay")
-    if evaluate(_F, v) != n:
-        raise AssertionError("constructed vector has the wrong F-value")
-    if not is_primitive(v):
-        raise AssertionError("constructed vector is imprimitive")
-    return HassettCertificate(n, branch.kind, u, k, g, xyz, v, checks)
+        cert = HassettCertificate(n, "special", None, None, None, None, branch.vector, None)
+    else:
+        u = branch.u
+        k = k_value(n, u)
+        g = sign_normalize(odd_representation(k), u)
+        xyz = invert_T(g, u)
+        v = (xyz[0] // 2, xyz[1], xyz[2], u)
+        cert = HassettCertificate(n, branch.kind, u, k, g, xyz, v, check_k_properties(k))
+    if not verify_certificate(cert):
+        raise AssertionError(f"the certificate for n = {n} failed to replay")
+    return cert
 
 
 def verify_certificate(cert: HassettCertificate) -> bool:

@@ -1,7 +1,8 @@
 """Local solvability certificates for the ternary form G = x^2 + 3y^2 + 3z^2.
 
 One rule, _solvable (Hasse-Minkowski through ternary_represents_locally),
-decides every verdict, for the producer and the verifier alike; k = 0 is
+decides every verdict, for the producer and the verifier alike, and
+_overall (solvable at every listed place) every report's; k = 0 is
 solvable everywhere (w = 0). A "solvable" certificate at a prime p stores
 an integer witness w with G(w) congruent to k mod p^precision, Hensel-lifted
 from a seed (at 2, from a table indexed by k mod 8); at the real place and
@@ -369,6 +370,11 @@ def default_extra_primes(k: int) -> list[int]:
     return [p for p in primes if p in (5, 7) or k % p == 0]
 
 
+def _overall(certificates) -> str:
+    """The one global rule: solvable when every listed place is."""
+    return "solvable" if all(c.verdict == "solvable" for c in certificates) else "unsolvable"
+
+
 def certify_global(
     k: int, extra_primes=None, precision: int = 3
 ) -> GlobalSolvabilityReport:
@@ -383,12 +389,7 @@ def certify_global(
     certs.append(certify_local(k, 2, precision))
     certs.append(certify_local(k, 3, precision))
     certs.extend(certify_local(k, p, precision) for p in extra_primes)
-    overall = (
-        "solvable"
-        if all(c.verdict == "solvable" for c in certs)
-        else "unsolvable"
-    )
-    return GlobalSolvabilityReport(k, tuple(certs), overall)
+    return GlobalSolvabilityReport(k, tuple(certs), _overall(certs))
 
 
 def verify_report(report: GlobalSolvabilityReport) -> bool:
@@ -396,12 +397,7 @@ def verify_report(report: GlobalSolvabilityReport) -> bool:
         return False
     if not all(verify_local_certificate(c) for c in report.certificates):
         return False
-    expected = (
-        "solvable"
-        if all(c.verdict == "solvable" for c in report.certificates)
-        else "unsolvable"
-    )
-    return report.overall == expected
+    return report.overall == _overall(report.certificates)
 
 
 # --- serialization (integers as decimal strings) ---

@@ -241,6 +241,18 @@ def test_local_verify_file_rejects_forged_and_oversized_reports(capsys, tmp_path
     assert code == 1 and "above the limit 1000" in err and "valid" not in out
 
 
+@pytest.mark.parametrize("k, flipped", [("7", "unsolvable"), ("5", "solvable")])
+def test_local_verify_file_rejects_a_flipped_overall(capsys, tmp_path, k, flipped):
+    _, out, _ = run(capsys, "local", "certify", "--k", k, "--json")
+    payload = json.loads(out)
+    assert payload["overall"] != flipped
+    payload["overall"] = flipped
+    path = tmp_path / "flipped.json"
+    path.write_text(json.dumps(payload))
+    code, out, _ = run(capsys, "local", "certify", "--verify-file", str(path))
+    assert code == 1 and out == f"report for k = {k}, overall {flipped}: INVALID\n"
+
+
 # --- lattice ---
 
 
@@ -307,6 +319,14 @@ def test_geometry_cubic_round_trip(capsys, tmp_path):
     bad.write_text(json.dumps(payload))
     code, out, _ = run(capsys, "geometry", "cubic", "--verify-file", str(bad))
     assert code == 1 and "INVALID" in out
+
+
+def test_geometry_cubic_out_into_a_missing_directory(capsys, tmp_path):
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, "geometry", "cubic", "--out", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
+    assert not path.exists()
 
 
 # --- forged --verify-file payloads ---

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from hassettmax.arith import SplitMix64
 from hassettmax.geometry import (
+    _FIXED_BASES,
     _PLANE_PARAMS,
     EVAL_SEED,
     MONOMIALS,
@@ -26,7 +27,9 @@ from hassettmax.geometry import (
     POINTS_PER_PLANE,
     CubicPoly,
     PlaneConfig,
+    _fixed_plane_rows,
     _monomial_values,
+    _plane_rows,
     alpha_beta,
     cubic_from_dict,
     cubic_to_dict,
@@ -415,7 +418,36 @@ def test_plane_by_plane_oracle_is_the_rank_of_all_80_rows(a, b):
     cfg = standard_config(a, b)
     rows = _oracle_rows_reference(cfg)
     assert len(rows) == 80
-    assert linear_system_dim_by_evaluation(cfg) == 56 - rank(rows) - 1
+    cached = [_fixed_plane_rows(i) for i in range(3)]
+    # twice: the second call reads the rows of planes 1-3 the first one kept
+    for _ in range(2):
+        assert linear_system_dim_by_evaluation(cfg) == 56 - rank(rows) - 1
+    for i, kept in enumerate(cached):
+        assert _fixed_plane_rows(i) is kept
+        assert [list(row) for row in kept] == _plane_rows(_FIXED_BASES[i], _PLANE_PARAMS[i])
+
+
+def test_fixed_basis_out_of_its_slot_takes_the_per_call_path(monkeypatch, configs):
+    cfg = configs[(1, 1)]
+    p1, p2, p3, _ = cfg.bases
+    per_call = []
+
+    def spy(basis, draws):
+        per_call.append(basis)
+        return _plane_rows(basis, draws)
+
+    for i in range(3):  # build the kept rows first: the spy sees only per-call planes
+        _fixed_plane_rows(i)
+    monkeypatch.setattr("hassettmax.geometry._plane_rows", spy)
+    for bases, expected in [
+        ((p1, p2, p3, _FIXED_BASES[0]), [_FIXED_BASES[0]]),  # plane 1's basis as plane 4
+        ((p2, p1, p3, _FIXED_BASES[2]), [p2, p1, _FIXED_BASES[2]]),
+    ]:
+        per_call.clear()
+        twin = PlaneConfig(cfg.a, cfg.b, cfg.ideals, bases)
+        rows = _oracle_rows_reference(twin)
+        assert linear_system_dim_by_evaluation(twin) == 56 - rank(rows) - 1
+        assert per_call == expected
 
 
 def test_plane_by_plane_oracle_on_rank_deficient_planes(configs):

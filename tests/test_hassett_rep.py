@@ -224,6 +224,19 @@ def test_verify_rejects_tampering():
     assert not verify_certificate(wrong_k)
 
 
+def test_represent_raises_when_its_certificate_does_not_replay(monkeypatch):
+    # the special table's vector for 42 has F-value 42, not 24
+    monkeypatch.setitem(SPECIAL_VECTORS, 24, SPECIAL_VECTORS[42])
+    with pytest.raises(AssertionError, match="n = 24"):
+        represent(24)
+    # for n = 14, k = 55; the all-odd (3, 3, 3) represents 63 instead
+    monkeypatch.setattr("hassettmax.hassett_rep.odd_representation", lambda k: (3, 3, 3))
+    with pytest.raises(AssertionError, match="n = 14"):
+        represent(14)
+    monkeypatch.undo()
+    assert represent(24).v == (1, 0, -1, 0) and represent(14).v == (1, 1, 1, 1)
+
+
 def test_image_identity_small():
     # positive F-values = Hassett values, by enumeration on both sides
     image = integer_image_upto(F, 1200)

@@ -7,6 +7,7 @@ product formula and bimultiplicativity, exhaustive residue tables for the
 
 import json
 import time
+from dataclasses import replace
 from math import prod
 
 import pytest
@@ -620,6 +621,14 @@ def test_certify_global_unsolvable_cases():
     zero = certify_global(0)  # G(0, 0, 0) = 0: solvable at every place
     assert zero.overall == "solvable" and verify_report(zero)
     assert all(c.verdict == "solvable" for c in zero.certificates)
+
+
+@pytest.mark.parametrize("k", [7, 111, 5, -7, 162])
+def test_verify_report_rejects_a_flipped_overall(k):
+    report = certify_global(k)
+    flipped = {"solvable": "unsolvable", "unsolvable": "solvable"}[report.overall]
+    assert verify_report(report)
+    assert not verify_report(replace(report, overall=flipped))
 
 
 def test_certify_global_explicit_primes():
