@@ -96,11 +96,8 @@ def _cmd_hassett_verify(args) -> int:
     expected = [n for n in range(1, n_max + 1) if hassett_rep.in_hassett(n)]
     image = primitive_image(builtin_form("F"), n_max)
     ok = image == expected
-    failed = []
     for n in expected:
-        if not hassett_rep.verify_certificate(hassett_rep.represent(n)):
-            failed.append(n)
-            ok = False
+        hassett_rep.represent(n)  # raises unless its certificate replays
     if args.json:
         _emit({"verified": ok, "checked": [str(n) for n in expected]})
     else:
@@ -109,8 +106,6 @@ def _cmd_hassett_verify(args) -> int:
             extra = sorted(set(image) - set(expected))[:10]
             missing = sorted(set(expected) - set(image))[:10]
             print(f"MISMATCH extra={extra} missing={missing}", file=sys.stderr)
-        if failed:
-            print(f"certificates failed for n in {failed[:10]}", file=sys.stderr)
         print("verified" if ok else "NOT verified")
     return 0 if ok else 1
 
@@ -347,7 +342,7 @@ def _build_parser() -> argparse.ArgumentParser:
     represent = _command(hactions, "represent", "certificate for one n", _cmd_hassett_represent,
                          ("certificate", hassett_rep.certificate_from_dict,
                           hassett_rep.verify_certificate, lambda c: f"certificate for n = {c.n}"))
-    represent.add_argument("n", type=int, nargs="?")
+    represent.add_argument("n", type=_int_at_most(10**13), nargs="?")
 
     adc_group = groups.add_parser("adc", help="descent and ADC verification")
     aactions = adc_group.add_subparsers(dest="action", required=True)

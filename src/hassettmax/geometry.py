@@ -5,22 +5,22 @@ ideals (x,y,z), (x,y,u), (x,z,v) and (v-by, u-az, w); the parameters a, b
 control whether the fourth plane meets the second and third ones. From the
 intersection profile we rebuild the rank-5 Gram matrix, compute the space
 of cubics vanishing on all four planes, and count orbit and stabilizer
-dimensions for the simultaneous linear symmetry group. Parameters, ideals
-and cubic coefficients are Fractions. Each plane basis is its ideal's kernel
-basis in closed form times one integer, so restriction rows, oracle points
-and stabilizer rows are integers. One table of monomial index triples drives
-monomial values at a point and each plane's block of the restriction; the
-blocks of planes 1-3 are built once. Dimensions are exact ranks from linalg's
-integer elimination, cross-checked by a seeded evaluation oracle ranked plane
-by plane on all 56 monomials, whose rows for planes 1-3 are built on first
-use; cubics are read off the integer echelon rows.
+dimensions for the simultaneous linear symmetry group. Parameters and
+cubic coefficients are Fractions; the ideals are integer forms, plane 4's
+with the denominators of a and b cleared. Each plane basis is its ideal's
+kernel basis in closed form times one integer, so restriction rows, oracle
+points and stabilizer rows are integers. One table of monomial index
+triples drives monomial values at a point and each plane's block of the
+restriction; the blocks of planes 1-3 are built once. Dimensions are exact
+ranks from linalg's integer elimination, cross-checked by an evaluation
+oracle at the 10 lattice points of each plane, which span the same rows as
+the restriction; cubics are read off the integer echelon rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from itertools import product
 from math import lcm
 
@@ -28,8 +28,6 @@ from .arith import SplitMix64
 from .lattices import GramMatrix5, gram_M, voisin_value
 from .linalg import clear_denominators, echelon, kernel_basis, rank
 
-EVAL_SEED = 1729
-POINTS_PER_PLANE = 20  # 80 oracle rows against the 56 monomials
 NUM_VARS = 6
 DEGREE = 3
 
@@ -63,7 +61,7 @@ assert len(PARAM_MONOMIALS) == 10
 class PlaneConfig:
     a: Fraction
     b: Fraction
-    ideals: tuple  # four triples of 6-coefficient linear forms
+    ideals: tuple  # four triples of 6-coefficient integer linear forms
     bases: tuple  # four triples of integer kernel basis vectors
 
 
@@ -77,10 +75,10 @@ class CubicPoly:
 
 
 def _form(*pairs) -> tuple:
-    """Linear form from (index, coeff) pairs."""
-    coeffs = [Fraction(0)] * NUM_VARS
+    """Integer linear form from (index, coeff) pairs."""
+    coeffs = [0] * NUM_VARS
     for idx, c in pairs:
-        coeffs[idx] = Fraction(c)
+        coeffs[idx] = c
     return tuple(coeffs)
 
 
@@ -99,7 +97,11 @@ def standard_config(a, b) -> PlaneConfig:
         (_form((0, 1)), _form((1, 1)), _form((2, 1))),
         (_form((0, 1)), _form((1, 1)), _form((3, 1))),
         (_form((0, 1)), _form((2, 1)), _form((4, 1))),
-        (_form((4, 1), (1, -b)), _form((3, 1), (2, -a)), _form((5, 1))),
+        (
+            _form((4, b.denominator), (1, -b.numerator)),
+            _form((3, a.denominator), (2, -a.numerator)),
+            _form((5, 1)),
+        ),
     )
     # plane 4 by free column: x; u with z = u/a, or z if a = 0 (u - a*z);
     # v with y = v/b, or y if b = 0 (v - b*y); s clears the 1/a and 1/b
@@ -249,44 +251,23 @@ def linear_system_dim(config: PlaneConfig) -> int:
     return 56 - rank(restriction_matrix(config)) - 1
 
 
-# the oracle's (s0, s1, s2), 20 per plane in plane order from one
-# SplitMix64(EVAL_SEED) sequence: no draw depends on the configuration
-_PLANE_PARAMS = tuple(
-    tuple(tuple(rng.randint(-20, 20) for _ in range(3)) for _ in range(POINTS_PER_PLANE))
-    for rng in [SplitMix64(EVAL_SEED)] for _ in range(4)
-)
-
-
-def _plane_rows(basis, draws) -> list:
-    """Echelon rows of the monomial values at one plane's oracle points:
-    at most 10, since the plane's cubics form a 10-dimensional space."""
-    forms = list(zip(*basis))
-    points = ([sum(s * x for s, x in zip(params, form)) for form in forms] for params in draws)
-    return echelon([_monomial_values(p) for p in points], reduced=False)[0]
-
-
-@cache
-def _fixed_plane_rows(i: int) -> tuple:
-    """_plane_rows of plane i + 1 in {1, 2, 3}, built on first use; immutable."""
-    return tuple(map(tuple, _plane_rows(_FIXED_BASES[i], _PLANE_PARAMS[i])))
-
-
 def linear_system_dim_by_evaluation(config: PlaneConfig) -> int:
-    """Same dimension count from monomial values at seeded plane points.
+    """Same dimension count from monomial values at plane points.
 
-    Every evaluation row is a rational combination of restriction rows, so
-    this can only overcount the kernel; agreement with the kernel method
-    certifies the count. The plane bases are integers, so every point and
-    every row is too. Each plane's 20 rows are echelonned on their own,
-    and the rank is that of the at most 40 survivors. Planes 1-3 with their
-    fixed bases always give the same survivors, which are kept after the
-    first call; any other basis, and plane 4, is echelonned per call.
+    Each plane contributes its 10 points s0*b0 + s1*b1 + s2*b2 with
+    (s0, s1, s2) the triples of PARAM_MONOMIALS. A ternary cubic vanishing
+    at them vanishes at 4 points of each coordinate line, so it is
+    c*s0*s1*s2, and (1, 1, 1) forces c = 0: the 10 rows are an invertible
+    10x10 matrix times the plane's restriction block, for any basis. The
+    count is therefore exact, and the plane bases are integers, so every
+    point and every row is too.
     """
-    survivors = []
-    for i, (basis, draws) in enumerate(zip(config.bases, _PLANE_PARAMS)):
-        fixed = i < 3 and basis == _FIXED_BASES[i]
-        survivors += _fixed_plane_rows(i) if fixed else _plane_rows(basis, draws)
-    return 56 - rank(survivors) - 1
+    rows = [
+        _monomial_values([sum(s * x for s, x in zip(params, form)) for form in zip(*basis)])
+        for basis in config.bases
+        for params in PARAM_MONOMIALS
+    ]
+    return 56 - rank(rows) - 1
 
 
 def stabilizer_dim(config: PlaneConfig) -> tuple[int, int]:
@@ -295,10 +276,10 @@ def stabilizer_dim(config: PlaneConfig) -> tuple[int, int]:
     The stabilizer lives in 6x6 matrix space; one constraint row per
     (plane, basis vector, ideal generator) triple requires the generator to
     kill the image of the basis vector: the row is the outer product of the
-    generator and the basis vector, zeros kept as the int 0.
+    generator and the basis vector.
     """
     rows = [
-        [f * x if f and x else 0 for f in form for x in bvec]
+        [f * x for f in form for x in bvec]
         for ideal, basis in zip(config.ideals, config.bases)
         for bvec in basis
         for form in ideal

@@ -2,7 +2,7 @@
 
 Matrices are lists of rows of ints or Fractions, exact throughout. One
 integer elimination core, echelon, serves rref, rank, kernel_basis and
-geometry's plane-by-plane oracle: it scales each row to integers (an all-int
+geometry's lattice-point oracle: it scales each row to integers (an all-int
 row is copied as is), takes as pivot the row with the least |entry| in the
 column, eliminates fraction-free and divides every updated row by its
 content. rref and kernel_basis read their Fractions off its rows; rank

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from hassettmax import hassett_rep
 from hassettmax.cli import _short_int, main
 
 
@@ -98,10 +99,20 @@ def test_scan_bounds_are_refused_before_any_loop(capsys):
     assert code == 2 and "above the limit 10000000" in err
     code, _, err = run(capsys, "hassett", "verify", "--max", "10001")
     assert code == 2 and "above the limit 10000" in err
+    code, _, err = run(capsys, "hassett", "represent", "60000000000000002")
+    assert code == 2 and "above the limit 10000000000000" in err
     code, _, err = run(capsys, "local", "certify", "--k", "7", "--precision", "100000")
     assert code == 2 and "above the limit 1000" in err
     code, _, err = run(capsys, "adc", "check", "--form", "g", "--max", "many")
     assert code == 2 and "invalid int value" in err
+
+
+def test_hassett_verify_file_takes_n_above_the_represent_limit(capsys, tmp_path):
+    n = 10**13 + 14
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(hassett_rep.certificate_to_dict(hassett_rep.represent(n))))
+    code, out, _ = run(capsys, "hassett", "represent", "--verify-file", str(path))
+    assert code == 0 and out == f"certificate for n = {n}: valid\n"
 
 
 def test_adc_descend_text(capsys):

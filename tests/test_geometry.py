@@ -1,8 +1,8 @@
 """Plane configurations, vanishing cubics, and dimension counts.
 
 Frozen dimensions below were computed by two independent exact methods
-(restriction-matrix kernel and seeded point evaluation) which the report
-requires to agree. Formula comparison flags are recorded output, checked
+(restriction-matrix kernel and evaluation at the 10 lattice points of each
+plane) which the report requires to agree. Formula comparison flags are recorded output, checked
 for internal consistency only. The integer restriction (plane bases scaled
 to integers, one factor per plane) is checked against a Fraction expansion
 over the unscaled kernel bases.
@@ -19,17 +19,11 @@ from hypothesis import strategies as st
 
 from hassettmax.arith import SplitMix64
 from hassettmax.geometry import (
-    _FIXED_BASES,
-    _PLANE_PARAMS,
-    EVAL_SEED,
     MONOMIALS,
     PARAM_MONOMIALS,
-    POINTS_PER_PLANE,
     CubicPoly,
     PlaneConfig,
-    _fixed_plane_rows,
     _monomial_values,
-    _plane_rows,
     alpha_beta,
     cubic_from_dict,
     cubic_to_dict,
@@ -48,7 +42,7 @@ from hassettmax.geometry import (
     verify_cubic_dict,
 )
 from hassettmax.lattices import gram_M
-from hassettmax.linalg import kernel_basis, rank, rref
+from hassettmax.linalg import det_bareiss, kernel_basis, rank, rref
 
 PAIRS = [(0, 0), (0, 1), (1, 0), (1, 1)]
 
@@ -388,24 +382,24 @@ def _monomial_values_reference(point):
     return [prod(pw[e] for pw, e in zip(powers, m)) for m in MONOMIALS]
 
 
+def test_param_monomial_points_are_unisolvent_for_ternary_cubics():
+    # the values of the 10 ternary cubic monomials at the 10 points
+    # (s0, s1, s2) of PARAM_MONOMIALS: a nonzero determinant means only the
+    # zero cubic vanishes at all of them
+    values = [[prod(s**e for s, e in zip(point, m)) for m in PARAM_MONOMIALS]
+              for point in PARAM_MONOMIALS]
+    assert det_bareiss(values) != 0
+
+
 def _oracle_rows_reference(cfg):
-    """All 80 oracle rows, drawn per call as the seeded points always were:
-    20 points per plane from one SplitMix64(EVAL_SEED), 56 values each."""
-    rng = SplitMix64(EVAL_SEED)
+    """All 40 oracle rows: the 56 monomial values at the points
+    s0*b0 + s1*b1 + s2*b2 of each plane, (s0, s1, s2) in PARAM_MONOMIALS."""
     rows = []
     for basis in cfg.bases:
-        for _ in range(POINTS_PER_PLANE):
-            params = [rng.randint(-20, 20) for _ in range(3)]
+        for params in PARAM_MONOMIALS:
             point = [sum(t * x for t, x in zip(params, coords)) for coords in zip(*basis)]
             rows.append(_monomial_values_reference(point))
     return rows
-
-
-def test_import_time_draws_are_the_per_call_draws():
-    rng = SplitMix64(EVAL_SEED)
-    per_call = [[rng.randint(-20, 20) for _ in range(3)] for _ in range(4 * POINTS_PER_PLANE)]
-    assert [len(plane) for plane in _PLANE_PARAMS] == [POINTS_PER_PLANE] * 4
-    assert [list(params) for plane in _PLANE_PARAMS for params in plane] == per_call
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -414,40 +408,12 @@ def test_import_time_draws_are_the_per_call_draws():
 @example(Fraction(-3, 7), Fraction(0))
 @example(*_PAIR30)
 @example(Fraction(2**61 - 1), Fraction(0))
-def test_plane_by_plane_oracle_is_the_rank_of_all_80_rows(a, b):
+def test_lattice_point_oracle_is_the_rank_of_all_40_rows(a, b):
     cfg = standard_config(a, b)
     rows = _oracle_rows_reference(cfg)
-    assert len(rows) == 80
-    cached = [_fixed_plane_rows(i) for i in range(3)]
-    # twice: the second call reads the rows of planes 1-3 the first one kept
-    for _ in range(2):
-        assert linear_system_dim_by_evaluation(cfg) == 56 - rank(rows) - 1
-    for i, kept in enumerate(cached):
-        assert _fixed_plane_rows(i) is kept
-        assert [list(row) for row in kept] == _plane_rows(_FIXED_BASES[i], _PLANE_PARAMS[i])
-
-
-def test_fixed_basis_out_of_its_slot_takes_the_per_call_path(monkeypatch, configs):
-    cfg = configs[(1, 1)]
-    p1, p2, p3, _ = cfg.bases
-    per_call = []
-
-    def spy(basis, draws):
-        per_call.append(basis)
-        return _plane_rows(basis, draws)
-
-    for i in range(3):  # build the kept rows first: the spy sees only per-call planes
-        _fixed_plane_rows(i)
-    monkeypatch.setattr("hassettmax.geometry._plane_rows", spy)
-    for bases, expected in [
-        ((p1, p2, p3, _FIXED_BASES[0]), [_FIXED_BASES[0]]),  # plane 1's basis as plane 4
-        ((p2, p1, p3, _FIXED_BASES[2]), [p2, p1, _FIXED_BASES[2]]),
-    ]:
-        per_call.clear()
-        twin = PlaneConfig(cfg.a, cfg.b, cfg.ideals, bases)
-        rows = _oracle_rows_reference(twin)
-        assert linear_system_dim_by_evaluation(twin) == 56 - rank(rows) - 1
-        assert per_call == expected
+    assert len(rows) == 40
+    oracle = linear_system_dim_by_evaluation(cfg)
+    assert oracle == 56 - rank(rows) - 1 == linear_system_dim(cfg)
 
 
 def test_plane_by_plane_oracle_on_rank_deficient_planes(configs):
@@ -465,7 +431,8 @@ def test_plane_by_plane_oracle_on_rank_deficient_planes(configs):
         assert matrix == [row for basis in bases for row in _block_reference(basis)]
         assert [rank(matrix[n:n + 10]) for n in (0, 10, 20, 30)] != [10] * 4
         rows = _oracle_rows_reference(twin)
-        assert linear_system_dim_by_evaluation(twin) == 56 - rank(rows) - 1
+        oracle = linear_system_dim_by_evaluation(twin)
+        assert oracle == 56 - rank(rows) - 1 == linear_system_dim(twin)
 
 
 def test_restriction_matrix_rows_are_fresh_lists(configs):
