@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from . import adc, geometry, hassett_rep, lattices, local_global
-from .qforms import builtin_form, primitive_image
+from .qforms import builtin_form
 
 _FORM_FLAGS = {"q3": "Q3", "g": "G"}
 
@@ -92,20 +92,17 @@ def _replay(path: str, what: str, decode, check, label) -> int:
 
 
 def _cmd_hassett_verify(args) -> int:
+    # containment from F's Gram matrix, coverage from a replayed certificate
+    # for every member: so F's primitive image up to N is `expected`
     n_max = args.max
     expected = [n for n in range(1, n_max + 1) if hassett_rep.in_hassett(n)]
-    image = primitive_image(builtin_form("F"), n_max)
-    ok = image == expected
+    ok = hassett_rep.values_in_hassett(builtin_form("F"))
     for n in expected:
         hassett_rep.represent(n)  # raises unless its certificate replays
     if args.json:
         _emit({"verified": ok, "checked": [str(n) for n in expected]})
     else:
-        print(f"primitive image up to {n_max}: {len(image)} values")
-        if image != expected:
-            extra = sorted(set(image) - set(expected))[:10]
-            missing = sorted(set(expected) - set(image))[:10]
-            print(f"MISMATCH extra={extra} missing={missing}", file=sys.stderr)
+        print(f"primitive image up to {n_max}: {len(expected)} values")
         print("verified" if ok else "NOT verified")
     return 0 if ok else 1
 
@@ -338,7 +335,7 @@ def _build_parser() -> argparse.ArgumentParser:
     hactions = hassett.add_subparsers(dest="action", required=True)
     verify = _command(hactions, "verify", "check the primitive image up to N",
                       _cmd_hassett_verify)
-    verify.add_argument("--max", type=_int_at_most(10**4), required=True)
+    verify.add_argument("--max", type=_int_at_most(10**5), required=True)
     represent = _command(hactions, "represent", "certificate for one n", _cmd_hassett_represent,
                          ("certificate", hassett_rep.certificate_from_dict,
                           hassett_rep.verify_certificate, lambda c: f"certificate for n = {c.n}"))

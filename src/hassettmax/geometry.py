@@ -219,16 +219,6 @@ def restriction_matrix(config: PlaneConfig) -> list:
     return [list(row) for basis in config.bases for row in _block(basis)]
 
 
-def restrict_to_plane(cubic: CubicPoly, config: PlaneConfig, i: int) -> dict:
-    """The cubic as a polynomial in the three parameters of plane i, with
-    integer values up to a positive integer factor; empty exactly when the
-    cubic vanishes on the plane. The cubic's denominators are cleared and
-    its integer coefficients applied to the plane's block."""
-    if not 1 <= i <= 4:
-        raise ValueError("plane index out of range")
-    return _restrict(clear_denominators(cubic.coeffs), config.bases[i - 1])
-
-
 def cubics_through(config: PlaneConfig) -> list[CubicPoly]:
     """Basis of cubics vanishing on all four planes."""
     kern = kernel_basis(restriction_matrix(config))
@@ -238,11 +228,6 @@ def cubics_through(config: PlaneConfig) -> list[CubicPoly]:
 def _monomial_values(point) -> list:
     """Values of the 56 MONOMIALS at a point, exact in the point's type."""
     return [point[i] * point[j] * point[k] for i, j, k in _INDEX_TRIPLES]
-
-
-def evaluate_cubic(cubic: CubicPoly, point) -> Fraction:
-    values = _monomial_values(point)
-    return sum((c * v for c, v in zip(cubic.coeffs, values) if c), Fraction(0))
 
 
 def linear_system_dim(config: PlaneConfig) -> int:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .arith import factorize, is_square
-from .qforms import builtin_form, evaluate, is_primitive
+from .qforms import QuadraticForm, builtin_form, evaluate, is_primitive, vectors_up_to
 
 _F = builtin_form("F")
 _G = builtin_form("G")
@@ -61,20 +61,17 @@ def choose_branch(n: int) -> Branch:
     return Branch("u_one", 1, None)
 
 
+def values_in_hassett(form: QuadraticForm) -> bool:
+    """Whether Gram entries 2 mod 3 (so Q(v) = -(v1 + ... + vd)^2 is 0 or 2
+    mod 3), an even diagonal (so Q(v) is even) and no nonzero v with Q(v) <= 7
+    put every nonzero value of the positive definite form in the admissible set."""
+    return (all(x % 3 == 2 for row in form.gram for x in row)
+            and all(form.gram[i][i] % 2 == 0 for i in range(form.dim))
+            and not any(q for _, q in vectors_up_to(form, 7)))
+
+
 def k_value(n: int, u: int) -> int:
     return 8 * n - 57 * u * u
-
-
-def k_set(n_limit: int) -> list[int]:
-    """Sorted k-values over all non-special admissible n <= n_limit."""
-    ks = set()
-    for n in range(8, n_limit + 1):
-        if not in_hassett(n):
-            continue
-        branch = choose_branch(n)
-        if branch.kind != "special":
-            ks.add(k_value(n, branch.u))
-    return sorted(ks)
 
 
 def check_k_properties(k: int) -> tuple[bool, bool, bool, bool]:
@@ -155,15 +152,6 @@ def invert_T(g, u: int) -> tuple[int, int, int]:
 
 def T_map(x: int, y: int, z: int, u: int) -> tuple[int, int, int]:
     return (4 * (x - y - z) - u, 4 * y - u, 4 * z - u)
-
-
-def f_half(x: int, y: int, z: int, u: int) -> int:
-    """F evaluated at (x/2, y, z, u), cleared of the half-integer entry."""
-    return (
-        2 * x * x + 8 * y * y + 8 * z * z + 8 * u * u
-        - 4 * x * y - 4 * x * z - x * u
-        + 4 * y * z - 2 * y * u - 2 * z * u
-    )
 
 
 def odd_representation(k: int) -> tuple[int, int, int]:

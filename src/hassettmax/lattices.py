@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .linalg import det_bareiss, identity, mat_mul
-from .qforms import QuadraticForm, is_positive_definite
+from .qforms import QuadraticForm
 
 _PROFILE_VALUES = {"empty": 0, "point": 1, "line": -1}
 
@@ -22,13 +22,6 @@ class GramMatrix5:
     entries: tuple[tuple[int, ...], ...]
     alpha: int
     beta: int
-
-    def pairing(self, v, w) -> int:
-        if len(v) != 5 or len(w) != 5:
-            raise ValueError("vectors must have length 5")
-        return sum(
-            v[i] * self.entries[i][j] * w[j] for i in range(5) for j in range(5)
-        )
 
 
 @dataclass(frozen=True)
@@ -102,14 +95,6 @@ def is_unimodular(change: BasisChange) -> bool:
     return det_bareiss(change.matrix) in (1, -1)
 
 
-def disc_pair(m: GramMatrix5, w) -> int:
-    """Discriminant of the rank-2 sublattice spanned by o and w."""
-    if len(w) != 5:
-        raise ValueError("vectors must have length 5")
-    o = (1, 0, 0, 0, 0)
-    return m.pairing(o, o) * m.pairing(w, w) - m.pairing(o, w) ** 2
-
-
 def induced_form_F() -> QuadraticForm:
     """The rank-4 form v -> disc<o, v1*P1 + ... + v4*P4> at (alpha, beta) = (0, 0)."""
     m = gram_M(0, 0)
@@ -117,7 +102,3 @@ def induced_form_F() -> QuadraticForm:
         tuple(3 * m.entries[i][j] - 1 for j in range(1, 5)) for i in range(1, 5)
     )
     return QuadraticForm(4, gram, "F_induced")
-
-
-def is_positive_definite_gram(m: GramMatrix5) -> bool:
-    return is_positive_definite(QuadraticForm(5, m.entries))

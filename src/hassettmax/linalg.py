@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import index
 
 Matrix = list[list[Fraction]]
 
@@ -107,8 +108,9 @@ def identity(n: int) -> list[list[int]]:
 
 
 def det_bareiss(rows) -> int:
-    """Determinant of an integer matrix, fraction-free (Bareiss)."""
-    m = [list(map(int, row)) for row in rows]
+    """Determinant of an integer matrix, fraction-free (Bareiss). A
+    non-integer entry (a Fraction, a float) raises TypeError."""
+    m = [list(map(index, row)) for row in rows]
     n = len(m)
     if any(len(r) != n for r in m):
         raise ValueError("square matrix required")

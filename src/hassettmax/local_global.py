@@ -393,6 +393,12 @@ def certify_global(
 
 
 def verify_report(report: GlobalSolvabilityReport) -> bool:
+    """Replays every certificate and the overall verdict. G can fail only
+    at the real place and at 3, so a report must list both, and 2, as
+    certify_global always does."""
+    places = [c.place for c in report.certificates]
+    if any(place not in places for place in ("real", 2, 3)):
+        return False
     if any(c.k != report.k for c in report.certificates):
         return False
     if not all(verify_local_certificate(c) for c in report.certificates):

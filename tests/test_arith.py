@@ -226,6 +226,11 @@ def test_det_bareiss():
         )
     assert det_bareiss(m) == det_rec(m)
     assert det_bareiss([]) == 1  # empty product
+    # a non-integer entry raises instead of being truncated (to 0 and to 1)
+    with pytest.raises(TypeError):
+        det_bareiss([[Fraction(1, 2), 0], [0, 2]])
+    with pytest.raises(TypeError):
+        det_bareiss([[1.9, 0], [0, 1]])
 
 
 def test_mat_mul_identity():

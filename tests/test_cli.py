@@ -30,6 +30,20 @@ def test_hassett_verify_json(capsys):
     assert "10" not in payload["checked"]
 
 
+def test_hassett_verify_text(capsys):
+    code, out, _ = run(capsys, "hassett", "verify", "--max", "60")
+    assert code == 0
+    assert out == "primitive image up to 60: 18 values\nverified\n"
+
+
+def test_hassett_verify_fails_without_containment(capsys, monkeypatch):
+    monkeypatch.setattr(hassett_rep, "values_in_hassett", lambda form: False)
+    code, out, _ = run(capsys, "hassett", "verify", "--max", "60")
+    assert code == 1 and out.endswith("NOT verified\n")
+    code, payload, _ = run_json(capsys, "hassett", "verify", "--max", "60", "--json")
+    assert code == 1 and payload["verified"] is False
+
+
 def test_hassett_represent_text(capsys):
     code, out, _ = run(capsys, "hassett", "represent", "14")
     assert code == 0
@@ -97,8 +111,8 @@ def test_scan_bounds_are_refused_before_any_loop(capsys):
     # exit 2 (usage), not 1: adc check uses 1 for "violations found"
     code, _, err = run(capsys, "adc", "check", "--form", "q3", "--max", "3000000000")
     assert code == 2 and "above the limit 10000000" in err
-    code, _, err = run(capsys, "hassett", "verify", "--max", "10001")
-    assert code == 2 and "above the limit 10000" in err
+    code, _, err = run(capsys, "hassett", "verify", "--max", "100001")
+    assert code == 2 and "above the limit 100000" in err
     code, _, err = run(capsys, "hassett", "represent", "60000000000000002")
     assert code == 2 and "above the limit 10000000000000" in err
     code, _, err = run(capsys, "local", "certify", "--k", "7", "--precision", "100000")
@@ -250,6 +264,19 @@ def test_local_verify_file_rejects_forged_and_oversized_reports(capsys, tmp_path
     path.write_text(json.dumps(payload))
     code, out, err = run(capsys, "local", "certify", "--verify-file", str(path))
     assert code == 1 and "above the limit 1000" in err and "valid" not in out
+
+
+@pytest.mark.parametrize("kept", [["real", "2", "5", "7"], []], ids=["no-3", "empty"])
+def test_local_verify_file_rejects_a_report_without_its_obstruction(capsys, tmp_path, kept):
+    # G fails only at 3 for k = 5; with that place gone every listed one is solvable
+    _, out, _ = run(capsys, "local", "certify", "--k", "5", "--json")
+    payload = json.loads(out)
+    payload["certificates"] = [c for c in payload["certificates"] if c["place"] in kept]
+    payload["overall"] = "solvable"
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps(payload))
+    code, out, _ = run(capsys, "local", "certify", "--verify-file", str(path))
+    assert code == 1 and out == "report for k = 5, overall solvable: INVALID\n"
 
 
 @pytest.mark.parametrize("k, flipped", [("7", "unsolvable"), ("5", "solvable")])

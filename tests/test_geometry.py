@@ -29,13 +29,11 @@ from hassettmax.geometry import (
     cubic_to_dict,
     cubics_through,
     dims_report,
-    evaluate_cubic,
     gram_from_geometry,
     intersection_profile,
     linear_system_dim,
     linear_system_dim_by_evaluation,
     random_cubic,
-    restrict_to_plane,
     restriction_matrix,
     stabilizer_dim,
     standard_config,
@@ -183,15 +181,23 @@ def test_restriction_matrix_shape(configs):
     assert all(len(row) == 56 for row in mat)
 
 
+def _on_plane(matrix, i, coeffs):
+    """Plane i's 10 rows of a restriction matrix applied to coeffs: the
+    cubic's coefficients on that plane, in PARAM_MONOMIALS order. The dot
+    products run in ints, on the coefficients times their common
+    denominator, which is far cheaper than Fraction products."""
+    den = lcm(*(Fraction(c).denominator for c in coeffs))
+    scaled = [int(c * den) for c in coeffs]
+    return [Fraction(sum(c * x for c, x in zip(scaled, row) if c), den)
+            for row in matrix[10 * (i - 1):10 * i]]
+
+
 def test_nonvanishing_control_cubic(configs):
-    cfg = configs[(1, 1)]
+    matrix = restriction_matrix(configs[(1, 1)])
     coeffs = [Fraction(0)] * 56
     coeffs[MONOMIALS.index((0, 0, 0, 0, 0, 3))] = Fraction(1)  # w^3
-    cubic = CubicPoly(tuple(coeffs))
-    assert restrict_to_plane(cubic, cfg, 1)  # w is free on plane 1
-    assert restrict_to_plane(cubic, cfg, 4) == {}  # plane 4 kills w
-    with pytest.raises(ValueError):
-        restrict_to_plane(cubic, cfg, 5)
+    assert any(_on_plane(matrix, 1, coeffs))  # w is free on plane 1
+    assert not any(_on_plane(matrix, 4, coeffs))  # plane 4 kills w
 
 
 def test_vanishing_basis_sizes(vanishing_bases):
@@ -203,9 +209,10 @@ def test_vanishing_basis_sizes(vanishing_bases):
 
 def test_vanishing_basis_restricts_to_zero(configs, vanishing_bases):
     for key, cfg in configs.items():
+        matrix = restriction_matrix(cfg)
         for cubic in vanishing_bases[key]:
             for i in (1, 2, 3, 4):
-                assert restrict_to_plane(cubic, cfg, i) == {}
+                assert not any(_on_plane(matrix, i, cubic.coeffs))
 
 
 def test_vanishing_basis_is_independent(vanishing_bases):
@@ -228,7 +235,8 @@ def test_random_cubic_vanishes_at_plane_points(configs):
                 sum(Fraction(t) * bvec[i] for t, bvec in zip(triple, basis))
                 for i in range(6)
             ]
-            assert evaluate_cubic(cubic, point) == 0
+            values = _monomial_values_reference(point)
+            assert sum(c * v for c, v in zip(cubic.coeffs, values)) == 0
 
 
 def test_random_cubic_is_the_weighted_kernel_sum(configs):
@@ -350,14 +358,16 @@ def test_closed_form_bases_are_the_scaled_kernel_bases(a, b):
 )
 def test_integer_restriction_matches_fraction_reference(a, b, seed, monomial, t):
     cfg = standard_config(a, b)
-    for basis, fractional in zip(cfg.bases, _fraction_bases(cfg)):
-        # one integer scale per plane: the lcm of the kernel's denominators
+    fraction_bases = _fraction_bases(cfg)
+    # one integer scale per plane: the lcm of the kernel's denominators
+    scales = [lcm(*(x.denominator for vec in fr for x in vec)) for fr in fraction_bases]
+    for basis, fractional, scale in zip(cfg.bases, fraction_bases, scales):
         assert all(type(x) is int for vec in basis for x in vec)
-        scale = lcm(*(x.denominator for vec in fractional for x in vec))
         assert [list(vec) for vec in basis] == [[scale * x for x in vec] for vec in fractional]
 
     reference = _restriction_matrix_reference(cfg)
-    assert rref(restriction_matrix(cfg)) == rref(reference)
+    matrix = restriction_matrix(cfg)
+    assert rref(matrix) == rref(reference)
     kernel = cubics_through(cfg)
     assert [list(c.coeffs) for c in kernel] == kernel_basis(reference)
 
@@ -366,15 +376,11 @@ def test_integer_restriction_matches_fraction_reference(a, b, seed, monomial, t)
     coeffs = list(random_cubic(cfg, seed).coeffs)
     coeffs[MONOMIALS.index(monomial)] += t
     for cubic in [*kernel, CubicPoly(tuple(coeffs))]:
-        for i, fractional in enumerate(_fraction_bases(cfg), start=1):
-            got = restrict_to_plane(cubic, cfg, i)
+        for i, (fractional, scale) in enumerate(zip(fraction_bases, scales), start=1):
             want = _restrict_reference(cubic.coeffs, fractional)
-            assert got.keys() == want.keys()
-            # the same polynomial up to one positive factor
-            if want:
-                factor = Fraction(next(iter(got.values()))) / next(iter(want.values()))
-                assert factor > 0
-                assert all(got[e] == factor * c for e, c in want.items())
+            # a cubic on the basis scaled by s is s^3 times the cubic on the basis
+            assert _on_plane(matrix, i, cubic.coeffs) == [
+                scale**3 * want.get(e, 0) for e in PARAM_MONOMIALS]
 
 
 def _monomial_values_reference(point):

@@ -17,15 +17,22 @@ from hassettmax.hassett_rep import (
     choose_branch,
     in_hassett,
     invert_T,
-    k_set,
     k_value,
     odd_representation,
     parity_fix,
     represent,
     sign_normalize,
+    values_in_hassett,
     verify_certificate,
 )
-from hassettmax.qforms import builtin_form, evaluate, integer_image_upto, is_primitive
+from hassettmax.qforms import (
+    QuadraticForm,
+    builtin_form,
+    evaluate,
+    integer_image_upto,
+    is_primitive,
+    primitive_image,
+)
 
 F = builtin_form("F")
 G = builtin_form("G")
@@ -44,9 +51,36 @@ def test_in_hassett_matches_direct_condition():
         assert in_hassett(n) == expected
 
 
+def test_values_in_hassett_accepts_f():
+    assert values_in_hassett(F)
+    # what it proves, against enumeration
+    assert set(primitive_image(F, 600)) <= {n for n in range(601) if in_hassett(n)}
+
+
+@pytest.mark.parametrize("gram, v", [
+    # F with B[0][1] = -3, not 2 mod 3: Q(1, 1, 0, 0) = 10
+    (((8, -3, -4, -1), (-3, 8, 2, -1), (-4, 2, 8, -1), (-1, -1, -1, 8)), (1, 1, 0, 0)),
+    # F with an odd last diagonal entry: Q(0, 0, 0, 1) = 11
+    (((8, -4, -4, -1), (-4, 8, 2, -1), (-4, 2, 8, -1), (-1, -1, -1, 11)), (0, 0, 0, 1)),
+    # entries 2 mod 3 and an even diagonal, but Q(1, 0) = 2 is below 8
+    (((2, -1), (-1, 2)), (1, 0)),
+], ids=["mod3", "odd", "small"])
+def test_values_in_hassett_rejects_a_broken_condition(gram, v):
+    form = QuadraticForm(len(gram), gram)
+    assert not values_in_hassett(form)
+    assert not in_hassett(evaluate(form, v))
+
+
+def branch_ks(n_limit):
+    """k = k_value(n, u) at the branch u of each non-special member n <= n_limit."""
+    return [k_value(n, choose_branch(n).u) for n in range(8, n_limit + 1)
+            if in_hassett(n) and choose_branch(n).kind != "special"]
+
+
 def test_k_set_prefix():
-    assert k_set(45)[:5] == [7, 39, 55, 87, 103]
-    assert 111 in k_set(78)  # first u = -3 member
+    ks = branch_ks(78)
+    assert ks[:5] == sorted(ks)[:5] == [7, 39, 55, 87, 103]
+    assert ks[-1] == 111  # n = 78, the first u = -3 member
 
 
 def test_choose_branch():
@@ -75,7 +109,7 @@ def test_k_properties():
 
 
 def test_k_properties_hold_on_k_set():
-    for k in k_set(2000):
+    for k in branch_ks(2000):
         assert check_k_properties(k) == (True, True, True, True), k
 
 
@@ -90,7 +124,7 @@ def test_odd_representation_frozen():
 
 
 def test_odd_representation_properties():
-    for k in k_set(3000):
+    for k in branch_ks(3000):
         x, y, z = odd_representation(k)
         assert g_val(x, y, z) == k
         assert x % 2 == 1 and y % 2 == 1 and z % 2 == 1

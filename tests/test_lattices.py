@@ -1,22 +1,21 @@
 """Rank-5 Gram matrices, discriminants, and the four basis-change isometries."""
 
+from itertools import product
+
 import pytest
 
 from hassettmax.lattices import (
     BasisChange,
-    GramMatrix5,
     apply_basis_change,
-    disc_pair,
     gram_M,
     induced_form_F,
-    is_positive_definite_gram,
     is_unimodular,
     isometry_to,
     residual_class,
     voisin_value,
 )
 from hassettmax.linalg import det_bareiss, identity, mat_mul
-from hassettmax.qforms import builtin_form
+from hassettmax.qforms import QuadraticForm, bilinear, builtin_form, evaluate, is_positive_definite
 
 PAIRS = [(0, 0), (0, 1), (1, 0), (1, 1)]
 
@@ -52,18 +51,6 @@ def test_voisin_dictionary():
     assert voisin_value("line") == -1
     with pytest.raises(ValueError):
         voisin_value("plane")
-
-
-def test_pairing_is_the_matrix():
-    m = gram_M(1, 0)
-    e = [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0),
-         (0, 0, 0, 1, 0), (0, 0, 0, 0, 1)]
-    for i in range(5):
-        for j in range(5):
-            assert m.pairing(e[i], e[j]) == m.entries[i][j]
-    assert m.pairing((1, 1, 0, 0, 0), (0, 0, 1, 0, 1)) == (
-        m.entries[0][2] + m.entries[0][4] + m.entries[1][2] + m.entries[1][4]
-    )
 
 
 def test_isometries_connect_all_variants():
@@ -127,10 +114,18 @@ def test_residual_class():
 
 
 def test_disc_pair_frozen():
-    m = gram_M(0, 0)
-    assert disc_pair(m, (0, 0, 1, 0, 0)) == 8  # P2
-    assert disc_pair(m, (1, 0, 0, 0, 0)) == 0  # the polarization itself
-    assert disc_pair(m, (0, 1, 1, 0, 0)) == 8  # P1 + P2
+    lattice = QuadraticForm(5, gram_M(0, 0).entries)
+    o = (1, 0, 0, 0, 0)
+
+    def disc(w):  # of the rank-2 sublattice spanned by o and w
+        return evaluate(lattice, o) * evaluate(lattice, w) - bilinear(lattice, o, w) ** 2
+
+    assert disc((0, 0, 1, 0, 0)) == 8  # P2
+    assert disc(o) == 0  # the polarization itself
+    assert disc((0, 1, 1, 0, 0)) == 8  # P1 + P2
+    induced = induced_form_F()
+    for v in product(range(-2, 3), repeat=4):
+        assert evaluate(induced, v) == disc((0, *v))
 
 
 def test_induced_form_equals_builtin_f():
@@ -142,11 +137,11 @@ def test_induced_form_equals_builtin_f():
 
 def test_positive_definiteness_of_variants():
     for alpha, beta in PAIRS:
-        assert is_positive_definite_gram(gram_M(alpha, beta))
+        assert is_positive_definite(QuadraticForm(5, gram_M(alpha, beta).entries))
     # P4 . P4 = 0 leaves the leading minors 3, 8, 16, 32, -20
     rows = [list(row) for row in gram_M(0, 0).entries]
     rows[4][4] = 0
-    assert not is_positive_definite_gram(GramMatrix5(tuple(map(tuple, rows)), 0, 0))
+    assert not is_positive_definite(QuadraticForm(5, tuple(map(tuple, rows))))
 
 
 def test_unimodularity_detection():

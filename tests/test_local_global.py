@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from hassettmax.arith import SplitMix64, factorize, is_prime
 from hassettmax.local_global import (
     _BASE_2,
+    _overall,
     LocalCertificate,
     certify_global,
     certify_local,
@@ -629,6 +630,16 @@ def test_verify_report_rejects_a_flipped_overall(k):
     flipped = {"solvable": "unsolvable", "unsolvable": "solvable"}[report.overall]
     assert verify_report(report)
     assert not verify_report(replace(report, overall=flipped))
+
+
+@pytest.mark.parametrize("k", [0, 5, 7, 2 * 9**1500], ids=["0", "5", "7", "2*9**1500"])
+def test_verify_report_needs_the_real_place_2_and_3(k):
+    report = certify_global(k)
+    assert verify_report(report)
+    for place in ("real", 2, 3):
+        kept = tuple(c for c in report.certificates if c.place != place)
+        assert not verify_report(replace(report, certificates=kept, overall=_overall(kept)))
+    assert not verify_report(replace(report, certificates=(), overall="solvable"))
 
 
 def test_certify_global_explicit_primes():
