@@ -35,17 +35,19 @@ def _int_csv(arity: int):
     return parse
 
 
-def _int_at_most(limit: int):
-    """An int option bounded above, so a few bytes cannot ask for a run
-    that never ends (or, for adc check, for a mask of that many bits)."""
+def _bounded_int(high: int, low: int | None = None):
+    """An int option in [low, high], so a few bytes cannot ask for a run that
+    never ends (or, for adc check, for a mask of that many bits), nor scan nothing."""
 
     def parse(text: str) -> int:
         try:
             n = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if n > limit:
-            raise argparse.ArgumentTypeError(f"{n} is above the limit {limit}")
+        if n > high:
+            raise argparse.ArgumentTypeError(f"{n} is above the limit {high}")
+        if low is not None and n < low:
+            raise argparse.ArgumentTypeError(f"{n} is below the limit {low}")
         return n
 
     return parse
@@ -335,17 +337,17 @@ def _build_parser() -> argparse.ArgumentParser:
     hactions = hassett.add_subparsers(dest="action", required=True)
     verify = _command(hactions, "verify", "check the primitive image up to N",
                       _cmd_hassett_verify)
-    verify.add_argument("--max", type=_int_at_most(10**5), required=True)
+    verify.add_argument("--max", type=_bounded_int(10**5, 1), required=True)
     represent = _command(hactions, "represent", "certificate for one n", _cmd_hassett_represent,
                          ("certificate", hassett_rep.certificate_from_dict,
                           hassett_rep.verify_certificate, lambda c: f"certificate for n = {c.n}"))
-    represent.add_argument("n", type=_int_at_most(10**13), nargs="?")
+    represent.add_argument("n", type=_bounded_int(10**13), nargs="?")
 
     adc_group = groups.add_parser("adc", help="descent and ADC verification")
     aactions = adc_group.add_subparsers(dest="action", required=True)
     check = _command(aactions, "check", "scan for ADC violations", _cmd_adc_check)
     check.add_argument("--form", choices=sorted(_FORM_FLAGS), required=True)
-    check.add_argument("--max", type=_int_at_most(10**7), required=True)
+    check.add_argument("--max", type=_bounded_int(10**7, 1), required=True)
     descend = _command(aactions, "descend", "denominator descent trace", _cmd_adc_descend,
                        ("trace", _decode_trace, _trace_ok, lambda t: f"trace for {t.form_name}"))
     descend.add_argument("--form", choices=sorted(_FORM_FLAGS), default="q3")
@@ -359,7 +361,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         lambda r: f"report for k = {_short_int(r.k)}, overall {r.overall}"))
     certify.add_argument("--k", type=int)
     certify.add_argument("--primes", type=_int_list, default=None)
-    certify.add_argument("--precision", type=_int_at_most(_MAX_PRECISION), default=3)
+    certify.add_argument("--precision", type=_bounded_int(_MAX_PRECISION), default=3)
 
     lattice = groups.add_parser("lattice", help="rank-5 Gram matrices")
     tactions = lattice.add_subparsers(dest="action", required=True)

@@ -8,9 +8,10 @@ package live here:
     Q3  x^2 + y^2 + 3 z^2
     G   x^2 + 3 y^2 + 3 z^2
 
-Enumeration is one Fincke-Pohst walk over an integer LDL scaled by Bareiss
-elimination: every bound is an integer square root and every step an int
-operation, with no floats and no fractions.
+Enumeration is one Fincke-Pohst walk, all int operations, over an integer
+LDL scaled by Bareiss elimination. Coordinates 1 and 0 are two nested loops
+in one generator frame; the room left for coordinate 0 is w[0] times an int
+that, as w[1] d[2] == w[0], steps by integer differences along each row.
 
 image_mask holds a form's values up to a bound as the bits of one Python
 int. For a positive definite diagonal form it skips the walk: each
@@ -166,54 +167,61 @@ def _walk(ldl, bound: int, exact: bool):
 
     Coordinates are fixed from the last one down. Level i gets the room r
     left for sum_{k<=i} w[k] L_k^2 and the shift s = L_i - d[i+1] v[i], and
-    walks |L_i| <= isqrt(r // w[i]). In exact mode the first coordinate must
-    use up the room, so r // w[0] must be a perfect square. Every step is an
-    int operation.
+    walks |L_i| <= isqrt(r // w[i]). Levels 1 and 0 are two nested loops.
+    The level-0 room is w[0] q, q = d[1] (bound - Q(v)) + L_0^2 at v[0] = 0,
+    and q falls by 2 L_1 + d[2] per step of v[1] (w[1] d[2] == w[0]); exact
+    mode takes L_0 = +-sqrt(q). Q(v) rises by 2 L_0 + d[1] per step of v[0].
     """
     d, b, w, m = ldl
     n = len(w)
+    d1, w0 = d[1], w[0]
     top = m * bound
     v = [0] * n
-    d1, w0 = d[1], w[0]
-
-    def exact_firsts(r: int, s: int):
-        """The v[0] with w[0] * (d[1] v[0] + s)^2 == r."""
-        if r % w0:
-            return ()
-        t = isqrt(r // w0)
-        if t * t * w0 != r:
-            return ()
-        return {(root - s) // d1 for root in (-t, t) if (root - s) % d1 == 0}
 
     def level(i: int, r: int, s: int):
         di, wi = d[i + 1], w[i]
         t = isqrt(r // wi)
         lo, hi = -((t + s) // di), (t - s) // di
-        if i == 0:
-            base = top - r
-            for x in range(lo, hi + 1):
-                v[0] = x
-                ell = di * x + s
-                yield tuple(v), (base + wi * ell * ell) // m
-            return
         row = b[i - 1]
         # shift of level i-1, less its v[i] term
         below = sum(row[j] * v[j] for j in range(i + 1, n))
         c = row[i]
-        for x in range(lo, hi + 1):
-            v[i] = x
-            ell = di * x + s
-            rest = r - wi * ell * ell
-            if exact and i == 1:
-                for v[0] in exact_firsts(rest, below + c * x):
-                    yield tuple(v), bound
-            else:
-                yield from level(i - 1, rest, below + c * x)
+        if i > 1:
+            for v[i] in range(lo, hi + 1):
+                ell = di * v[i] + s
+                yield from level(i - 1, r - wi * ell * ell, below + c * v[i])
+        elif exact:
+            ell = di * lo + s
+            q = (r - wi * ell * ell) // w0
+            for x in range(lo, hi + 1):
+                t = isqrt(q)
+                if t * t == q:
+                    s0 = below + c * x
+                    for root in {t, -t}:  # one root when t == 0
+                        if (root - s0) % d1 == 0:
+                            yield ((root - s0) // d1, x, *v[2:]), bound
+                q -= 2 * ell + di
+                ell += di
+        else:
+            for x in range(lo, hi + 1):
+                ell = di * x + s
+                r0 = r - wi * ell * ell
+                s0 = below + c * x
+                t = isqrt(r0 // w0)
+                first = -((t + s0) // d1)
+                ell = d1 * first + s0
+                q = (top - r0 + w0 * ell * ell) // m
+                v[1] = x
+                for v[0] in range(first, (t - s0) // d1 + 1):
+                    yield tuple(v), q
+                    q += 2 * ell + d1
+                    ell += d1
 
-    if exact and n == 1:
-        yield from (((x,), bound) for x in exact_firsts(top, 0))
-    else:
+    if n > 1:
         yield from level(n - 1, top, 0)
+    else:  # Q(x) = d1 x^2
+        t = isqrt(bound // d1)
+        yield from (((x,), d1 * x * x) for x in range(-t, t + 1) if not exact or d1 * x * x == bound)
 
 
 def representations(form: QuadraticForm, n: int) -> list[tuple[int, ...]]:

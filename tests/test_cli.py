@@ -121,6 +121,15 @@ def test_scan_bounds_are_refused_before_any_loop(capsys):
     assert code == 2 and "invalid int value" in err
 
 
+@pytest.mark.parametrize("n_max", ["0", "-5", str(-10**30)])
+def test_empty_scan_ranges_are_refused(capsys, n_max):
+    # exit 2 (usage), not a vacuous "no violations" or "verified"
+    code, out, err = run(capsys, "adc", "check", "--form", "q3", "--max", n_max)
+    assert code == 2 and out == "" and f"{n_max} is below the limit 1" in err
+    code, out, err = run(capsys, "hassett", "verify", f"--max={n_max}")
+    assert code == 2 and out == "" and f"{n_max} is below the limit 1" in err
+
+
 def test_hassett_verify_file_takes_n_above_the_represent_limit(capsys, tmp_path):
     n = 10**13 + 14
     path = tmp_path / "cert.json"

@@ -5,6 +5,7 @@ exhaustive box sweeps with bounds derived from the diagonalization
 8F = (8x-4y-4z-u)^2 + 3(4y-u)^2 + 3(4z-u)^2 + 57u^2.
 """
 
+import hashlib
 from collections import Counter
 from fractions import Fraction
 from math import gcd, isqrt
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from hassettmax.linalg import det_bareiss
 from hassettmax.qforms import (
     QuadraticForm,
+    _scaled_ldl,
     bilinear,
     builtin_form,
     content,
@@ -295,6 +297,21 @@ def test_representations_frozen_values():
     assert reps7 == sorted(reps7)
 
 
+@pytest.mark.parametrize("form, n, count, sha256", [
+    (F, 594, 130, "f6a7ef11a976265c84548c00b71e3e570273c401db9f5b5dc1fd4a512e0cdc95"),
+    (F, 600, 262, "c998efb20ff9ced4c980f9d65be0421cba7d16469c14d3a2a1966d72f41a2f0e"),
+    (F, 1202, 548, "57bb8bfe165bc220a0768d9885ba493264b4ef74decac6523bae3b3aa9a3af60"),
+    (Q3, 9999, 64, "0b7f05a78074de4d279509ffcc46f79d9d391499b3b2a185255777ecd8e2e013"),
+    (G, 9997, 144, "e1dd9f95fd3130daeda1fc04beb9c31bda894d5bec10d4f78148f92d074e9ffb"),
+])
+def test_representations_frozen_at_benchmark_sizes(form, n, count, sha256):
+    # sizes of the enumerate benchmark; sha256 of repr(list), pinned from
+    # the walker before its two-loop tail
+    reps = representations(form, n)
+    assert len(reps) == count
+    assert hashlib.sha256(repr(reps).encode()).hexdigest() == sha256
+
+
 def test_vectors_up_to_covers_ball():
     got = {v for v, q in vectors_up_to(Q3, 12)}
     table = brute_ternary_table(q3_poly, 3, 12)
@@ -312,6 +329,11 @@ def test_primitive_image_frozen():
     # spec prose lists 9 here, but 9 = 3^2 is only imprimitively represented
     assert primitive_image(Q3, 10) == [1, 2, 3, 4, 5, 7, 8, 10]
     assert primitive_image(F, 0) == []
+    image = primitive_image(F, 400)
+    assert len(image) == 131
+    assert hashlib.sha256(repr(image).encode()).hexdigest() == (
+        "25b3efa664c256da21ba9161ca707676e5a6ac3c4aa7e4a652725b9f03fa5053"
+    )
 
 
 def test_primitive_image_against_brute_force():
@@ -353,10 +375,11 @@ PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=N
 
 
 @st.composite
-def nondiagonal_forms(draw):
-    """Positive definite Gram matrices of dimension 1-4 whose off-diagonal
-    entries are all nonzero, so the scaled LDL has nontrivial entries."""
-    n = draw(st.integers(1, 4))
+def nondiagonal_forms(draw, max_dim=4):
+    """Positive definite Gram matrices of dimension 1 to max_dim whose
+    off-diagonal entries are all nonzero, so the scaled LDL has nontrivial
+    entries."""
+    n = draw(st.integers(1, max_dim))
     off = st.integers(-3, 3).filter(bool)
     g = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -400,8 +423,18 @@ def brute_table(form, bound):
 
 
 @PROPERTY
-@given(nondiagonal_forms(), st.integers(0, 30))
-def test_enumeration_matches_box_brute_force(form, bound):
+@given(nondiagonal_forms())
+def test_scaled_ldl_row_identity(form):
+    # the walker's two-loop tail relies on w[0] d[1] == m (the level-0 room
+    # is w[0] times an int) and w[1] d[2] == w[0] d[0] == w[0] (that int
+    # steps by integer differences along a row of v[1])
+    d, _, w, m = _scaled_ldl(form, "test")
+    assert d[0] == 1 and len(d) == form.dim + 1 and len(w) == form.dim
+    assert all(w[i] * d[i + 1] == w[i - 1] * d[i - 1] for i in range(1, form.dim))
+    assert all(w[i] * d[i] * d[i + 1] == m for i in range(form.dim))
+
+
+def check_enumeration(form, bound):
     table = brute_table(form, bound)
     for n in range(bound + 1):
         assert representations(form, n) == table.get(n, []), f"n = {n}"
@@ -414,6 +447,21 @@ def test_enumeration_matches_box_brute_force(form, bound):
         n for n, vs in table.items() if n > 0 and any(content(v) == 1 for v in vs)
     )
     assert integer_image_upto(form, bound) == {n for n in table if n > 0}
+
+
+@PROPERTY
+@given(nondiagonal_forms(), st.integers(0, 30))
+def test_enumeration_matches_box_brute_force(form, bound):
+    check_enumeration(form, bound)
+
+
+@PROPERTY
+@given(nondiagonal_forms(max_dim=2), st.integers(0, 150))
+@example(QuadraticForm(1, ((3,),)), 147)
+@example(QuadraticForm(2, ((2, 1), (1, 2))), 150)
+def test_enumeration_matches_box_brute_force_in_dims_1_2(form, bound):
+    # here the walk is only its last two coordinates (or the one of dim 1)
+    check_enumeration(form, bound)
 
 
 @PROPERTY
