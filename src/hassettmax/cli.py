@@ -361,7 +361,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         lambda r: f"report for k = {_short_int(r.k)}, overall {r.overall}"))
     certify.add_argument("--k", type=int)
     certify.add_argument("--primes", type=_int_list, default=None)
-    certify.add_argument("--precision", type=_bounded_int(_MAX_PRECISION), default=3)
+    certify.add_argument("--precision", type=_bounded_int(_MAX_PRECISION, 1), default=3)
 
     lattice = groups.add_parser("lattice", help="rank-5 Gram matrices")
     tactions = lattice.add_subparsers(dest="action", required=True)

@@ -14,7 +14,11 @@ triples drives monomial values at a point and each plane's block of the
 restriction; the blocks of planes 1-3 are built once. Dimensions are exact
 ranks from linalg's integer elimination, cross-checked by an evaluation
 oracle at the 10 lattice points of each plane, which span the same rows as
-the restriction; cubics are read off the integer echelon rows.
+the restriction. Planes 1-3 depend on no parameter, so their restriction,
+oracle and stabilizer rows are eliminated once, at import, and each count
+eliminates only plane 4's rows over them (linalg.rank_over); a
+configuration with other planes 1-3 has them eliminated per call. Cubics
+are read off the integer echelon of all 40 restriction rows.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from math import lcm
 
 from .arith import SplitMix64
 from .lattices import GramMatrix5, gram_M, voisin_value
-from .linalg import clear_denominators, echelon, kernel_basis, rank
+from .linalg import clear_denominators, echelon, kernel_basis, rank, rank_over
 
 NUM_VARS = 6
 DEGREE = 3
@@ -82,7 +86,10 @@ def _form(*pairs) -> tuple:
     return tuple(coeffs)
 
 
-# kernel_basis of (x,y,z), (x,y,u), (x,z,v): unit vectors at the free columns
+# planes 1-3: the ideals (x,y,z), (x,y,u), (x,z,v), and their kernel_basis,
+# unit vectors at the free columns
+_FIXED_IDEALS = tuple(tuple(_form((i, 1)) for i in gens)
+                      for gens in ((0, 1, 2), (0, 1, 3), (0, 2, 4)))
 _FIXED_BASES = tuple(tuple(tuple(int(i == c) for i in range(NUM_VARS)) for c in free)
                      for free in ((3, 4, 5), (2, 4, 5), (1, 3, 5)))
 
@@ -94,9 +101,7 @@ def standard_config(a, b) -> PlaneConfig:
     a = Fraction(a)
     b = Fraction(b)
     ideals = (
-        (_form((0, 1)), _form((1, 1)), _form((2, 1))),
-        (_form((0, 1)), _form((1, 1)), _form((3, 1))),
-        (_form((0, 1)), _form((2, 1)), _form((4, 1))),
+        *_FIXED_IDEALS,
         (
             _form((4, b.denominator), (1, -b.numerator)),
             _form((3, a.denominator), (2, -a.numerator)),
@@ -200,12 +205,58 @@ def _plane_block(basis) -> list:
     return list(zip(*columns))
 
 
+def _monomial_values(point) -> list:
+    """Values of the 56 MONOMIALS at a point, exact in the point's type."""
+    return [point[i] * point[j] * point[k] for i, j, k in _INDEX_TRIPLES]
+
+
+def _oracle_rows(basis) -> list:
+    """Monomial values at the plane's 10 points s0*b0 + s1*b1 + s2*b2, with
+    (s0, s1, s2) the triples of PARAM_MONOMIALS."""
+    return [
+        _monomial_values([sum(s * x for s, x in zip(params, form)) for form in zip(*basis)])
+        for params in PARAM_MONOMIALS
+    ]
+
+
+def _stabilizer_rows(plane) -> list:
+    """One row per (basis vector, ideal generator) of plane = (ideal, basis):
+    the outer product of the generator and the vector."""
+    ideal, basis = plane
+    return [[f * x for f in form for x in bvec] for bvec in basis for form in ideal]
+
+
 # the blocks of planes 1-3 depend on no parameter: built once, rows immutable
 _FIXED_BLOCKS = {basis: _plane_block(basis) for basis in _FIXED_BASES}
 
 
 def _block(basis) -> list:
     return _FIXED_BLOCKS.get(basis) or _plane_block(basis)
+
+
+def _prefix(rows_of, planes) -> tuple:
+    """Integer echelon of the rows of planes 1-3, rows_of giving one plane's.
+    Reduced: a pivot row zero at the other pivots leaves rank_over fewer
+    steps."""
+    return echelon([row for plane in planes[:3] for row in rows_of(plane)])
+
+
+# planes 1-3 eliminated once for each count: restriction, oracle, stabilizer
+_FIXED_PLANES = {
+    rows_of: (planes, _prefix(rows_of, planes))
+    for rows_of, planes in ((_block, _FIXED_BASES), (_oracle_rows, _FIXED_BASES),
+                            (_stabilizer_rows, tuple(zip(_FIXED_IDEALS, _FIXED_BASES))))
+}
+
+
+def _rank_of_planes(rows_of, planes) -> int:
+    """Rank of the rows of all four planes. Planes 1-3 of standard_config
+    reuse their echelon from import; any others are eliminated here, so
+    every rank stays exact."""
+    fixed, prefix = _FIXED_PLANES[rows_of]
+    if tuple(planes[:3]) != fixed:
+        prefix = _prefix(rows_of, planes)
+    return rank_over(prefix, rows_of(planes[3]))
 
 
 def _restrict(coeffs, basis) -> dict:
@@ -225,15 +276,10 @@ def cubics_through(config: PlaneConfig) -> list[CubicPoly]:
     return [CubicPoly(tuple(vec)) for vec in kern]
 
 
-def _monomial_values(point) -> list:
-    """Values of the 56 MONOMIALS at a point, exact in the point's type."""
-    return [point[i] * point[j] * point[k] for i, j, k in _INDEX_TRIPLES]
-
-
 def linear_system_dim(config: PlaneConfig) -> int:
     """Projective dimension: basis size minus one. The basis of
     cubics_through has one vector per non-pivot column of the restriction."""
-    return 56 - rank(restriction_matrix(config)) - 1
+    return 56 - _rank_of_planes(_block, config.bases) - 1
 
 
 def linear_system_dim_by_evaluation(config: PlaneConfig) -> int:
@@ -247,12 +293,7 @@ def linear_system_dim_by_evaluation(config: PlaneConfig) -> int:
     count is therefore exact, and the plane bases are integers, so every
     point and every row is too.
     """
-    rows = [
-        _monomial_values([sum(s * x for s, x in zip(params, form)) for form in zip(*basis)])
-        for basis in config.bases
-        for params in PARAM_MONOMIALS
-    ]
-    return 56 - rank(rows) - 1
+    return 56 - _rank_of_planes(_oracle_rows, config.bases) - 1
 
 
 def stabilizer_dim(config: PlaneConfig) -> tuple[int, int]:
@@ -263,13 +304,7 @@ def stabilizer_dim(config: PlaneConfig) -> tuple[int, int]:
     kill the image of the basis vector: the row is the outer product of the
     generator and the basis vector.
     """
-    rows = [
-        [f * x for f in form for x in bvec]
-        for ideal, basis in zip(config.ideals, config.bases)
-        for bvec in basis
-        for form in ideal
-    ]
-    stab = 36 - rank(rows)
+    stab = 36 - _rank_of_planes(_stabilizer_rows, tuple(zip(config.ideals, config.bases)))
     return (stab, 36 - stab)
 
 

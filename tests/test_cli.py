@@ -130,6 +130,12 @@ def test_empty_scan_ranges_are_refused(capsys, n_max):
     assert code == 2 and out == "" and f"{n_max} is below the limit 1" in err
 
 
+@pytest.mark.parametrize("precision", ["0", "-3"])
+def test_precision_below_one_is_a_usage_error(capsys, precision):
+    code, out, err = run(capsys, "local", "certify", "--k", "7", f"--precision={precision}")
+    assert code == 2 and out == "" and f"{precision} is below the limit 1" in err
+
+
 def test_hassett_verify_file_takes_n_above_the_represent_limit(capsys, tmp_path):
     n = 10**13 + 14
     path = tmp_path / "cert.json"

@@ -441,6 +441,63 @@ def test_plane_by_plane_oracle_on_rank_deficient_planes(configs):
         assert oracle == 56 - rank(rows) - 1 == linear_system_dim(twin)
 
 
+def _stabilizer_rows_reference(cfg):
+    """All 36 stabilizer rows: for each plane, basis vector bvec and ideal
+    generator form, the 6x6 matrix X (row-major) with form . (X bvec) = 0."""
+    return [[form[i] * bvec[j] for i in range(6) for j in range(6)]
+            for ideal, basis in zip(cfg.ideals, cfg.bases)
+            for bvec in basis for form in ideal]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(_PARAMETERS, _PARAMETERS)
+@example(Fraction(0), Fraction(0))
+@example(Fraction(-3, 7), Fraction(0))
+@example(*_PAIR30)
+@example(Fraction(2**61 - 1), Fraction(0))
+def test_stabilizer_is_the_rank_of_all_36_rows(a, b):
+    cfg = standard_config(a, b)
+    rows = _stabilizer_rows_reference(cfg)
+    assert len(rows) == 36
+    stab = 36 - rank(rows)
+    assert stabilizer_dim(cfg) == (stab, 36 - stab)
+
+
+def _twins(cfg):
+    """Configurations whose planes 1-3 are not written as standard_config
+    writes them: same planes in other coordinates, other planes, Fraction
+    entries, degenerate bases."""
+    (i1, i2, i3, i4), (p1, p2, p3, p4) = cfg.ideals, cfg.bases
+    scaled = tuple(tuple(-3 * x for x in form) for form in reversed(i2))
+    halves = tuple(tuple(Fraction(x, 2) for x in form) for form in i3)
+    zero = (0,) * 6
+    return [
+        ((i1, i2, i3, i4), ((p1[1], p1[0], p1[2]), p2, p3, p4)),  # plane 1 reordered
+        ((i1, scaled, i3, i4), (p1, p2, p3, p4)),  # plane 2's ideal rescaled
+        ((i1, i3, i3, i4), (p1, p2, p3, p4)),  # plane 2's ideal off its basis
+        ((i1, i2, halves, i4), (p1, p2, tuple(reversed(p3)), p4)),
+        ((i3, i2, i1, i4), (p3, p2, p1, p4)),  # planes 1 and 3 swapped
+        ((i4, i2, i3, i1), (p4, p2, p3, p1)),  # planes 1 and 4 swapped
+        ((i1, i2, i3, i4), (p1, (p2[2], zero, p2[2]), p3, p4)),  # plane 2 a point
+        ((i1, i1, i3, i4), (p1, p1, p3, p4)),  # plane 2 equal to plane 1
+    ]
+
+
+@pytest.mark.parametrize("pair", [(0, 0), (Fraction(-4, 9), Fraction(-6, 5)), _PAIR30])
+def test_counts_off_the_fixed_planes_are_the_ranks_of_all_rows(pair):
+    cfg = standard_config(*pair)
+    for ideals, bases in _twins(cfg):
+        assert (ideals[:3], bases[:3]) != (cfg.ideals[:3], cfg.bases[:3])
+        twin = PlaneConfig(cfg.a, cfg.b, ideals, bases)
+        stab = 36 - rank(_stabilizer_rows_reference(twin))
+        assert stabilizer_dim(twin) == (stab, 36 - stab)
+        matrix = [row for basis in bases for row in _block_reference(basis)]
+        fiber = 56 - rank(matrix) - 1
+        assert linear_system_dim(twin) == fiber
+        oracle = 56 - rank(_oracle_rows_reference(twin)) - 1
+        assert linear_system_dim_by_evaluation(twin) == oracle == fiber
+
+
 def test_restriction_matrix_rows_are_fresh_lists(configs):
     cfg = configs[(0, 1)]
     matrix = restriction_matrix(cfg)
