@@ -53,6 +53,9 @@ def _bounded_int(high: int, low: int | None = None):
     return parse
 
 
+_MAX_DIGITS = 4300  # str() refuses a longer int by default, so no JSON could print it
+
+
 def _int_list(text: str):
     return [int(x) for x in text.split(",")]
 
@@ -191,6 +194,9 @@ def _cmd_adc_descend(args) -> int:
         return 2
     form = builtin_form(_FORM_FLAGS[args.form])
     point = adc.rational_point(form, args.num, args.den)
+    if point.m >= 10**_MAX_DIGITS:  # m >= 0: Q3 and G are positive definite
+        print(f"error: Q(v/t) has more than {_MAX_DIGITS} digits", file=sys.stderr)
+        return 2
     trace = adc.descend(form, point)
     ok = _trace_ok(trace)
     if args.json:
@@ -217,6 +223,14 @@ def _decode_report(payload):
 def _cmd_local_certify(args) -> int:
     if args.k is None:
         print("error: need --k or --verify-file", file=sys.stderr)
+        return 2
+    # a witness lives mod p**precision; a bit length past the limit's decides alone
+    e, limit = args.precision, 10**_MAX_DIGITS
+    big = [p for p in args.primes or () if (abs(p).bit_length() - 1) * e >= limit.bit_length()
+           or abs(p) ** e >= limit]
+    if big:
+        print(f"error: {_short_int(big[0])}**{e} has more than {_MAX_DIGITS} digits",
+              file=sys.stderr)
         return 2
     report = local_global.certify_global(args.k, args.primes, args.precision)
     if args.json:
@@ -352,7 +366,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        ("trace", _decode_trace, _trace_ok, lambda t: f"trace for {t.form_name}"))
     descend.add_argument("--form", choices=sorted(_FORM_FLAGS), default="q3")
     descend.add_argument("--num", type=_int_csv(3))
-    descend.add_argument("--den", type=int)
+    descend.add_argument("--den", type=_bounded_int(10**24, 1))
 
     local = groups.add_parser("local", help="local solvability certificates")
     lactions = local.add_subparsers(dest="action", required=True)

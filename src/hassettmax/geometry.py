@@ -7,8 +7,9 @@ intersection profile we rebuild the rank-5 Gram matrix, compute the space
 of cubics vanishing on all four planes, and count orbit and stabilizer
 dimensions for the simultaneous linear symmetry group. Parameters and
 cubic coefficients are Fractions; the ideals are integer forms, plane 4's
-with the denominators of a and b cleared. Each plane basis is its ideal's
-kernel basis in closed form times one integer, so restriction rows, oracle
+with the denominators of a and b cleared. Each plane basis is the ideal's
+kernel as linalg.kernel_vector reads it off, one free column set to 1 per
+vector, in closed form times one integer, so restriction rows, oracle
 points and stabilizer rows are integers. One table of monomial index
 triples drives monomial values at a point and each plane's block of the
 restriction; the blocks of planes 1-3 are built once. Dimensions are exact
@@ -30,7 +31,7 @@ from math import lcm
 
 from .arith import SplitMix64
 from .lattices import GramMatrix5, gram_M, voisin_value
-from .linalg import clear_denominators, echelon, kernel_basis, rank, rank_over
+from .linalg import clear_denominators, echelon, kernel_vector, rank, rank_over
 
 NUM_VARS = 6
 DEGREE = 3
@@ -86,8 +87,8 @@ def _form(*pairs) -> tuple:
     return tuple(coeffs)
 
 
-# planes 1-3: the ideals (x,y,z), (x,y,u), (x,z,v), and their kernel_basis,
-# unit vectors at the free columns
+# planes 1-3: the ideals (x,y,z), (x,y,u), (x,z,v), and their kernels read
+# off one free column at a time: unit vectors at the free columns
 _FIXED_IDEALS = tuple(tuple(_form((i, 1)) for i in gens)
                       for gens in ((0, 1, 2), (0, 1, 3), (0, 2, 4)))
 _FIXED_BASES = tuple(tuple(tuple(int(i == c) for i in range(NUM_VARS)) for c in free)
@@ -95,9 +96,10 @@ _FIXED_BASES = tuple(tuple(tuple(int(i == c) for i in range(NUM_VARS)) for c in 
 
 
 def standard_config(a, b) -> PlaneConfig:
-    """The canonical four planes. Each basis is its ideal's kernel_basis, in
-    closed form, times the lcm of its denominators: a constant factor on the
-    plane's rows, so no rank, kernel or projective oracle point changes."""
+    """The canonical four planes. Each basis is its ideal's kernel, one
+    kernel_vector per free column set to 1, in closed form, times the lcm
+    of its denominators: a constant factor on the plane's rows, so no
+    rank, kernel or projective oracle point changes."""
     a = Fraction(a)
     b = Fraction(b)
     ideals = (
@@ -134,38 +136,33 @@ def intersection_profile(config: PlaneConfig, i: int, j: int) -> str:
 _REQUIRED_PROFILE = {(1, 2): "line", (1, 3): "line", (1, 4): "empty", (2, 3): "point"}
 
 
-def _check_base_profile(config: PlaneConfig) -> None:
-    for (i, j), expected in _REQUIRED_PROFILE.items():
-        got = intersection_profile(config, i, j)
-        if got != expected:
-            raise ValueError(
-                f"profile violation: planes ({i},{j}) meet in a {got}, "
-                f"expected {expected}"
-            )
+def _profiles(config: PlaneConfig) -> dict:
+    """The profile of each plane pair, each ranked once: the four pairs of
+    _REQUIRED_PROFILE, checked in turn, then (2,4) and (3,4), neither a line."""
+    profiles = {}
+    for (i, j), expected in (*_REQUIRED_PROFILE.items(), ((2, 4), None), ((3, 4), None)):
+        got = profiles[i, j] = intersection_profile(config, i, j)
+        if expected and got != expected:
+            raise ValueError(f"profile violation: planes ({i},{j}) meet in a {got}, "
+                             f"expected {expected}")
+    if "line" in (profiles[2, 4], profiles[3, 4]):
+        raise ValueError("planes P2/P3 may not meet P4 in a line")
+    return profiles
 
 
 def alpha_beta(config: PlaneConfig) -> tuple[int, int]:
     """(alpha, beta) from the variable intersections (P2,P4) and (P3,P4)."""
-    _check_base_profile(config)
-    alpha = voisin_value(intersection_profile(config, 2, 4))
-    beta = voisin_value(intersection_profile(config, 3, 4))
-    if alpha not in (0, 1) or beta not in (0, 1):
-        raise ValueError("planes P2/P3 may not meet P4 in a line")
-    return (alpha, beta)
+    profiles = _profiles(config)
+    return (voisin_value(profiles[2, 4]), voisin_value(profiles[3, 4]))
 
 
 def gram_from_geometry(config: PlaneConfig) -> GramMatrix5:
     """Gram matrix rebuilt from computed profiles; equals gram_M(alpha, beta)."""
-    alpha, beta = alpha_beta(config)
-    entries = [[0] * 5 for _ in range(5)]
-    for idx in range(5):
-        entries[idx][idx] = 3
-    for idx in range(1, 5):
-        entries[0][idx] = entries[idx][0] = 1
-    for i in range(1, 5):
-        for j in range(i + 1, 5):
-            value = voisin_value(intersection_profile(config, i, j))
-            entries[i][j] = entries[j][i] = value
+    # h^2 and each plane square to 3, and h^2 meets each plane in 1
+    entries = [[3 if i == j else int(0 in (i, j)) for j in range(5)] for i in range(5)]
+    for (i, j), profile in _profiles(config).items():
+        entries[i][j] = entries[j][i] = voisin_value(profile)
+    alpha, beta = entries[2][4], entries[3][4]
     built = GramMatrix5(tuple(tuple(row) for row in entries), alpha, beta)
     if built != gram_M(alpha, beta):
         raise AssertionError("geometric Gram matrix disagrees with the template")
@@ -259,10 +256,9 @@ def _rank_of_planes(rows_of, planes) -> int:
     return rank_over(prefix, rows_of(planes[3]))
 
 
-def _restrict(coeffs, basis) -> dict:
-    """Integer coefficients on a plane as {PARAM_MONOMIALS entry: nonzero value}."""
-    values = (sum(c * x for c, x in zip(coeffs, row) if c) for row in _block(basis))
-    return {e: v for e, v in zip(PARAM_MONOMIALS, values) if v}
+def _vanishes_on(coeffs, basis) -> bool:
+    """Whether integer cubic coefficients restrict to 0 on the plane."""
+    return not any(sum(c * x for c, x in zip(coeffs, row) if c) for row in _block(basis))
 
 
 def restriction_matrix(config: PlaneConfig) -> list:
@@ -271,14 +267,16 @@ def restriction_matrix(config: PlaneConfig) -> list:
 
 
 def cubics_through(config: PlaneConfig) -> list[CubicPoly]:
-    """Basis of cubics vanishing on all four planes."""
-    kern = kernel_basis(restriction_matrix(config))
-    return [CubicPoly(tuple(vec)) for vec in kern]
+    """Basis of cubics vanishing on all four planes: one kernel_vector per
+    free column of the restriction's echelon, set to 1, ascending."""
+    rows, pivots = echelon(restriction_matrix(config))
+    return [CubicPoly(tuple(kernel_vector(rows, pivots, 56, {fc: 1})))
+            for fc in range(56) if fc not in pivots]
 
 
 def linear_system_dim(config: PlaneConfig) -> int:
     """Projective dimension: basis size minus one. The basis of
-    cubics_through has one vector per non-pivot column of the restriction."""
+    cubics_through has one kernel_vector per free column."""
     return 56 - _rank_of_planes(_block, config.bases) - 1
 
 
@@ -312,23 +310,15 @@ def random_cubic(config: PlaneConfig, seed: int) -> CubicPoly:
     """Deterministic small-integer combination of the vanishing basis.
 
     The weights are drawn in ascending free-column order, one per
-    cubics_through vector. Each kernel vector is 1 at its free column and
-    -row[fc]/row[pc] at each pivot column pc, read off the integer echelon
-    rows, so the free coefficients are the weights and each pivot
-    coefficient is one quotient -sum(w * row[fc]) / row[pc]."""
+    cubics_through vector, and read off the same echelon rows by
+    linalg.kernel_vector: the free coefficients are the weights."""
     rows, pivots = echelon(restriction_matrix(config))
     free = [c for c in range(56) if c not in pivots]
     if not free:
         raise ValueError("no cubics vanish on the configuration")
     rng = SplitMix64(seed)
-    weights = [rng.randint(-9, 9) for _ in free]
-    coeffs = [Fraction(0)] * 56
-    for weight, fc in zip(weights, free):
-        coeffs[fc] = Fraction(weight)
-    terms = [(w, fc) for w, fc in zip(weights, free) if w]
-    for row, pc in zip(rows, pivots):
-        coeffs[pc] = Fraction(-sum(w * row[fc] for w, fc in terms), row[pc])
-    return CubicPoly(tuple(coeffs))
+    weights = {fc: rng.randint(-9, 9) for fc in free}
+    return CubicPoly(tuple(kernel_vector(rows, pivots, 56, weights)))
 
 
 def dims_report(config: PlaneConfig) -> dict:
@@ -399,4 +389,4 @@ def verify_cubic_dict(d: dict) -> bool:
     if random_cubic(config, seed).coeffs != cubic.coeffs:
         return False
     coeffs = clear_denominators(cubic.coeffs)
-    return all(not _restrict(coeffs, basis) for basis in config.bases)
+    return all(_vanishes_on(coeffs, basis) for basis in config.bases)

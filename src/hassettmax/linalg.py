@@ -2,11 +2,11 @@
 
 Matrices are lists of rows of ints or Fractions, exact throughout. One
 integer elimination core, echelon, serves rref, rank, rank_over,
-kernel_basis and geometry's dimension counts: it scales each row to
+kernel_vector and geometry's dimension counts: it scales each row to
 integers (an all-int row is copied as is), takes as pivot the row with the
 least |entry| in the column, eliminates fraction-free and divides every
-updated row by its content. rref and kernel_basis read their Fractions off
-its rows; rank clears only below each pivot; rank_over takes a stored
+updated row by its content. rref and kernel_vector read their Fractions
+off its rows; rank clears only below each pivot; rank_over takes a stored
 echelon of some rows and eliminates only the rows added to them.
 Determinants use Bareiss elimination.
 """
@@ -109,21 +109,16 @@ def rank_over(prefix, rows) -> int:
     return len(pivots) + rank(left)
 
 
-def kernel_basis(rows) -> list[list[Fraction]]:
-    """Basis of the right kernel. One vector per free column, free variable
-    set to 1, listed in ascending free-column order."""
-    m, pivots = echelon(rows)
-    ncols = len(rows[0]) if rows else 0
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for row, pc in zip(m, pivots):
-            if row[fc]:
-                v[pc] = Fraction(-row[fc], row[pc])
-        basis.append(v)
-    return basis
+def kernel_vector(rows, pivots, ncols: int, free_values) -> list[Fraction]:
+    """The kernel vector of echelon's reduced (rows, pivots) that is
+    free_values[fc] at each free column fc listed and 0 at the other free
+    columns; at each pivot pc it is -sum(value * row[fc]) / row[pc]."""
+    v = [Fraction(0)] * ncols
+    for fc, value in free_values.items():
+        v[fc] = Fraction(value)
+    for row, pc in zip(rows, pivots):
+        v[pc] = Fraction(-sum(value * row[fc] for fc, value in free_values.items()), row[pc])
+    return v
 
 
 def mat_mul(a, b) -> list[list[int]]:

@@ -19,8 +19,9 @@ from hassettmax.arith import (
 )
 from hassettmax.linalg import (
     det_bareiss,
+    echelon,
     identity,
-    kernel_basis,
+    kernel_vector,
     mat_mul,
     rank,
     rref,
@@ -197,17 +198,25 @@ def _frac_rows(rows):
     return [[Fraction(x) for x in row] for row in rows]
 
 
+def _unit_read_offs(rows):
+    """One kernel_vector per free column of echelon(rows), that column set
+    to 1, in ascending free-column order."""
+    m, pivots = echelon(rows)
+    ncols = len(rows[0]) if rows else 0
+    return [kernel_vector(m, pivots, ncols, {fc: 1}) for fc in range(ncols) if fc not in pivots]
+
+
 def test_rref_rank_kernel():
     rows = _frac_rows([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
     assert rank(rows) == 2
-    kern = kernel_basis(rows)
+    kern = _unit_read_offs(rows)
     assert len(kern) == 1
     for row in rows:
         assert sum(r * k for r, k in zip(row, kern[0])) == 0
 
 
 def test_kernel_of_full_rank_is_empty():
-    assert kernel_basis(_frac_rows([[1, 0], [0, 1]])) == []
+    assert _unit_read_offs(_frac_rows([[1, 0], [0, 1]])) == []
 
 
 def test_det_bareiss():
@@ -318,12 +327,6 @@ def test_rref_rank_kernel_match_fraction_gauss_jordan(rows):
     assert (m, pivots) == (ref_m, ref_pivots)
     assert all(type(x) is Fraction for row in m for x in row)
     assert rank(rows) == len(ref_pivots)
-    ncols = len(rows[0]) if rows else 0
-    kern = kernel_basis(rows)
-    assert kern == _kernel_reference(ref_m, ref_pivots, ncols)
-    for v in kern:
-        for row in rows:
-            assert sum(a * x for a, x in zip(row, v)) == 0
 
 
 # pivots are chosen by least |entry|, so check that nothing depends on the
@@ -357,4 +360,38 @@ def test_elimination_ignores_row_order_and_scale(pair):
     m, pivots = rref(rows)
     assert rref(shuffled) == (m, pivots)
     assert rank(shuffled) == rank(rows) == len(pivots)
-    assert kernel_basis(shuffled) == kernel_basis(rows)
+
+
+# a weight per free column, None for a column left out of the dict
+_WEIGHTS = st.lists(st.none() | st.integers(-9, 9) | st.integers(-_HUGE, _HUGE),
+                    min_size=8, max_size=8)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_reordered(), _WEIGHTS, st.booleans())
+@example(([], []), [None] * 8, False)
+@example(([[0, 0, 0], [0, 0, 0]], [[0, 0, 0], [0, 0, 0]]), [5, None, -7] + [0] * 5, True)
+def test_kernel_vector_reads_off_the_gauss_jordan_kernel(pair, draws, backwards):
+    rows, shuffled = pair
+    ncols = len(rows[0]) if rows else 0
+    m, pivots = echelon(rows)
+    free = [c for c in range(ncols) if c not in pivots]
+    # one unit read-off per free column: the Fraction Gauss-Jordan kernel
+    units = _unit_read_offs(rows)
+    ref_m, ref_pivots = _rref_reference(rows)
+    assert units == _kernel_reference(ref_m, ref_pivots, ncols)
+    assert all(type(x) is Fraction for v in units for x in v)
+
+    # int weights at some free columns, in either order, 0 at the rest:
+    # the weighted sum of the unit read-offs, orthogonal to every row
+    listed = [(fc, w) for fc, w in zip(free, draws) if w is not None]
+    weights = dict(reversed(listed) if backwards else listed)
+    v = kernel_vector(m, pivots, ncols, weights)
+    assert v == [sum((weights.get(fc, 0) * u[c] for fc, u in zip(free, units)), Fraction(0))
+                 for c in range(ncols)]
+    for row in rows:
+        assert sum(a * x for a, x in zip(row, v)) == 0
+
+    # rows permuted and scaled: the same read-offs
+    assert _unit_read_offs(shuffled) == units
+    assert kernel_vector(*echelon(shuffled), ncols, weights) == v

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from hassettmax import hassett_rep
+from hassettmax import hassett_rep, local_global
 from hassettmax.cli import _short_int, main
 
 
@@ -136,6 +136,37 @@ def test_precision_below_one_is_a_usage_error(capsys, precision):
     assert code == 2 and out == "" and f"{precision} is below the limit 1" in err
 
 
+@pytest.mark.parametrize("prime, precision", [
+    (10**100 + 267, 1000),
+    (10**2150, 2),  # 10**4300, 4301 digits
+])
+def test_local_certify_refuses_a_witness_too_long_to_print(capsys, monkeypatch, prime, precision):
+    monkeypatch.setattr(local_global, "certify_global", None)  # refused before any work
+    code, out, err = run(capsys, "local", "certify", "--k", "7", f"--primes=5,{prime}",
+                         f"--precision={precision}")
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert err.endswith(f"**{precision} has more than 4300 digits\n")
+
+
+def test_local_certify_takes_a_witness_of_4300_digits(capsys, monkeypatch):
+    # (10**2150 - 1)**2 has 4300 digits: the run goes on to certify_global
+    calls, report = [], local_global.certify_global(7)
+    monkeypatch.setattr(local_global, "certify_global", lambda *args: calls.append(args) or report)
+    code, _, _ = run(capsys, "local", "certify", "--k", "7", f"--primes={10**2150 - 1}",
+                     "--precision=2")
+    assert code == 0 and calls == [(7, [10**2150 - 1], 2)]
+
+
+def test_local_certify_prints_a_4201_digit_witness(capsys):
+    code, payload, _ = run_json(capsys, "local", "certify", "--k", "7", "--primes", "1000003",
+                                "--precision", "700", "--json")
+    assert code == 0 and payload["overall"] == "solvable"
+    (cert,) = [c for c in payload["certificates"] if c["place"] == "1000003"]
+    # 1000003**700 has 4201 digits, under the limit; the witness mod it prints
+    assert len(str(1000003**700)) == 4201
+    assert 4000 < max(len(x) for x in cert["witness"]) <= 4201
+
+
 def test_hassett_verify_file_takes_n_above_the_represent_limit(capsys, tmp_path):
     n = 10**13 + 14
     path = tmp_path / "cert.json"
@@ -180,6 +211,46 @@ def test_adc_descend_usage_errors(capsys):
     assert "need --num and --den" in err
     code, _, _ = run(capsys, "adc", "descend", "--num", "1,1", "--den", "5")
     assert code == 2  # wrong arity
+
+
+# t = p*q, both primes 1 mod 4, and v = t*(1,0,0) - 2x*(x,y,0) with
+# x^2 + y^2 = t: a chord point of Q3 whose denominator Pollard rho must split
+_T121 = 1152921504606847009 * 1152956688978935917
+_V121 = "306854148502237791751373089302625915,-1293365933430104119616166796754843028,0"
+_T80 = 999999999989 * 999998999957
+_V80 = "710742528045900768991385,-703450821820489515889248,0"
+
+
+@pytest.mark.parametrize("num, den, message", [
+    ("1,0,0", str(10**24 + 1), f"{10**24 + 1} is above the limit {10**24}"),
+    (_V121, str(_T121), f"{_T121} is above the limit"),
+    ("1,1,0", "0", "0 is below the limit 1"),
+    ("1,1,0", "-5", "-5 is below the limit 1"),
+])
+def test_adc_descend_bounds_the_denominator(capsys, num, den, message):
+    code, out, err = run(capsys, "adc", "descend", f"--num={num}", f"--den={den}")
+    assert code == 2 and out == "" and message in err
+
+
+def test_adc_descend_at_the_denominator_bound(capsys):
+    assert _T80 < 10**24
+    code, payload, _ = run_json(capsys, "adc", "descend", f"--num={_V80}", f"--den={_T80}",
+                                "--json")
+    assert code == 0 and payload["terminal"]["t"] == "1"
+
+
+@pytest.mark.parametrize("num, code", [
+    ("9" * 3000 + ",1,1", 2),
+    (f"{10**2150},0,0", 2),  # Q(v) = 10**4300, 4301 digits
+    (f"{10**2150 - 1},0,0", 0),  # 4300 digits, which the JSON still prints
+])
+def test_adc_descend_bounds_the_start_value(capsys, num, code):
+    got, out, err = run(capsys, "adc", "descend", "--num", num, "--den", "1", "--json")
+    assert got == code
+    if code:
+        assert out == "" and err == "error: Q(v/t) has more than 4300 digits\n"
+    else:
+        assert json.loads(out)["start"]["m"] == str((10**2150 - 1) ** 2)
 
 
 def test_adc_descend_rejects_off_form_points(capsys):

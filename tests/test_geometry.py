@@ -14,9 +14,11 @@ from itertools import product
 from math import lcm, prod
 
 import pytest
+import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hassettmax import geometry
 from hassettmax.arith import SplitMix64
 from hassettmax.geometry import (
     MONOMIALS,
@@ -40,7 +42,7 @@ from hassettmax.geometry import (
     verify_cubic_dict,
 )
 from hassettmax.lattices import gram_M
-from hassettmax.linalg import det_bareiss, kernel_basis, rank, rref
+from hassettmax.linalg import det_bareiss, rank, rref
 
 PAIRS = [(0, 0), (0, 1), (1, 0), (1, 1)]
 
@@ -118,8 +120,10 @@ def test_profile_rejects_bad_indices(configs):
 def test_profile_rejects_coinciding_planes(configs):
     cfg = configs[(1, 1)]
     twin = PlaneConfig(cfg.a, cfg.b, (cfg.ideals[0],) * 2 + cfg.ideals[2:], cfg.bases)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="planes coincide"):
         intersection_profile(twin, 1, 2)
+    with pytest.raises(ValueError, match="planes coincide"):
+        gram_from_geometry(twin)
 
 
 def test_alpha_beta_rule(configs):
@@ -143,8 +147,32 @@ def test_alpha_beta_rejects_base_profile_violations(configs):
     # fourth plane sharing the x = y = 0 locus meets plane 1 in a line
     bad_fourth = (unit(0), unit(1), unit(5))
     broken = PlaneConfig(cfg.a, cfg.b, cfg.ideals[:3] + (bad_fourth,), cfg.bases)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"profile violation: planes \(1,4\) meet in a line"):
         alpha_beta(broken)
+    with pytest.raises(ValueError, match=r"profile violation: planes \(1,4\) meet in a line"):
+        gram_from_geometry(broken)
+
+
+def test_alpha_beta_rejects_a_fourth_plane_meeting_p2_in_a_line(configs, monkeypatch):
+    # no four planes reach this: with P1 meeting P2 in a line, a line of P4
+    # in P2 would meet that line, and so P1; a stand-in profile reaches it
+    real = geometry.intersection_profile
+    monkeypatch.setattr(geometry, "intersection_profile",
+                        lambda cfg, i, j: "line" if (i, j) == (2, 4) else real(cfg, i, j))
+    for call in (alpha_beta, gram_from_geometry):
+        with pytest.raises(ValueError, match="planes P2/P3 may not meet P4 in a line"):
+            call(configs[(1, 1)])
+
+
+def test_each_plane_pair_is_ranked_once(configs, monkeypatch):
+    calls = []
+    real = geometry.intersection_profile
+    monkeypatch.setattr(geometry, "intersection_profile",
+                        lambda cfg, i, j: calls.append((i, j)) or real(cfg, i, j))
+    for cfg in configs.values():
+        calls.clear()
+        gram_from_geometry(cfg)
+        assert calls == [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
 
 
 def test_fourth_plane_basis_at_generic_parameters(configs):
@@ -279,13 +307,19 @@ def _restrict_monomial_reference(monomial, basis):
     return poly
 
 
+def _nullspace(rows):
+    """sympy's kernel basis as Fraction rows: one vector per free column,
+    that column set to 1, in ascending free-column order."""
+    return [[Fraction(int(x.p), int(x.q)) for x in vec] for vec in sympy.Matrix(rows).nullspace()]
+
+
 def _fraction_bases(cfg):
     """The kernel bases of the plane ideals, before any scaling."""
-    return [kernel_basis([list(f) for f in ideal]) for ideal in cfg.ideals]
+    return [_nullspace([list(f) for f in ideal]) for ideal in cfg.ideals]
 
 
 def _scaled_bases_reference(cfg):
-    """Each plane's kernel_basis times the lcm of its denominators: the
+    """Each plane's kernel basis times the lcm of its denominators: the
     bases standard_config writes down in closed form."""
     bases = []
     for basis in _fraction_bases(cfg):
@@ -369,7 +403,7 @@ def test_integer_restriction_matches_fraction_reference(a, b, seed, monomial, t)
     matrix = restriction_matrix(cfg)
     assert rref(matrix) == rref(reference)
     kernel = cubics_through(cfg)
-    assert [list(c.coeffs) for c in kernel] == kernel_basis(reference)
+    assert [list(c.coeffs) for c in kernel] == _nullspace(reference)
 
     # the seeded cubic plus t times one monomial: it vanishes on exactly the
     # planes that kill the monomial (all four when t = 0)
