@@ -56,6 +56,16 @@ def _bounded_int(high: int, low: int | None = None):
 _MAX_DIGITS = 4300  # str() refuses a longer int by default, so no JSON could print it
 
 
+def _digits(n: int) -> int:
+    """Decimal digits of |n|, counted without str(), which refuses more
+    than _MAX_DIGITS of them."""
+    n = abs(n)
+    digits = int((n.bit_length() - 1) * 0.30102999) + 1  # 0.30102999 < log10(2)
+    while 10**digits <= n:
+        digits += 1
+    return digits
+
+
 def _int_list(text: str):
     return [int(x) for x in text.split(",")]
 
@@ -310,6 +320,12 @@ def _cmd_geometry_dims(args) -> int:
 def _cmd_geometry_cubic(args) -> int:
     config = geometry.standard_config(args.a, args.b)
     cubic = geometry.random_cubic(config, args.seed)
+    limit = 10**_MAX_DIGITS
+    big = [x for c in cubic.coeffs for x in (c.numerator, c.denominator) if abs(x) >= limit]
+    if big:
+        print(f"error: a coefficient has {max(map(_digits, big))} digits, "
+              f"above the limit {_MAX_DIGITS}", file=sys.stderr)
+        return 1
     payload = geometry.cubic_to_dict(cubic, config, args.seed)
     if args.out:
         try:

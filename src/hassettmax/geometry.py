@@ -18,8 +18,11 @@ oracle at the 10 lattice points of each plane, which span the same rows as
 the restriction. Planes 1-3 depend on no parameter, so their restriction,
 oracle and stabilizer rows are eliminated once, at import, and each count
 eliminates only plane 4's rows over them (linalg.rank_over); a
-configuration with other planes 1-3 has them eliminated per call. Cubics
-are read off the integer echelon of all 40 restriction rows.
+configuration with other planes 1-3 has them eliminated per call. Planes
+1-3 are coordinate planes, so that echelon's restriction rows are unit
+rows: every cubic through them is 0 at those 22 pinned columns, and a
+seeded cubic is read off plane 4's echelon with the pinned columns set to
+0. The replay reads it off the echelon of all 40 restriction rows.
 """
 
 from __future__ import annotations
@@ -246,6 +249,13 @@ _FIXED_PLANES = {
 }
 
 
+# planes 1-3 are coordinate planes: each restriction row of their echelon
+# has one nonzero entry, so a cubic through them is 0 at its pivot column
+_PINNED = frozenset(_FIXED_PLANES[_block][1][1])
+if any(len(row) - row.count(0) != 1 for row in _FIXED_PLANES[_block][1][0]):
+    raise AssertionError("a restriction row of planes 1-3 is not a unit row")
+
+
 def _rank_of_planes(rows_of, planes) -> int:
     """Rank of the rows of all four planes. Planes 1-3 of standard_config
     reuse their echelon from import; any others are eliminated here, so
@@ -306,19 +316,40 @@ def stabilizer_dim(config: PlaneConfig) -> tuple[int, int]:
     return (stab, 36 - stab)
 
 
-def random_cubic(config: PlaneConfig, seed: int) -> CubicPoly:
-    """Deterministic small-integer combination of the vanishing basis.
-
-    The weights are drawn in ascending free-column order, one per
-    cubics_through vector, and read off the same echelon rows by
-    linalg.kernel_vector: the free coefficients are the weights."""
-    rows, pivots = echelon(restriction_matrix(config))
-    free = [c for c in range(56) if c not in pivots]
+def _seeded_cubic(rows, pivots, seed: int, pinned=frozenset()) -> CubicPoly:
+    """The kernel vector of echelon's reduced (rows, pivots) whose
+    coefficient at each free column, neither a pivot nor pinned, is a
+    seeded weight, drawn in ascending column order; pinned columns are 0."""
+    free = [c for c in range(56) if c not in pivots and c not in pinned]
     if not free:
         raise ValueError("no cubics vanish on the configuration")
     rng = SplitMix64(seed)
     weights = {fc: rng.randint(-9, 9) for fc in free}
     return CubicPoly(tuple(kernel_vector(rows, pivots, 56, weights)))
+
+
+def _masked_echelon(basis) -> tuple:
+    """Echelon of the plane's restriction block with the _PINNED columns
+    set to 0. Over the fixed planes 1-3, whose echelon is the unit rows at
+    _PINNED, these are the 40-row echelon's rows at its other pivots, up
+    to a factor."""
+    pinned = _PINNED
+    return echelon([[0 if c in pinned else x for c, x in enumerate(row)]
+                    for row in _block(basis)])
+
+
+def random_cubic(config: PlaneConfig, seed: int) -> CubicPoly:
+    """Deterministic small-integer combination of the vanishing basis.
+
+    The weights are drawn in ascending free-column order, one per
+    cubics_through vector, and read off by linalg.kernel_vector: the free
+    coefficients are the weights. With the fixed planes 1-3, the echelon
+    is plane 4's masked rows plus the unit rows at _PINNED, where the
+    cubic is 0; any other planes 1-3 have all 40 rows eliminated."""
+    if tuple(config.bases[:3]) == _FIXED_BASES:
+        rows, pivots = _masked_echelon(config.bases[3])
+        return _seeded_cubic(rows, pivots, seed, _PINNED)
+    return _seeded_cubic(*echelon(restriction_matrix(config)), seed)
 
 
 def dims_report(config: PlaneConfig) -> dict:
@@ -381,12 +412,16 @@ def cubic_from_dict(d: dict) -> tuple[CubicPoly, PlaneConfig, int]:
 
 
 def verify_cubic_dict(d: dict) -> bool:
-    """Replay: the stored cubic must match its seed and vanish on all planes."""
+    """Replay: the stored cubic must match its seed and vanish on all planes.
+
+    The expected cubic is read off the echelon of all 40 restriction rows,
+    not random_cubic's masked plane 4, so the replay checks that shortcut
+    rather than repeating it."""
     try:
         cubic, config, seed = cubic_from_dict(d)
     except (KeyError, ValueError, TypeError, ZeroDivisionError):
         return False
-    if random_cubic(config, seed).coeffs != cubic.coeffs:
+    if _seeded_cubic(*echelon(restriction_matrix(config)), seed).coeffs != cubic.coeffs:
         return False
     coeffs = clear_denominators(cubic.coeffs)
     return all(_vanishes_on(coeffs, basis) for basis in config.bases)

@@ -1,11 +1,12 @@
 """Exit codes, JSON payloads, and verify-file round trips for the CLI."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from hassettmax import hassett_rep, local_global
-from hassettmax.cli import _short_int, main
+from hassettmax.cli import _digits, _short_int, main
 
 
 def run(capsys, *argv):
@@ -451,6 +452,39 @@ def test_geometry_cubic_out_into_a_missing_directory(capsys, tmp_path):
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
     assert not path.exists()
+
+
+@pytest.mark.parametrize("mode", [["--json"], [], ["--out", "x.json"]])
+def test_geometry_cubic_refuses_coefficients_too_long_to_print(capsys, tmp_path,
+                                                              monkeypatch, mode):
+    # the coefficients grow to about twice the parameter's digits
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "geometry", "cubic", f"--a={10**2200 + 7}", "--b=1",
+                         "--seed=5", *mode)
+    assert code == 1 and out == ""
+    assert err == "error: a coefficient has 4401 digits, above the limit 4300\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("a, b, longest", [
+    (10**2000 + 7, 1, 4002),
+    # numerator and denominator of 1100 digits each
+    (Fraction(10**1099 + 7, 10**1099 + 3), Fraction(-(10**1099 + 9), 10**1099 + 3), 4401),
+])
+def test_geometry_cubic_prints_coefficients_up_to_the_limit(capsys, tmp_path, a, b, longest):
+    code, payload, _ = run_json(capsys, "geometry", "cubic", f"--a={a}", f"--b={b}",
+                                "--seed=5", "--json")
+    assert code == 0 and max(map(len, payload["coeffs"])) == longest
+    path = tmp_path / "cubic.json"
+    path.write_text(json.dumps(payload))
+    code, out, _ = run(capsys, "geometry", "cubic", "--verify-file", str(path))
+    assert code == 0 and out == "cubic: valid\n"
+
+
+def test_digits_counts_past_the_str_limit():
+    for n in (0, 1, 9, 10, 99, 100, 10**4300 - 1, 10**4300, 3**20000):
+        digits = _digits(n)
+        assert 10 ** (digits - 1) <= max(n, 1) < 10**digits and _digits(-n) == digits
 
 
 # --- forged --verify-file payloads ---

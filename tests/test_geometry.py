@@ -8,6 +8,7 @@ to integers, one factor per plane) is checked against a Fraction expansion
 over the unscaled kernel bases.
 """
 
+import hashlib
 import json
 from fractions import Fraction
 from itertools import product
@@ -42,7 +43,7 @@ from hassettmax.geometry import (
     verify_cubic_dict,
 )
 from hassettmax.lattices import gram_M
-from hassettmax.linalg import det_bareiss, rank, rref
+from hassettmax.linalg import det_bareiss, echelon, kernel_vector, rank, rref
 
 PAIRS = [(0, 0), (0, 1), (1, 0), (1, 1)]
 
@@ -530,6 +531,120 @@ def test_counts_off_the_fixed_planes_are_the_ranks_of_all_rows(pair):
         assert linear_system_dim(twin) == fiber
         oracle = 56 - rank(_oracle_rows_reference(twin)) - 1
         assert linear_system_dim_by_evaluation(twin) == oracle == fiber
+
+
+# --- seeded cubics: plane 4's masked rows against all 40 rows ---
+
+
+def _random_cubic_reference(cfg, seed):
+    """The seeded cubic read off the echelon of all 40 restriction rows:
+    weights in [-9, 9] at the free columns, drawn in ascending order."""
+    rows, pivots = echelon(restriction_matrix(cfg))
+    rng = SplitMix64(seed)
+    weights = {fc: rng.randint(-9, 9) for fc in range(56) if fc not in pivots}
+    return CubicPoly(tuple(kernel_vector(rows, pivots, 56, weights)))
+
+
+def test_fixed_restriction_rows_are_unit_rows_at_the_pinned_monomials():
+    rows, pivots = geometry._FIXED_PLANES[geometry._block][1]
+    assert len(rows) == 22
+    assert all(len(row) - row.count(0) == 1 for row in rows)
+    # planes 1-3 are the coordinate planes on {u,v,w}, {z,v,w} and {y,u,w}:
+    # a monomial in one plane's free coordinates alone is pinned to 0
+    free = ({3, 4, 5}, {2, 4, 5}, {1, 3, 5})
+    pinned = {m for m, triple in enumerate(geometry._INDEX_TRIPLES)
+              if any(set(triple) <= plane for plane in free)}
+    assert len(pinned) == 22
+    assert geometry._PINNED == pinned == set(pivots)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(_PARAMETERS, _PARAMETERS, st.integers(0, 2**64))
+@example(Fraction(0), Fraction(0), 1)
+@example(Fraction(0), Fraction(-7, 3), 5)
+@example(Fraction(-5, 2), Fraction(0), 2**64)
+@example(Fraction(-4, 9), Fraction(-6, 5), 0)
+@example(*_PAIR30, 7)
+@example(Fraction(2**61 - 1), Fraction(0), 3)
+@example(Fraction(2**61 - 1), Fraction(-(2**61 - 1), 3), 11)
+def test_random_cubic_is_read_off_all_40_rows(a, b, seed):
+    cfg = standard_config(a, b)
+    assert random_cubic(cfg, seed) == _random_cubic_reference(cfg, seed)
+
+
+@pytest.mark.parametrize("pair", [(0, 0), (Fraction(-4, 9), Fraction(-6, 5)), _PAIR30])
+def test_random_cubic_on_twins_is_read_off_all_40_rows(pair, monkeypatch):
+    cfg = standard_config(*pair)
+    p1, p2, p3, p4 = cfg.bases
+    zero = (0,) * 6
+    masked = []
+    real = geometry._masked_echelon
+    monkeypatch.setattr(geometry, "_masked_echelon",
+                        lambda basis: masked.append(basis) or real(basis))
+    # the twins, and plane 4 degenerate over the fixed planes 1-3
+    bases = [bases for _, bases in _twins(cfg)]
+    bases += [(p1, p2, p3, (p4[0], p4[0], p4[2])), (p1, p2, p3, (zero, zero, zero))]
+    for n, planes in enumerate(bases):
+        twin = PlaneConfig(cfg.a, cfg.b, cfg.ideals, planes)
+        masked.clear()
+        assert random_cubic(twin, n) == _random_cubic_reference(twin, n)
+        assert masked == ([planes[3]] if planes[:3] == cfg.bases[:3] else [])
+
+
+@pytest.mark.parametrize("pair", PAIRS)
+def test_replay_rejects_a_cubic_with_a_pinned_column_dropped(configs, monkeypatch, pair):
+    # plane 4 lies in w = 0, so its block is 0 at each monomial with w: such
+    # a column, no longer pinned, is free and takes a weight
+    cfg = configs[pair]
+    with_w = [m for m in sorted(geometry._PINNED) if 5 in geometry._INDEX_TRIPLES[m]]
+    assert len(with_w) == 12
+    column, seeds = with_w[0], range(40)
+    honest = [random_cubic(cfg, seed) for seed in seeds]
+    monkeypatch.setattr(geometry, "_PINNED", geometry._PINNED - {column})
+    cubics = [random_cubic(cfg, seed) for seed in seeds]
+    assert all(cubic != want for cubic, want in zip(cubics, honest))
+    assert not any(verify_cubic_dict(cubic_to_dict(cubic, cfg, seed))
+                   for cubic, seed in zip(cubics, seeds))
+    # a weight of 0 there shifts the later weights: a cubic through all four
+    # planes, which only the seed replay rejects
+    matrix = restriction_matrix(cfg)
+    through = [cubic for cubic in cubics if cubic.coeffs[column] == 0]
+    assert through
+    for cubic in through:
+        assert not any(any(_on_plane(matrix, i, cubic.coeffs)) for i in (1, 2, 3, 4))
+
+
+def test_replay_does_not_use_the_masked_rows(configs, monkeypatch):
+    payloads = [cubic_to_dict(random_cubic(cfg, 5), cfg, 5) for cfg in configs.values()]
+
+    def refuse(basis):
+        raise AssertionError("the replay took the masked rows")
+
+    monkeypatch.setattr(geometry, "_masked_echelon", refuse)
+    assert all(verify_cubic_dict(payload) for payload in payloads)
+
+
+def test_seeded_cubics_are_frozen():
+    # 200 (a, b, seed) triples, a and b zero or 6-digit fractions; len and
+    # sha256 of the JSON payloads, pinned before the masked plane-4 rows
+    rng = SplitMix64(20)
+
+    def coordinate():
+        if rng.randint(0, 3) == 0:
+            return Fraction(0)
+        sign = rng.randint(0, 1) * 2 - 1
+        return Fraction(sign * rng.randint(10**5, 10**6 - 1), rng.randint(10**5, 10**6 - 1))
+
+    payloads = []
+    for _ in range(200):
+        cfg = standard_config(coordinate(), coordinate())
+        seed = rng.randint(0, 2**32)
+        payloads.append(cubic_to_dict(random_cubic(cfg, seed), cfg, seed))
+    blob = json.dumps(payloads, sort_keys=True).encode()
+    assert len(blob) == 323132
+    assert hashlib.sha256(blob).hexdigest() == (
+        "5366b1d49d7988ea64a5ddd1a72ff27257961b5c83554a2dd27eaa7812fabbbf"
+    )
 
 
 def test_restriction_matrix_rows_are_fresh_lists(configs):
