@@ -7,22 +7,23 @@ intersection profile we rebuild the rank-5 Gram matrix, compute the space
 of cubics vanishing on all four planes, and count orbit and stabilizer
 dimensions for the simultaneous linear symmetry group. Parameters and
 cubic coefficients are Fractions; the ideals are integer forms, plane 4's
-with the denominators of a and b cleared. Each plane basis is the ideal's
-kernel as linalg.kernel_vector reads it off, one free column set to 1 per
-vector, in closed form times one integer, so restriction rows, oracle
-points and stabilizer rows are integers. One table of monomial index
-triples drives monomial values at a point and each plane's block of the
-restriction; the blocks of planes 1-3 are built once. Dimensions are exact
-ranks from linalg's integer elimination, cross-checked by an evaluation
-oracle at the 10 lattice points of each plane, which span the same rows as
-the restriction. Planes 1-3 depend on no parameter, so their restriction,
-oracle and stabilizer rows are eliminated once, at import, and each count
-eliminates only plane 4's rows over them (linalg.rank_over); a
-configuration with other planes 1-3 has them eliminated per call. Planes
-1-3 are coordinate planes, so that echelon's restriction rows are unit
-rows: every cubic through them is 0 at those 22 pinned columns, and a
-seeded cubic is read off plane 4's echelon with the pinned columns set to
-0. The replay reads it off the echelon of all 40 restriction rows.
+with the denominators of a and b cleared. Planes 1-3 are the same three
+coordinate planes in every configuration, and PlaneConfig accepts no
+others; plane 4 is {(x, y, z, az, by, 0)}, and standard_config writes its
+basis in that chart, so every basis, restriction row, oracle point and
+stabilizer row is an integer. One table of monomial index triples drives
+monomial values at a point and each plane's block of the restriction.
+Dimensions are exact ranks from linalg's integer elimination,
+cross-checked by an evaluation oracle at the 10 lattice points of each
+plane, which span the same rows as the restriction. Everything about
+planes 1-3 is computed once, at import: their restriction blocks, their
+pairwise profiles, and the echelon of their restriction, oracle and
+stabilizer rows, over which each count eliminates only plane 4's rows
+(linalg.rank_over). Planes 1-3 are coordinate planes, so that echelon's
+restriction rows are unit rows: every cubic through them is 0 at those 22
+pinned columns, and a seeded cubic is read off plane 4's echelon with the
+pinned columns set to 0. The replay reads it off the echelon of all 40
+restriction rows.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import lcm
 
 from .arith import SplitMix64
 from .lattices import GramMatrix5, gram_M, voisin_value
@@ -67,10 +67,18 @@ assert len(PARAM_MONOMIALS) == 10
 
 @dataclass(frozen=True)
 class PlaneConfig:
+    """Four planes, each an ideal of three linear forms and a basis of
+    three vectors. Planes 1-3 are always _FIXED_IDEALS and _FIXED_BASES;
+    plane 4 is free, degenerate bases included."""
+
     a: Fraction
     b: Fraction
     ideals: tuple  # four triples of 6-coefficient integer linear forms
     bases: tuple  # four triples of integer kernel basis vectors
+
+    def __post_init__(self):
+        if self.ideals[:3] != _FIXED_IDEALS or self.bases[:3] != _FIXED_BASES:
+            raise ValueError("planes 1-3 must be the fixed coordinate planes")
 
 
 @dataclass(frozen=True)
@@ -99,27 +107,23 @@ _FIXED_BASES = tuple(tuple(tuple(int(i == c) for i in range(NUM_VARS)) for c in 
 
 
 def standard_config(a, b) -> PlaneConfig:
-    """The canonical four planes. Each basis is its ideal's kernel, one
-    kernel_vector per free column set to 1, in closed form, times the lcm
-    of its denominators: a constant factor on the plane's rows, so no
-    rank, kernel or projective oracle point changes."""
+    """The canonical four planes. Plane 4 is {(x, y, z, az, by, 0)}, and
+    its basis is that chart's with the denominators cleared: e_x,
+    den(b)*e_y + num(b)*e_v and den(a)*e_z + num(a)*e_u, integer for every
+    a and b, 0 included."""
     a = Fraction(a)
     b = Fraction(b)
-    ideals = (
-        *_FIXED_IDEALS,
-        (
-            _form((4, b.denominator), (1, -b.numerator)),
-            _form((3, a.denominator), (2, -a.numerator)),
-            _form((5, 1)),
-        ),
+    ideal = (
+        _form((4, b.denominator), (1, -b.numerator)),
+        _form((3, a.denominator), (2, -a.numerator)),
+        _form((5, 1)),
     )
-    # plane 4 by free column: x; u with z = u/a, or z if a = 0 (u - a*z);
-    # v with y = v/b, or y if b = 0 (v - b*y); s clears the 1/a and 1/b
-    s = lcm(a.numerator or 1, b.numerator or 1)
-    ua = (3, (0, 0, s // a.numerator * a.denominator, s, 0, 0)) if a else (2, (0, 0, s, 0, 0, 0))
-    vb = (4, (0, s // b.numerator * b.denominator, 0, 0, s, 0)) if b else (1, (0, s, 0, 0, 0, 0))
-    fourth = tuple(vec for _, vec in sorted([(0, (s, 0, 0, 0, 0, 0)), ua, vb]))
-    return PlaneConfig(a, b, ideals, (*_FIXED_BASES, fourth))
+    basis = (
+        _form((0, 1)),
+        _form((1, b.denominator), (4, b.numerator)),
+        _form((2, a.denominator), (3, a.numerator)),
+    )
+    return PlaneConfig(a, b, (*_FIXED_IDEALS, ideal), (*_FIXED_BASES, basis))
 
 
 def intersection_profile(config: PlaneConfig, i: int, j: int) -> str:
@@ -138,16 +142,23 @@ def intersection_profile(config: PlaneConfig, i: int, j: int) -> str:
 
 _REQUIRED_PROFILE = {(1, 2): "line", (1, 3): "line", (1, 4): "empty", (2, 3): "point"}
 
+# the pairs among planes 1-3 depend on no parameter: ranked once, at import
+_FIXED_PROFILES = {pair: intersection_profile(standard_config(0, 0), *pair)
+                   for pair in ((1, 2), (1, 3), (2, 3))}
+if any(got != _REQUIRED_PROFILE[pair] for pair, got in _FIXED_PROFILES.items()):
+    raise AssertionError("planes 1-3 do not meet as _REQUIRED_PROFILE says")
+
 
 def _profiles(config: PlaneConfig) -> dict:
-    """The profile of each plane pair, each ranked once: the four pairs of
-    _REQUIRED_PROFILE, checked in turn, then (2,4) and (3,4), neither a line."""
-    profiles = {}
-    for (i, j), expected in (*_REQUIRED_PROFILE.items(), ((2, 4), None), ((3, 4), None)):
-        got = profiles[i, j] = intersection_profile(config, i, j)
-        if expected and got != expected:
-            raise ValueError(f"profile violation: planes ({i},{j}) meet in a {got}, "
-                             f"expected {expected}")
+    """The profile of each plane pair: those among planes 1-3 from import,
+    then (1,4), (2,4) and (3,4), each ranked once. (1,4) must be empty,
+    and neither (2,4) nor (3,4) a line."""
+    profiles = dict(_FIXED_PROFILES)
+    got = profiles[1, 4] = intersection_profile(config, 1, 4)
+    if got != "empty":
+        raise ValueError(f"profile violation: planes (1,4) meet in a {got}, expected empty")
+    for i in (2, 3):
+        profiles[i, 4] = intersection_profile(config, i, 4)
     if "line" in (profiles[2, 4], profiles[3, 4]):
         raise ValueError("planes P2/P3 may not meet P4 in a line")
     return profiles
@@ -227,53 +238,35 @@ def _stabilizer_rows(plane) -> list:
 
 
 # the blocks of planes 1-3 depend on no parameter: built once, rows immutable
-_FIXED_BLOCKS = {basis: _plane_block(basis) for basis in _FIXED_BASES}
+_FIXED_BLOCKS = tuple(map(_plane_block, _FIXED_BASES))
 
-
-def _block(basis) -> list:
-    return _FIXED_BLOCKS.get(basis) or _plane_block(basis)
-
-
-def _prefix(rows_of, planes) -> tuple:
-    """Integer echelon of the rows of planes 1-3, rows_of giving one plane's.
-    Reduced: a pivot row zero at the other pivots leaves rank_over fewer
-    steps."""
-    return echelon([row for plane in planes[:3] for row in rows_of(plane)])
-
-
-# planes 1-3 eliminated once for each count: restriction, oracle, stabilizer
+# planes 1-3 eliminated once for each count: restriction, oracle, stabilizer;
+# reduced, since a pivot row zero at the other pivots leaves rank_over fewer steps
 _FIXED_PLANES = {
-    rows_of: (planes, _prefix(rows_of, planes))
-    for rows_of, planes in ((_block, _FIXED_BASES), (_oracle_rows, _FIXED_BASES),
+    rows_of: echelon([row for plane in planes for row in rows_of(plane)])
+    for rows_of, planes in ((_plane_block, _FIXED_BASES), (_oracle_rows, _FIXED_BASES),
                             (_stabilizer_rows, tuple(zip(_FIXED_IDEALS, _FIXED_BASES))))
 }
 
 
 # planes 1-3 are coordinate planes: each restriction row of their echelon
 # has one nonzero entry, so a cubic through them is 0 at its pivot column
-_PINNED = frozenset(_FIXED_PLANES[_block][1][1])
-if any(len(row) - row.count(0) != 1 for row in _FIXED_PLANES[_block][1][0]):
+_PINNED = frozenset(_FIXED_PLANES[_plane_block][1])
+if any(len(row) - row.count(0) != 1 for row in _FIXED_PLANES[_plane_block][0]):
     raise AssertionError("a restriction row of planes 1-3 is not a unit row")
 
 
-def _rank_of_planes(rows_of, planes) -> int:
-    """Rank of the rows of all four planes. Planes 1-3 of standard_config
-    reuse their echelon from import; any others are eliminated here, so
-    every rank stays exact."""
-    fixed, prefix = _FIXED_PLANES[rows_of]
-    if tuple(planes[:3]) != fixed:
-        prefix = _prefix(rows_of, planes)
-    return rank_over(prefix, rows_of(planes[3]))
-
-
-def _vanishes_on(coeffs, basis) -> bool:
-    """Whether integer cubic coefficients restrict to 0 on the plane."""
-    return not any(sum(c * x for c, x in zip(coeffs, row) if c) for row in _block(basis))
+def _rank_of_planes(rows_of, plane) -> int:
+    """Rank of the rows of all four planes, rows_of giving one plane's:
+    plane 4's rows over the echelon of planes 1-3 stored at import."""
+    return rank_over(_FIXED_PLANES[rows_of], rows_of(plane))
 
 
 def restriction_matrix(config: PlaneConfig) -> list:
-    """40x56 map from cubic coefficients to their four plane restrictions."""
-    return [list(row) for basis in config.bases for row in _block(basis)]
+    """40x56 map from cubic coefficients to their four plane restrictions:
+    planes 1-3's blocks from import, plane 4's built here."""
+    return [list(row) for block in (*_FIXED_BLOCKS, _plane_block(config.bases[3]))
+            for row in block]
 
 
 def cubics_through(config: PlaneConfig) -> list[CubicPoly]:
@@ -287,7 +280,7 @@ def cubics_through(config: PlaneConfig) -> list[CubicPoly]:
 def linear_system_dim(config: PlaneConfig) -> int:
     """Projective dimension: basis size minus one. The basis of
     cubics_through has one kernel_vector per free column."""
-    return 56 - _rank_of_planes(_block, config.bases) - 1
+    return 56 - _rank_of_planes(_plane_block, config.bases[3]) - 1
 
 
 def linear_system_dim_by_evaluation(config: PlaneConfig) -> int:
@@ -301,7 +294,7 @@ def linear_system_dim_by_evaluation(config: PlaneConfig) -> int:
     count is therefore exact, and the plane bases are integers, so every
     point and every row is too.
     """
-    return 56 - _rank_of_planes(_oracle_rows, config.bases) - 1
+    return 56 - _rank_of_planes(_oracle_rows, config.bases[3]) - 1
 
 
 def stabilizer_dim(config: PlaneConfig) -> tuple[int, int]:
@@ -312,7 +305,7 @@ def stabilizer_dim(config: PlaneConfig) -> tuple[int, int]:
     kill the image of the basis vector: the row is the outer product of the
     generator and the basis vector.
     """
-    stab = 36 - _rank_of_planes(_stabilizer_rows, tuple(zip(config.ideals, config.bases)))
+    stab = 36 - _rank_of_planes(_stabilizer_rows, (config.ideals[3], config.bases[3]))
     return (stab, 36 - stab)
 
 
@@ -330,12 +323,11 @@ def _seeded_cubic(rows, pivots, seed: int, pinned=frozenset()) -> CubicPoly:
 
 def _masked_echelon(basis) -> tuple:
     """Echelon of the plane's restriction block with the _PINNED columns
-    set to 0. Over the fixed planes 1-3, whose echelon is the unit rows at
-    _PINNED, these are the 40-row echelon's rows at its other pivots, up
-    to a factor."""
+    set to 0. Planes 1-3's echelon is the unit rows at _PINNED, so these
+    are the 40-row echelon's rows at its other pivots, up to a factor."""
     pinned = _PINNED
     return echelon([[0 if c in pinned else x for c, x in enumerate(row)]
-                    for row in _block(basis)])
+                    for row in _plane_block(basis)])
 
 
 def random_cubic(config: PlaneConfig, seed: int) -> CubicPoly:
@@ -343,13 +335,11 @@ def random_cubic(config: PlaneConfig, seed: int) -> CubicPoly:
 
     The weights are drawn in ascending free-column order, one per
     cubics_through vector, and read off by linalg.kernel_vector: the free
-    coefficients are the weights. With the fixed planes 1-3, the echelon
+    coefficients are the weights. The echelon of all 40 restriction rows
     is plane 4's masked rows plus the unit rows at _PINNED, where the
-    cubic is 0; any other planes 1-3 have all 40 rows eliminated."""
-    if tuple(config.bases[:3]) == _FIXED_BASES:
-        rows, pivots = _masked_echelon(config.bases[3])
-        return _seeded_cubic(rows, pivots, seed, _PINNED)
-    return _seeded_cubic(*echelon(restriction_matrix(config)), seed)
+    cubic is 0, so only plane 4's rows are eliminated."""
+    rows, pivots = _masked_echelon(config.bases[3])
+    return _seeded_cubic(rows, pivots, seed, _PINNED)
 
 
 def dims_report(config: PlaneConfig) -> dict:
@@ -421,7 +411,8 @@ def verify_cubic_dict(d: dict) -> bool:
         cubic, config, seed = cubic_from_dict(d)
     except (KeyError, ValueError, TypeError, ZeroDivisionError):
         return False
-    if _seeded_cubic(*echelon(restriction_matrix(config)), seed).coeffs != cubic.coeffs:
+    matrix = restriction_matrix(config)
+    if _seeded_cubic(*echelon(matrix), seed).coeffs != cubic.coeffs:
         return False
     coeffs = clear_denominators(cubic.coeffs)
-    return all(_vanishes_on(coeffs, basis) for basis in config.bases)
+    return not any(sum(c * x for c, x in zip(coeffs, row) if c) for row in matrix)

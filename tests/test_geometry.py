@@ -3,9 +3,9 @@
 Frozen dimensions below were computed by two independent exact methods
 (restriction-matrix kernel and evaluation at the 10 lattice points of each
 plane) which the report requires to agree. Formula comparison flags are recorded output, checked
-for internal consistency only. The integer restriction (plane bases scaled
-to integers, one factor per plane) is checked against a Fraction expansion
-over the unscaled kernel bases.
+for internal consistency only. Each plane's integer restriction block is
+checked against a Fraction expansion over its basis, and the restriction's
+row space against one over sympy's kernel bases of the ideals.
 """
 
 import hashlib
@@ -120,9 +120,11 @@ def test_profile_rejects_bad_indices(configs):
 
 def test_profile_rejects_coinciding_planes(configs):
     cfg = configs[(1, 1)]
-    twin = PlaneConfig(cfg.a, cfg.b, (cfg.ideals[0],) * 2 + cfg.ideals[2:], cfg.bases)
+    # plane 4 equal to plane 1
+    ideals, bases = cfg.ideals[:3] + cfg.ideals[:1], cfg.bases[:3] + cfg.bases[:1]
+    twin = PlaneConfig(cfg.a, cfg.b, ideals, bases)
     with pytest.raises(ValueError, match="planes coincide"):
-        intersection_profile(twin, 1, 2)
+        intersection_profile(twin, 1, 4)
     with pytest.raises(ValueError, match="planes coincide"):
         gram_from_geometry(twin)
 
@@ -154,6 +156,23 @@ def test_alpha_beta_rejects_base_profile_violations(configs):
         gram_from_geometry(broken)
 
 
+def test_profile_violation_at_1_4_is_raised_before_2_4_is_ranked(configs, monkeypatch):
+    # plane 4 equal to plane 2 meets plane 1 in a line: that is the error,
+    # not the coinciding planes (2,4), which are never ranked
+    cfg = configs[(1, 1)]
+    ideals, bases = cfg.ideals[:3] + cfg.ideals[1:2], cfg.bases[:3] + cfg.bases[1:2]
+    twin = PlaneConfig(cfg.a, cfg.b, ideals, bases)
+    calls = []
+    real = geometry.intersection_profile
+    monkeypatch.setattr(geometry, "intersection_profile",
+                        lambda cfg, i, j: calls.append((i, j)) or real(cfg, i, j))
+    for call in (alpha_beta, gram_from_geometry):
+        calls.clear()
+        with pytest.raises(ValueError, match=r"profile violation: planes \(1,4\) meet in a line"):
+            call(twin)
+        assert calls == [(1, 4)]
+
+
 def test_alpha_beta_rejects_a_fourth_plane_meeting_p2_in_a_line(configs, monkeypatch):
     # no four planes reach this: with P1 meeting P2 in a line, a line of P4
     # in P2 would meet that line, and so P1; a stand-in profile reaches it
@@ -173,7 +192,8 @@ def test_each_plane_pair_is_ranked_once(configs, monkeypatch):
     for cfg in configs.values():
         calls.clear()
         gram_from_geometry(cfg)
-        assert calls == [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+        # the pairs among planes 1-3 were ranked once, at import
+        assert calls == [(1, 4), (2, 4), (3, 4)]
 
 
 def test_fourth_plane_basis_at_generic_parameters(configs):
@@ -315,18 +335,8 @@ def _nullspace(rows):
 
 
 def _fraction_bases(cfg):
-    """The kernel bases of the plane ideals, before any scaling."""
+    """sympy's kernel bases of the plane ideals, Fraction entries."""
     return [_nullspace([list(f) for f in ideal]) for ideal in cfg.ideals]
-
-
-def _scaled_bases_reference(cfg):
-    """Each plane's kernel basis times the lcm of its denominators: the
-    bases standard_config writes down in closed form."""
-    bases = []
-    for basis in _fraction_bases(cfg):
-        scale = lcm(*[x.denominator for vec in basis for x in vec])
-        bases.append(tuple(tuple(int(x * scale) for x in vec) for vec in basis))
-    return tuple(bases)
 
 
 def _block_reference(basis):
@@ -334,8 +344,8 @@ def _block_reference(basis):
     return [[col.get(pm, Fraction(0)) for col in columns] for pm in PARAM_MONOMIALS]
 
 
-def _restriction_matrix_reference(cfg):
-    return [row for basis in _fraction_bases(cfg) for row in _block_reference(basis)]
+def _restriction_matrix_reference(bases):
+    return [row for basis in bases for row in _block_reference(basis)]
 
 
 def _restrict_reference(coeffs, basis):
@@ -372,9 +382,13 @@ _PAIR30 = (
 @example(Fraction(2**61 - 1), Fraction(0))
 @example(Fraction(2**61 - 1), Fraction(-(2**61 - 1), 3))
 def test_closed_form_bases_are_the_scaled_kernel_bases(a, b):
+    # each basis spans its ideal's kernel: the ideal has rank 3, kills every
+    # basis vector, and the basis has rank 3
     cfg = standard_config(a, b)
-    assert cfg.bases == _scaled_bases_reference(cfg)
-    assert all(type(x) is int for basis in cfg.bases for vec in basis for x in vec)
+    for ideal, basis in zip(cfg.ideals, cfg.bases):
+        assert all(sum(f * x for f, x in zip(form, vec)) == 0 for form in ideal for vec in basis)
+        assert rank([list(f) for f in ideal]) == rank([list(v) for v in basis]) == 3
+        assert all(type(x) is int for vec in basis for x in vec)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -393,15 +407,11 @@ def test_closed_form_bases_are_the_scaled_kernel_bases(a, b):
 )
 def test_integer_restriction_matches_fraction_reference(a, b, seed, monomial, t):
     cfg = standard_config(a, b)
-    fraction_bases = _fraction_bases(cfg)
-    # one integer scale per plane: the lcm of the kernel's denominators
-    scales = [lcm(*(x.denominator for vec in fr for x in vec)) for fr in fraction_bases]
-    for basis, fractional, scale in zip(cfg.bases, fraction_bases, scales):
-        assert all(type(x) is int for vec in basis for x in vec)
-        assert [list(vec) for vec in basis] == [[scale * x for x in vec] for vec in fractional]
-
-    reference = _restriction_matrix_reference(cfg)
     matrix = restriction_matrix(cfg)
+    assert all(type(x) is int for row in matrix for x in row)
+    assert matrix == _restriction_matrix_reference(cfg.bases)
+    # the row space, and so the kernel, is that over sympy's kernel bases
+    reference = _restriction_matrix_reference(_fraction_bases(cfg))
     assert rref(matrix) == rref(reference)
     kernel = cubics_through(cfg)
     assert [list(c.coeffs) for c in kernel] == _nullspace(reference)
@@ -411,11 +421,9 @@ def test_integer_restriction_matches_fraction_reference(a, b, seed, monomial, t)
     coeffs = list(random_cubic(cfg, seed).coeffs)
     coeffs[MONOMIALS.index(monomial)] += t
     for cubic in [*kernel, CubicPoly(tuple(coeffs))]:
-        for i, (fractional, scale) in enumerate(zip(fraction_bases, scales), start=1):
-            want = _restrict_reference(cubic.coeffs, fractional)
-            # a cubic on the basis scaled by s is s^3 times the cubic on the basis
-            assert _on_plane(matrix, i, cubic.coeffs) == [
-                scale**3 * want.get(e, 0) for e in PARAM_MONOMIALS]
+        for i, basis in enumerate(cfg.bases, start=1):
+            want = _restrict_reference(cubic.coeffs, basis)
+            assert _on_plane(matrix, i, cubic.coeffs) == [want.get(e, 0) for e in PARAM_MONOMIALS]
 
 
 def _monomial_values_reference(point):
@@ -463,9 +471,7 @@ def test_plane_by_plane_oracle_on_rank_deficient_planes(configs):
     zero = (0,) * 6
     for bases in [
         (p1, p2, p3, (p4[0], p4[0], p4[2])),  # plane 4 a line: block rank 4
-        ((p1[0], p1[1], p1[1]), p2, p3, p4),  # plane 1 off the fixed blocks
-        (p1, (p2[2], zero, p2[2]), p3, p4),  # plane 2 a point: block rank 1
-        (p1, p2, p3, (zero, zero, zero)),
+        (p1, p2, p3, (zero, zero, zero)),  # plane 4 zero: block rank 0
     ]:
         twin = PlaneConfig(cfg.a, cfg.b, cfg.ideals, bases)
         matrix = restriction_matrix(twin)
@@ -499,7 +505,7 @@ def test_stabilizer_is_the_rank_of_all_36_rows(a, b):
 
 
 def _twins(cfg):
-    """Configurations whose planes 1-3 are not written as standard_config
+    """(ideals, bases) whose planes 1-3 are not written as standard_config
     writes them: same planes in other coordinates, other planes, Fraction
     entries, degenerate bases."""
     (i1, i2, i3, i4), (p1, p2, p3, p4) = cfg.ideals, cfg.bases
@@ -518,21 +524,6 @@ def _twins(cfg):
     ]
 
 
-@pytest.mark.parametrize("pair", [(0, 0), (Fraction(-4, 9), Fraction(-6, 5)), _PAIR30])
-def test_counts_off_the_fixed_planes_are_the_ranks_of_all_rows(pair):
-    cfg = standard_config(*pair)
-    for ideals, bases in _twins(cfg):
-        assert (ideals[:3], bases[:3]) != (cfg.ideals[:3], cfg.bases[:3])
-        twin = PlaneConfig(cfg.a, cfg.b, ideals, bases)
-        stab = 36 - rank(_stabilizer_rows_reference(twin))
-        assert stabilizer_dim(twin) == (stab, 36 - stab)
-        matrix = [row for basis in bases for row in _block_reference(basis)]
-        fiber = 56 - rank(matrix) - 1
-        assert linear_system_dim(twin) == fiber
-        oracle = 56 - rank(_oracle_rows_reference(twin)) - 1
-        assert linear_system_dim_by_evaluation(twin) == oracle == fiber
-
-
 # --- seeded cubics: plane 4's masked rows against all 40 rows ---
 
 
@@ -546,7 +537,7 @@ def _random_cubic_reference(cfg, seed):
 
 
 def test_fixed_restriction_rows_are_unit_rows_at_the_pinned_monomials():
-    rows, pivots = geometry._FIXED_PLANES[geometry._block][1]
+    rows, pivots = geometry._FIXED_PLANES[geometry._plane_block]
     assert len(rows) == 22
     assert all(len(row) - row.count(0) == 1 for row in rows)
     # planes 1-3 are the coordinate planes on {u,v,w}, {z,v,w} and {y,u,w}:
@@ -573,22 +564,25 @@ def test_random_cubic_is_read_off_all_40_rows(a, b, seed):
 
 
 @pytest.mark.parametrize("pair", [(0, 0), (Fraction(-4, 9), Fraction(-6, 5)), _PAIR30])
-def test_random_cubic_on_twins_is_read_off_all_40_rows(pair, monkeypatch):
+def test_counts_off_the_fixed_planes_are_the_ranks_of_all_rows(pair):
+    # PlaneConfig refuses planes 1-3 other than the fixed ones; it accepts
+    # a degenerate plane 4, whose counts and seeded cubic are those of all rows
     cfg = standard_config(*pair)
+    for ideals, bases in _twins(cfg):
+        assert (ideals[:3], bases[:3]) != (cfg.ideals[:3], cfg.bases[:3])
+        with pytest.raises(ValueError, match="planes 1-3 must be the fixed coordinate planes"):
+            PlaneConfig(cfg.a, cfg.b, ideals, bases)
     p1, p2, p3, p4 = cfg.bases
     zero = (0,) * 6
-    masked = []
-    real = geometry._masked_echelon
-    monkeypatch.setattr(geometry, "_masked_echelon",
-                        lambda basis: masked.append(basis) or real(basis))
-    # the twins, and plane 4 degenerate over the fixed planes 1-3
-    bases = [bases for _, bases in _twins(cfg)]
-    bases += [(p1, p2, p3, (p4[0], p4[0], p4[2])), (p1, p2, p3, (zero, zero, zero))]
-    for n, planes in enumerate(bases):
-        twin = PlaneConfig(cfg.a, cfg.b, cfg.ideals, planes)
-        masked.clear()
+    for n, fourth in enumerate([(p4[0], p4[0], p4[2]), (zero, zero, zero)]):
+        twin = PlaneConfig(cfg.a, cfg.b, cfg.ideals, (p1, p2, p3, fourth))
+        stab = 36 - rank(_stabilizer_rows_reference(twin))
+        assert stabilizer_dim(twin) == (stab, 36 - stab)
+        fiber = 56 - rank(_restriction_matrix_reference(twin.bases)) - 1
+        assert linear_system_dim(twin) == fiber
+        oracle = 56 - rank(_oracle_rows_reference(twin)) - 1
+        assert linear_system_dim_by_evaluation(twin) == oracle == fiber
         assert random_cubic(twin, n) == _random_cubic_reference(twin, n)
-        assert masked == ([planes[3]] if planes[:3] == cfg.bases[:3] else [])
 
 
 @pytest.mark.parametrize("pair", PAIRS)
@@ -653,7 +647,7 @@ def test_restriction_matrix_rows_are_fresh_lists(configs):
     assert all(type(row) is list for row in matrix)
     for row in matrix:
         row[:] = [7] * 56
-    assert restriction_matrix(cfg) == _restriction_matrix_reference(cfg)
+    assert restriction_matrix(cfg) == _restriction_matrix_reference(cfg.bases)
 
 
 _COORDINATES = st.one_of(
@@ -683,13 +677,8 @@ def test_rank_index_triple_and_block_identities(a, b, point, seed):
     assert dims_report(cfg)["basis_size"] == len(kernel)
     assert _monomial_values(point) == _monomial_values_reference(point)
 
-    # plane p's block is its Fraction expansion times scale_p^3
-    scales = [lcm(*(x.denominator for vec in fr for x in vec)) for fr in _fraction_bases(cfg)]
-    reference = _restriction_matrix_reference(cfg)
-    assert restriction_matrix(cfg) == [
-        [scales[n // len(PARAM_MONOMIALS)] ** 3 * x for x in row]
-        for n, row in enumerate(reference)
-    ]
+    # each plane's block is the Fraction expansion over its basis
+    assert restriction_matrix(cfg) == _restriction_matrix_reference(cfg.bases)
 
     # the integer-echelon cubic is the weighted sum of the kernel vectors
     rng = SplitMix64(seed)
@@ -744,6 +733,8 @@ def test_dims_report_frozen(configs, pair):
             Fraction(-314159265358979323846264338327, 271828182845904523536028747135),
             (0, 0),
         ),
+        # numerators and denominators of 3800 to 4200 digits
+        (Fraction(10**4200 + 7, 3**8000), Fraction(-(10**4199 + 9), 7**4900), (0, 0)),
     ],
 )
 def test_dims_report_large_parameters(a, b, alpha_beta_pair):
@@ -752,6 +743,25 @@ def test_dims_report_large_parameters(a, b, alpha_beta_pair):
     assert (report["alpha"], report["beta"]) == (alpha, beta)
     assert report["methods_agree"] is True
     assert report["fiber_dim"] == report["fiber_dim_eval"] == 23 + alpha + beta
+    assert report["total"] == 51
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(_PARAMETERS, _PARAMETERS)
+@example(Fraction(0), Fraction(0))
+@example(*_PAIR30)
+@example(Fraction(2**61 - 1), Fraction(0))
+@example(Fraction(0), Fraction(-(2**61 - 1), 3))
+def test_counts_in_the_chart_for_every_parameter(a, b):
+    # plane 4 is {(x, y, z, az, by, 0)}: each monomial restricts to one term
+    # of its block, and a != 0, b != 0 each cost one cubic and one symmetry
+    cfg = standard_config(a, b)
+    block = restriction_matrix(cfg)[30:]
+    assert all(len(column) - column.count(0) <= 1 for column in zip(*block))
+    report = dims_report(cfg)
+    nonzero = (a != 0) + (b != 0)
+    assert report["fiber_dim"] == report["fiber_dim_eval"] == 25 - nonzero
+    assert report["stab_dim"] == 10 - nonzero
     assert report["total"] == 51
 
 
