@@ -566,7 +566,7 @@ def test_random_cubic_is_read_off_all_40_rows(a, b, seed):
 @pytest.mark.parametrize("pair", [(0, 0), (Fraction(-4, 9), Fraction(-6, 5)), _PAIR30])
 def test_counts_off_the_fixed_planes_are_the_ranks_of_all_rows(pair):
     # PlaneConfig refuses planes 1-3 other than the fixed ones; it accepts
-    # a degenerate plane 4, whose counts and seeded cubic are those of all rows
+    # a degenerate plane 4, whose counts are the ranks of all rows
     cfg = standard_config(*pair)
     for ideals, bases in _twins(cfg):
         assert (ideals[:3], bases[:3]) != (cfg.ideals[:3], cfg.bases[:3])
@@ -574,7 +574,7 @@ def test_counts_off_the_fixed_planes_are_the_ranks_of_all_rows(pair):
             PlaneConfig(cfg.a, cfg.b, ideals, bases)
     p1, p2, p3, p4 = cfg.bases
     zero = (0,) * 6
-    for n, fourth in enumerate([(p4[0], p4[0], p4[2]), (zero, zero, zero)]):
+    for fourth in [(p4[0], p4[0], p4[2]), (zero, zero, zero)]:
         twin = PlaneConfig(cfg.a, cfg.b, cfg.ideals, (p1, p2, p3, fourth))
         stab = 36 - rank(_stabilizer_rows_reference(twin))
         assert stabilizer_dim(twin) == (stab, 36 - stab)
@@ -582,7 +582,24 @@ def test_counts_off_the_fixed_planes_are_the_ranks_of_all_rows(pair):
         assert linear_system_dim(twin) == fiber
         oracle = 56 - rank(_oracle_rows_reference(twin)) - 1
         assert linear_system_dim_by_evaluation(twin) == oracle == fiber
+
+
+@pytest.mark.parametrize("pair", [(0, 0), (Fraction(-4, 9), Fraction(-6, 5)), _PAIR30])
+def test_random_cubic_on_twins_is_read_off_all_40_rows(pair, monkeypatch):
+    # the twins that change planes 1-3 are refused by PlaneConfig; over the
+    # fixed planes 1-3, a degenerate plane 4 is read off its masked rows
+    cfg = standard_config(*pair)
+    p1, p2, p3, p4 = cfg.bases
+    zero = (0,) * 6
+    masked = []
+    real = geometry._masked_echelon
+    monkeypatch.setattr(geometry, "_masked_echelon",
+                        lambda basis: masked.append(basis) or real(basis))
+    for n, fourth in enumerate([(p4[0], p4[0], p4[2]), (zero, zero, zero)]):
+        twin = PlaneConfig(cfg.a, cfg.b, cfg.ideals, (p1, p2, p3, fourth))
+        masked.clear()
         assert random_cubic(twin, n) == _random_cubic_reference(twin, n)
+        assert masked == [fourth]
 
 
 @pytest.mark.parametrize("pair", PAIRS)
