@@ -1,6 +1,6 @@
 """Integer arithmetic helpers: primality, factorization, the Jacobi symbol,
-integer square roots, and the deterministic splitmix64 generator used for
-seeded randomized checks.
+integer square roots, the splitmix64 generator used for seeded randomized
+checks, and parse_int, the strict decoder of a certificate's ints.
 
 Everything here is exact. No floats anywhere.
 """
@@ -198,6 +198,17 @@ def is_square(n: int) -> bool:
         return False
     r = isqrt(n)
     return r * r == n
+
+
+def parse_int(text: str) -> int:
+    """Only the spelling str(int) writes: no "+", leading zero, "-0",
+    whitespace, underscore, JSON number or bool. int() refuses more than
+    4300 digits."""
+    if isinstance(text, str):
+        n = int(text)
+        if str(n) == text:
+            return n
+    raise ValueError(f"not a decimal integer as str(int) writes it: {text!r:.60}")
 
 
 _M64 = (1 << 64) - 1

@@ -19,8 +19,13 @@ _FORM_FLAGS = {"q3": "Q3", "g": "G"}
 
 
 def _fraction(text: str) -> Fraction:
-    try:  # a ValueError is argparse's own "invalid _fraction value" (exit 2)
-        return geometry.parse_rational(text)
+    # any spelling Fraction reads but exponents, since "1e100000" would stand
+    # for a 100001-digit parameter; a ValueError is argparse's own "invalid
+    # _fraction value" (exit 2)
+    if "e" in text.lower():
+        raise ValueError("exponent notation is not accepted")
+    try:
+        return Fraction(text)
     except ZeroDivisionError:
         raise argparse.ArgumentTypeError("zero denominator") from None
 

@@ -17,13 +17,14 @@ Dimensions are exact ranks from linalg's integer elimination,
 cross-checked by an evaluation oracle at the 10 lattice points of each
 plane, which span the same rows as the restriction. Everything about
 planes 1-3 is computed once, at import: their restriction blocks, their
-pairwise profiles, and the echelon of their restriction, oracle and
-stabilizer rows, over which each count eliminates only plane 4's rows
-(linalg.rank_over). Planes 1-3 are coordinate planes, so that echelon's
-restriction rows are unit rows: every cubic through them is 0 at those 22
-pinned columns, and a seeded cubic is read off plane 4's echelon with the
-pinned columns set to 0. The replay reads it off the echelon of all 40
-restriction rows.
+pairwise profiles, and for each count the pivot columns of the echelon of
+their restriction, oracle or stabilizer rows. Planes 1-3 are coordinate
+planes, so each of those echelons is unit rows (checked at import), and a
+count is the number of its pinned columns plus the rank of plane 4's rows
+with those columns deleted. Every cubic through planes 1-3 is 0 at the 22
+pinned restriction columns, and a seeded cubic is read off plane 4's
+echelon with those columns set to 0. The replay reads it off the echelon
+of all 40 restriction rows.
 """
 
 from __future__ import annotations
@@ -31,10 +32,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import itemgetter
 
-from .arith import SplitMix64
+from .arith import SplitMix64, parse_int
 from .lattices import GramMatrix5, gram_M, voisin_value
-from .linalg import clear_denominators, echelon, kernel_vector, rank, rank_over
+from .linalg import clear_denominators, echelon, kernel_vector, rank
 
 NUM_VARS = 6
 DEGREE = 3
@@ -240,26 +242,38 @@ def _stabilizer_rows(plane) -> list:
 # the blocks of planes 1-3 depend on no parameter: built once, rows immutable
 _FIXED_BLOCKS = tuple(map(_plane_block, _FIXED_BASES))
 
-# planes 1-3 eliminated once for each count: restriction, oracle, stabilizer;
-# reduced, since a pivot row zero at the other pivots leaves rank_over fewer steps
+
+def _fixed_planes(rows_of, planes) -> tuple:
+    """(pinned, unpinned) for one count, rows_of giving one plane's rows:
+    the pivots of the echelon of planes 1-3's rows, which must be unit
+    rows, and a getter of the other columns of a row."""
+    rows, pivots = echelon([row for plane in planes for row in rows_of(plane)])
+    if any(len(row) - row.count(0) != 1 for row in rows):
+        raise AssertionError(f"{rows_of.__name__}: an echelon row of planes 1-3 is not a unit row")
+    pinned = frozenset(pivots)
+    return pinned, itemgetter(*(c for c in range(len(rows[0])) if c not in pinned))
+
+
+# planes 1-3 eliminated once for each count: restriction, oracle, stabilizer
 _FIXED_PLANES = {
-    rows_of: echelon([row for plane in planes for row in rows_of(plane)])
+    rows_of: _fixed_planes(rows_of, planes)
     for rows_of, planes in ((_plane_block, _FIXED_BASES), (_oracle_rows, _FIXED_BASES),
                             (_stabilizer_rows, tuple(zip(_FIXED_IDEALS, _FIXED_BASES))))
 }
 
-
-# planes 1-3 are coordinate planes: each restriction row of their echelon
-# has one nonzero entry, so a cubic through them is 0 at its pivot column
-_PINNED = frozenset(_FIXED_PLANES[_plane_block][1])
-if any(len(row) - row.count(0) != 1 for row in _FIXED_PLANES[_plane_block][0]):
-    raise AssertionError("a restriction row of planes 1-3 is not a unit row")
+# a cubic through planes 1-3 is 0 at these 22 columns, which the oracle rows
+# pin too (the invertible 10x10 of linear_system_dim_by_evaluation)
+_PINNED = _FIXED_PLANES[_plane_block][0]
+if _FIXED_PLANES[_oracle_rows][0] != _PINNED:
+    raise AssertionError("the oracle rows of planes 1-3 do not span their restriction rows")
 
 
 def _rank_of_planes(rows_of, plane) -> int:
     """Rank of the rows of all four planes, rows_of giving one plane's:
-    plane 4's rows over the echelon of planes 1-3 stored at import."""
-    return rank_over(_FIXED_PLANES[rows_of], rows_of(plane))
+    planes 1-3's span the unit vectors at their pinned columns, so plane
+    4's rows add the rank of their other columns, exact over Q."""
+    pinned, unpinned = _FIXED_PLANES[rows_of]
+    return len(pinned) + rank(list(map(unpinned, rows_of(plane))))
 
 
 def restriction_matrix(config: PlaneConfig) -> list:
@@ -386,11 +400,14 @@ def cubic_to_dict(cubic: CubicPoly, config: PlaneConfig, seed: int) -> dict:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Fraction(text) without exponent notation, which would let a few
-    bytes such as "1e100000" stand for a 100001-digit parameter."""
-    if isinstance(text, str) and "e" in text.lower():
-        raise ValueError(f"exponent notation is not accepted: {text!r}")
-    return Fraction(text)
+    """Only the spelling str(Fraction) writes: lowest terms, no "0.0", "-0",
+    "+1" or whitespace. Exponent notation is refused before Fraction sees
+    it, since "1e100000" would stand for a 100001-digit parameter."""
+    if isinstance(text, str) and "e" not in text.lower():
+        value = Fraction(text)
+        if str(value) == text:
+            return value
+    raise ValueError(f"not a rational as str(Fraction) writes it: {text!r:.60}")
 
 
 def cubic_from_dict(d: dict) -> tuple[CubicPoly, PlaneConfig, int]:
@@ -398,7 +415,7 @@ def cubic_from_dict(d: dict) -> tuple[CubicPoly, PlaneConfig, int]:
     cubic = CubicPoly(tuple(map(parse_rational, d["coeffs"])))
     if [list(m) for m in MONOMIALS] != [list(m) for m in d["monomials"]]:
         raise ValueError("monomial order mismatch")
-    return cubic, config, int(d["seed"])
+    return cubic, config, parse_int(d["seed"])
 
 
 def verify_cubic_dict(d: dict) -> bool:

@@ -1,14 +1,12 @@
 """Exact linear algebra over the rationals.
 
 Matrices are lists of rows of ints or Fractions, exact throughout. One
-integer elimination core, echelon, serves rref, rank, rank_over,
-kernel_vector and geometry's dimension counts: it scales each row to
-integers (an all-int row is copied as is), takes as pivot the row with the
-least |entry| in the column, eliminates fraction-free and divides every
-updated row by its content. rref and kernel_vector read their Fractions
-off its rows; rank clears only below each pivot; rank_over takes a stored
-echelon of some rows and eliminates only the rows added to them.
-Determinants use Bareiss elimination.
+integer elimination core, echelon, serves rref, rank, kernel_vector and
+geometry's dimension counts: it scales each row to integers (an all-int
+row is copied as is), takes as pivot the row with the least |entry| in
+the column, eliminates fraction-free and divides every updated row by its
+content. rref and kernel_vector read their Fractions off its rows; rank
+clears only below each pivot. Determinants use Bareiss elimination.
 """
 
 from __future__ import annotations
@@ -81,32 +79,6 @@ def rref(rows) -> tuple[Matrix, list[int]]:
 def rank(rows) -> int:
     """Rank over Q, by forward elimination only."""
     return len(echelon(rows, reduced=False)[1])
-
-
-def rank_over(prefix, rows) -> int:
-    """rank(P + rows), given prefix = echelon(P), eliminating only the rows.
-
-    Each row is cleared at the prefix pivots, fraction-free and in pivot
-    order; a pivot row is zero left of its pivot, so each step keeps the
-    zeros of the earlier ones. The cleared rows are zero at every pivot
-    column, where each nonzero vector of span(P) is not, so their span meets
-    span(P) only in 0 and adds its own rank."""
-    prows, pivots = prefix
-    left = []
-    for row in rows:
-        x = clear_denominators(row)
-        for prow, pc in zip(prows, pivots):
-            f = x[pc]
-            if f:
-                pv = prow[pc]
-                g = gcd(pv, f)
-                s, t = pv // g, f // g
-                x = [s * a - t * b for a, b in zip(x, prow)]
-                g = gcd(*x)
-                if g > 1:
-                    x = [a // g for a in x]
-        left.append(x)
-    return len(pivots) + rank(left)
 
 
 def kernel_vector(rows, pivots, ncols: int, free_values) -> list[Fraction]:

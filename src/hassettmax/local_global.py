@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .arith import factorize, is_prime, jacobi
+from .arith import factorize, is_prime, jacobi, parse_int
 from .qforms import builtin_form, evaluate, flags_to_mask
 
 _G = builtin_form("G")
@@ -422,12 +422,14 @@ def certificate_to_dict(cert: LocalCertificate) -> dict:
 def certificate_from_dict(d: dict) -> LocalCertificate:
     place = d["place"]
     if place != "real":
-        place = int(place)
+        place = parse_int(place)
     witness = d["witness"]
     if witness is not None:
-        witness = tuple(int(x) for x in witness)
+        if not isinstance(witness, list):
+            raise TypeError("a witness is a list of three ints")
+        witness = tuple(map(parse_int, witness))
     return LocalCertificate(
-        int(d["k"]), place, int(d["precision"]), witness, d["verdict"]
+        parse_int(d["k"]), place, parse_int(d["precision"]), witness, d["verdict"]
     )
 
 
@@ -441,7 +443,7 @@ def report_to_dict(report: GlobalSolvabilityReport) -> dict:
 
 def report_from_dict(d: dict) -> GlobalSolvabilityReport:
     return GlobalSolvabilityReport(
-        int(d["k"]),
+        parse_int(d["k"]),
         tuple(certificate_from_dict(c) for c in d["certificates"]),
         d["overall"],
     )

@@ -16,6 +16,7 @@ from hassettmax.arith import (
     factorize,
     is_prime,
     is_square,
+    parse_int,
 )
 from hassettmax.linalg import (
     det_bareiss,
@@ -395,3 +396,21 @@ def test_kernel_vector_reads_off_the_gauss_jordan_kernel(pair, draws, backwards)
     # rows permuted and scaled: the same read-offs
     assert _unit_read_offs(shuffled) == units
     assert kernel_vector(*echelon(shuffled), ncols, weights) == v
+
+
+# --- parse_int: only what str(int) writes ---
+
+
+@pytest.mark.parametrize("n", [0, 7, -7, 10**40, -(10**4299)])
+def test_parse_int_reads_what_str_writes(n):
+    assert parse_int(str(n)) == n
+
+
+@pytest.mark.parametrize("text", [
+    1, 3.9, True, None, ["7"],  # JSON numbers, bools, null, lists
+    " 7\n", "0_7", "07", "0001", "+7", "-0", "", "7.0", "\u0667",
+    "1" * 4301,  # past the 4300-digit limit of int()
+], ids=repr)
+def test_parse_int_refuses_every_other_spelling(text):
+    with pytest.raises(ValueError):
+        parse_int(text)

@@ -429,6 +429,16 @@ def test_geometry_dims_accepts_fractions(capsys):
     assert code == 2 and "invalid" in err
 
 
+def test_geometry_options_take_any_spelling_of_a_rational(capsys, tmp_path):
+    # only payloads are held to str(Fraction)'s spelling; the cubic written
+    # for --a=0.5 --b=-2/4 spells them 1/2 and -1/2, and replays
+    code, payload, _ = run_json(capsys, "geometry", "cubic", "--a=0.5", "--b=-2/4", "--json")
+    assert code == 0 and (payload["a"], payload["b"]) == ("1/2", "-1/2")
+    path = tmp_path / "cubic.json"
+    path.write_text(json.dumps(payload))
+    assert run(capsys, "geometry", "cubic", "--verify-file", str(path))[0] == 0
+
+
 def test_geometry_cubic_round_trip(capsys, tmp_path):
     path = tmp_path / "cubic.json"
     code, out, _ = run(
@@ -533,6 +543,29 @@ def test_verify_file_rejects_malformed_payloads(capsys, tmp_path, command, shape
         code, out, _ = run(capsys, *command.split(), "--verify-file", str(path))
         assert code == 1, bad
         assert ": valid" not in out
+
+
+@pytest.mark.parametrize("command, produce, field, value", [
+    ("geometry cubic", ["--a", "0", "--seed", "1"], ("seed",), 1.7),
+    ("geometry cubic", ["--a", "0", "--seed", "1"], ("a",), "0.0"),
+    ("local certify", ["--k", "7"], ("certificates", 0, "precision"), 3.9),
+], ids=["seed-1.7", "a-0.0", "precision-3.9"])
+def test_verify_file_refuses_noncanonical_spellings(capsys, tmp_path, command, produce,
+                                                    field, value):
+    # each forged field has the value of the honest one, spelled otherwise
+    code, payload, _ = run_json(capsys, *command.split(), *produce, "--json")
+    assert code == 0
+    path = tmp_path / "payload.json"
+    path.write_text(json.dumps(payload))
+    assert run(capsys, *command.split(), "--verify-file", str(path))[0] == 0
+    *parents, key = field
+    node = payload
+    for step in parents:
+        node = node[step]
+    node[key] = value
+    path.write_text(json.dumps(payload))
+    code, out, _ = run(capsys, *command.split(), "--verify-file", str(path))
+    assert code == 1 and ": valid" not in out
 
 
 # --- argparse plumbing ---

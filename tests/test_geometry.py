@@ -36,6 +36,7 @@ from hassettmax.geometry import (
     intersection_profile,
     linear_system_dim,
     linear_system_dim_by_evaluation,
+    parse_rational,
     random_cubic,
     restriction_matrix,
     stabilizer_dim,
@@ -536,8 +537,16 @@ def _random_cubic_reference(cfg, seed):
     return CubicPoly(tuple(kernel_vector(rows, pivots, 56, weights)))
 
 
+def _fixed_rows(rows_of):
+    """The rows of planes 1-3 for one count, rows_of giving one plane's."""
+    planes = geometry._FIXED_BASES
+    if rows_of is geometry._stabilizer_rows:
+        planes = tuple(zip(geometry._FIXED_IDEALS, geometry._FIXED_BASES))
+    return [row for plane in planes for row in rows_of(plane)]
+
+
 def test_fixed_restriction_rows_are_unit_rows_at_the_pinned_monomials():
-    rows, pivots = geometry._FIXED_PLANES[geometry._plane_block]
+    rows, pivots = echelon(_fixed_rows(geometry._plane_block))
     assert len(rows) == 22
     assert all(len(row) - row.count(0) == 1 for row in rows)
     # planes 1-3 are the coordinate planes on {u,v,w}, {z,v,w} and {y,u,w}:
@@ -547,6 +556,57 @@ def test_fixed_restriction_rows_are_unit_rows_at_the_pinned_monomials():
               if any(set(triple) <= plane for plane in free)}
     assert len(pinned) == 22
     assert geometry._PINNED == pinned == set(pivots)
+
+
+def test_each_count_pins_the_unit_rows_of_planes_1_3():
+    # the premise of _rank_of_planes: for each count, the echelon of planes
+    # 1-3's rows is unit rows, so only its pivot set is kept
+    counts = geometry._FIXED_PLANES
+    assert list(counts) == [geometry._plane_block, geometry._oracle_rows,
+                            geometry._stabilizer_rows]
+    for rows_of, (pinned, unpinned) in counts.items():
+        rows, pivots = echelon(_fixed_rows(rows_of))
+        assert all(len(row) - row.count(0) == 1 for row in rows)
+        assert isinstance(pinned, frozenset) and pinned == set(pivots)
+        width = len(rows[0])
+        assert list(unpinned(range(width))) == [c for c in range(width) if c not in pinned]
+    # the oracle rows span the restriction rows: the invertible 10x10
+    assert counts[geometry._oracle_rows][0] == counts[geometry._plane_block][0] == geometry._PINNED
+    assert len(geometry._PINNED) == 22
+    assert len(counts[geometry._stabilizer_rows][0]) == 19
+
+
+def test_fixed_planes_refuse_rows_whose_echelon_is_not_unit_rows():
+    # at b != 0, monomials x^2*y and x^2*v both restrict to x^2*y on plane
+    # 4: its echelon has a row with two nonzeros (at a = b = 0 it is unit rows)
+    for a, b in [(0, 1), (1, 1), _PAIR30]:
+        fourth = standard_config(a, b).bases[3]
+        with pytest.raises(AssertionError, match="not a unit row"):
+            geometry._fixed_planes(geometry._plane_block, (*geometry._FIXED_BASES, fourth))
+
+
+_PLANE_4 = st.sampled_from(["plane", "line", "zero"])
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(_PARAMETERS, _PARAMETERS, _PLANE_4)
+@example(Fraction(0), Fraction(0), "plane")
+@example(Fraction(-3, 7), Fraction(0), "line")
+@example(*_PAIR30, "plane")
+@example(*_PAIR30, "zero")
+@example(Fraction(2**61 - 1), Fraction(0), "line")
+def test_each_count_is_the_rank_of_all_four_planes_rows(a, b, plane_4):
+    # the pinned columns plus plane 4's masked rank against one rank of the
+    # rows of all four planes, for plane 4 a plane, a line or zero
+    cfg = standard_config(a, b)
+    p1, p2, p3, p4 = cfg.bases
+    fourth = {"plane": p4, "line": (p4[0], p4[0], p4[2]), "zero": ((0,) * 6,) * 3}[plane_4]
+    cfg = PlaneConfig(cfg.a, cfg.b, cfg.ideals, (p1, p2, p3, fourth))
+    fiber = 56 - rank(_restriction_matrix_reference(cfg.bases)) - 1
+    assert linear_system_dim(cfg) == fiber
+    assert linear_system_dim_by_evaluation(cfg) == 56 - rank(_oracle_rows_reference(cfg)) - 1
+    stab = 36 - rank(_stabilizer_rows_reference(cfg))
+    assert stabilizer_dim(cfg) == (stab, 36 - stab)
 
 
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
@@ -828,3 +888,39 @@ def test_verify_cubic_dict_rejects_tampering(configs):
     assert not verify_cubic_dict(reordered)
 
     assert not verify_cubic_dict({"a": "1"})
+
+
+@pytest.mark.parametrize("text", ["0", "-1", "2/3", "-7/5", str(Fraction(10**40 + 1, 3))])
+def test_parse_rational_reads_what_str_writes(text):
+    assert str(parse_rational(text)) == text
+
+
+@pytest.mark.parametrize("text", [
+    0, 1.5, True, None,
+    "0.0", " 0 ", "0/5", "-0", "+1", "2/4", "-2/2", "1/-2", "0.5", "1e3", "1E3", "1_0",
+], ids=repr)
+def test_parse_rational_refuses_every_other_spelling(text):
+    with pytest.raises(ValueError):
+        parse_rational(text)
+
+
+def _noncanonical_coefficient(payload):
+    """The first nonzero coefficient p/q written as 2p/2q: "-1" as "-2/2"."""
+    idx, value = next((i, Fraction(c)) for i, c in enumerate(payload["coeffs"]) if c != "0")
+    coeffs = list(payload["coeffs"])
+    coeffs[idx] = f"{2 * value.numerator}/{2 * value.denominator}"
+    return coeffs
+
+
+@pytest.mark.parametrize("field, value", [
+    ("seed", 1.7), ("seed", True), ("seed", 1), ("seed", " 1\n"), ("seed", "0001"),
+    ("a", "0.0"), ("a", " 0 "), ("a", "0/5"), ("a", "-0"), ("a", 0),
+    ("coeffs", _noncanonical_coefficient),
+], ids=lambda x: getattr(x, "__name__", repr(x)))
+def test_verify_cubic_dict_refuses_noncanonical_fields(field, value):
+    # a = 0, seed 1: every forged field has the value of the honest one
+    cfg = standard_config(0, 1)
+    payload = cubic_to_dict(random_cubic(cfg, 1), cfg, 1)
+    assert verify_cubic_dict(payload)
+    forged = dict(payload, **{field: value(payload) if callable(value) else value})
+    assert not verify_cubic_dict(forged)

@@ -655,3 +655,26 @@ def test_report_serialization_round_trip():
     back = report_from_dict(json.loads(blob))
     assert back == report
     assert verify_report(back)
+
+
+@pytest.mark.parametrize("path, value", [
+    (("certificates", 0, "precision"), 3.9),  # a JSON number, once read as 3
+    (("certificates", 1, "precision"), 3),
+    (("certificates", 1, "precision"), "03"),
+    (("k",), " 7\n"),
+    (("k",), "0_7"),
+    (("certificates", 2, "k"), "+7"),
+    (("certificates", 2, "place"), "3.0"),
+    (("certificates", 1, "witness"), [True, True, True]),
+    (("certificates", 1, "witness"), "111"),
+], ids=repr)
+def test_report_from_dict_refuses_noncanonical_ints(path, value):
+    payload = json.loads(json.dumps(report_to_dict(certify_global(7))))
+    assert verify_report(report_from_dict(payload))
+    *parents, key = path
+    node = payload
+    for step in parents:
+        node = node[step]
+    node[key] = value
+    with pytest.raises((ValueError, TypeError)):
+        report_from_dict(payload)
