@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import gcd, prod
 from itertools import product
 
-from .arith import ceil_sqrt, factorize
+from .arith import ceil_sqrt, factorize, parse_int, parse_ints
 from .qforms import (
     QuadraticForm,
     bilinear,
@@ -377,7 +377,7 @@ def _point_to_dict(point: RationalPoint) -> dict:
 
 
 def _point_from_dict(d: dict) -> RationalPoint:
-    return RationalPoint(tuple(int(x) for x in d["v"]), int(d["t"]), int(d["m"]))
+    return RationalPoint(parse_ints(d["v"]), parse_int(d["t"]), parse_int(d["m"]))
 
 
 def _data_to_dict(data: dict) -> dict:
@@ -391,13 +391,8 @@ def _data_to_dict(data: dict) -> dict:
 
 
 def _data_from_dict(d: dict) -> dict:
-    out = {}
-    for key, value in d.items():
-        if isinstance(value, list):
-            out[key] = tuple(int(x) for x in value)
-        else:
-            out[key] = int(value)
-    return out
+    return {key: parse_ints(value) if isinstance(value, list) else parse_int(value)
+            for key, value in d.items()}
 
 
 def trace_to_dict(trace: DescentTrace) -> dict:
@@ -418,15 +413,17 @@ def trace_to_dict(trace: DescentTrace) -> dict:
 
 
 def trace_from_dict(d: dict) -> DescentTrace:
-    steps = tuple(
-        DescentStep(
-            s["kind"],
-            _data_from_dict(s["data"]),
-            _point_from_dict(s["before"]),
-            _point_from_dict(s["after"]),
-        )
-        for s in d["steps"]
-    )
-    return DescentTrace(
-        d["form"], _point_from_dict(d["start"]), steps, _point_from_dict(d["terminal"])
-    )
+    """Every int only as str(int) writes it (arith.parse_int). A step's
+    before written as the point before it (the start, or the previous
+    step's after) is that decoded point, not decoded again; so is a
+    terminal written as the last point."""
+    prev_dict = d["start"]
+    prev = start = _point_from_dict(prev_dict)
+    steps = []
+    for s in d["steps"]:
+        before = prev if s["before"] == prev_dict else _point_from_dict(s["before"])
+        prev_dict = s["after"]
+        prev = _point_from_dict(prev_dict)
+        steps.append(DescentStep(s["kind"], _data_from_dict(s["data"]), before, prev))
+    terminal = prev if d["terminal"] == prev_dict else _point_from_dict(d["terminal"])
+    return DescentTrace(d["form"], start, tuple(steps), terminal)

@@ -1,6 +1,7 @@
 """Integer arithmetic helpers: primality, factorization, the Jacobi symbol,
 integer square roots, the splitmix64 generator used for seeded randomized
-checks, and parse_int, the strict decoder of a certificate's ints.
+checks, and parse_int and parse_ints, the strict decoders of a certificate's
+ints.
 
 Everything here is exact. No floats anywhere.
 """
@@ -209,6 +210,14 @@ def parse_int(text: str) -> int:
         if str(n) == text:
             return n
     raise ValueError(f"not a decimal integer as str(int) writes it: {text!r:.60}")
+
+
+def parse_ints(value: list) -> tuple[int, ...]:
+    """A JSON list of ints, each read by parse_int: a string is refused,
+    not read one character at a time."""
+    if not isinstance(value, list):
+        raise TypeError(f"not a list of ints: {value!r:.60}")
+    return tuple(map(parse_int, value))
 
 
 _M64 = (1 << 64) - 1

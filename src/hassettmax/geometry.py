@@ -23,8 +23,10 @@ planes, so each of those echelons is unit rows (checked at import), and a
 count is the number of its pinned columns plus the rank of plane 4's rows
 with those columns deleted. Every cubic through planes 1-3 is 0 at the 22
 pinned restriction columns, and a seeded cubic is read off plane 4's
-echelon with those columns set to 0. The replay reads it off the echelon
-of all 40 restriction rows.
+echelon with those columns set to 0. The replay rebuilds no cubic: on all
+40 restriction rows it checks that the cubic vanishes and that its
+coefficients at the free columns of their echelon are the seeded
+weights, which fix a kernel vector.
 """
 
 from __future__ import annotations
@@ -323,18 +325,6 @@ def stabilizer_dim(config: PlaneConfig) -> tuple[int, int]:
     return (stab, 36 - stab)
 
 
-def _seeded_cubic(rows, pivots, seed: int, pinned=frozenset()) -> CubicPoly:
-    """The kernel vector of echelon's reduced (rows, pivots) whose
-    coefficient at each free column, neither a pivot nor pinned, is a
-    seeded weight, drawn in ascending column order; pinned columns are 0."""
-    free = [c for c in range(56) if c not in pivots and c not in pinned]
-    if not free:
-        raise ValueError("no cubics vanish on the configuration")
-    rng = SplitMix64(seed)
-    weights = {fc: rng.randint(-9, 9) for fc in free}
-    return CubicPoly(tuple(kernel_vector(rows, pivots, 56, weights)))
-
-
 def _masked_echelon(basis) -> tuple:
     """Echelon of the plane's restriction block with the _PINNED columns
     set to 0. Planes 1-3's echelon is the unit rows at _PINNED, so these
@@ -347,13 +337,19 @@ def _masked_echelon(basis) -> tuple:
 def random_cubic(config: PlaneConfig, seed: int) -> CubicPoly:
     """Deterministic small-integer combination of the vanishing basis.
 
-    The weights are drawn in ascending free-column order, one per
-    cubics_through vector, and read off by linalg.kernel_vector: the free
-    coefficients are the weights. The echelon of all 40 restriction rows
-    is plane 4's masked rows plus the unit rows at _PINNED, where the
-    cubic is 0, so only plane 4's rows are eliminated."""
+    One seeded weight in [-9, 9] per free column of the echelon of all 40
+    restriction rows, drawn in ascending column order, and the cubic is
+    the kernel vector whose coefficient at each free column is its weight
+    (linalg.kernel_vector). That echelon is plane 4's masked rows plus the
+    unit rows at _PINNED, where the cubic is 0, so only plane 4's rows are
+    eliminated."""
     rows, pivots = _masked_echelon(config.bases[3])
-    return _seeded_cubic(rows, pivots, seed, _PINNED)
+    free = [c for c in range(56) if c not in pivots and c not in _PINNED]
+    if not free:
+        raise ValueError("no cubics vanish on the configuration")
+    rng = SplitMix64(seed)
+    weights = {fc: rng.randint(-9, 9) for fc in free}
+    return CubicPoly(tuple(kernel_vector(rows, pivots, 56, weights)))
 
 
 def dims_report(config: PlaneConfig) -> dict:
@@ -401,35 +397,57 @@ def cubic_to_dict(cubic: CubicPoly, config: PlaneConfig, seed: int) -> dict:
 
 def parse_rational(text: str) -> Fraction:
     """Only the spelling str(Fraction) writes: lowest terms, no "0.0", "-0",
-    "+1" or whitespace. Exponent notation is refused before Fraction sees
-    it, since "1e100000" would stand for a 100001-digit parameter."""
-    if isinstance(text, str) and "e" not in text.lower():
-        value = Fraction(text)
-        if str(value) == text:
-            return value
+    "+1" or whitespace. Without a "/" that is the spelling str(int)
+    writes, read by parse_int. Exponent notation is refused before
+    Fraction sees it, since "1e100000" would stand for a 100001-digit
+    parameter."""
+    if isinstance(text, str):
+        if "/" not in text:
+            return Fraction(parse_int(text))
+        if "e" not in text.lower():
+            value = Fraction(text)
+            if str(value) == text:
+                return value
     raise ValueError(f"not a rational as str(Fraction) writes it: {text!r:.60}")
+
+
+# the monomials as cubic_to_dict writes them, each exponent an int
+_MONOMIAL_LISTS = [list(m) for m in MONOMIALS]
 
 
 def cubic_from_dict(d: dict) -> tuple[CubicPoly, PlaneConfig, int]:
     config = standard_config(parse_rational(d["a"]), parse_rational(d["b"]))
     cubic = CubicPoly(tuple(map(parse_rational, d["coeffs"])))
-    if [list(m) for m in MONOMIALS] != [list(m) for m in d["monomials"]]:
+    monomials = d["monomials"]
+    if monomials != _MONOMIAL_LISTS or {type(e) for m in monomials for e in m} != {int}:
         raise ValueError("monomial order mismatch")
     return cubic, config, parse_int(d["seed"])
 
 
 def verify_cubic_dict(d: dict) -> bool:
-    """Replay: the stored cubic must match its seed and vanish on all planes.
+    """Replay: the stored cubic must vanish on all four planes and match
+    its seed, checked on all 40 restriction rows, not random_cubic's
+    masked plane 4.
 
-    The expected cubic is read off the echelon of all 40 restriction rows,
-    not random_cubic's masked plane 4, so the replay checks that shortcut
-    rather than repeating it."""
+    A cubic through the planes is a kernel vector of the restriction, and
+    a kernel vector is fixed by its coefficients at the free columns of
+    the echelon, those that are not pivots. So the replay checks that the
+    cubic is in the kernel, takes the pivots from a forward-only echelon
+    (the same columns as the reduced one's), and checks that the
+    coefficient at each free column, in ascending order, is the seeded
+    weight random_cubic draws there. These pass exactly when the cubic is
+    random_cubic's, and nothing of the producer is rebuilt."""
     try:
         cubic, config, seed = cubic_from_dict(d)
     except (KeyError, ValueError, TypeError, ZeroDivisionError):
         return False
     matrix = restriction_matrix(config)
-    if _seeded_cubic(*echelon(matrix), seed).coeffs != cubic.coeffs:
-        return False
     coeffs = clear_denominators(cubic.coeffs)
-    return not any(sum(c * x for c, x in zip(coeffs, row) if c) for row in matrix)
+    if any(sum(c * x for c, x in zip(coeffs, row) if c) for row in matrix):
+        return False
+    pivots = set(echelon(matrix, reduced=False)[1])
+    free = [c for c in range(56) if c not in pivots]
+    if not free:
+        raise ValueError("no cubics vanish on the configuration")
+    rng = SplitMix64(seed)
+    return all(cubic.coeffs[fc] == rng.randint(-9, 9) for fc in free)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from .arith import factorize, is_square
+from .arith import factorize, is_square, parse_int, parse_ints
 from .qforms import QuadraticForm, builtin_form, evaluate, is_primitive, vectors_up_to
 
 _F = builtin_form("F")
@@ -252,18 +252,21 @@ def certificate_to_dict(cert: HassettCertificate) -> dict:
 
 
 def certificate_from_dict(d: dict) -> HassettCertificate:
+    """Every int only as str(int) writes it (arith.parse_int), each vector a
+    JSON list, each check a JSON boolean."""
     checks = d.get("checks")
     if checks is not None:
         checks = (checks["positive"], checks["mod8"], checks["mod3"], checks["mod9"])
-    maybe = lambda key: None if d[key] is None else int(d[key])
-    maybe_vec = lambda key: None if d[key] is None else tuple(int(c) for c in d[key])
+        if any(type(c) is not bool for c in checks):
+            raise TypeError("each check is a JSON boolean")
+    maybe = lambda key, read: None if d[key] is None else read(d[key])
     return HassettCertificate(
-        int(d["n"]),
+        parse_int(d["n"]),
         d["branch"],
-        maybe("u"),
-        maybe("k"),
-        maybe_vec("g"),
-        maybe_vec("xyz"),
-        tuple(int(c) for c in d["v"]),
+        maybe("u", parse_int),
+        maybe("k", parse_int),
+        maybe("g", parse_ints),
+        maybe("xyz", parse_ints),
+        parse_ints(d["v"]),
         checks,
     )

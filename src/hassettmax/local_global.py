@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .arith import factorize, is_prime, jacobi, parse_int
+from .arith import factorize, is_prime, jacobi, parse_int, parse_ints
 from .qforms import builtin_form, evaluate, flags_to_mask
 
 _G = builtin_form("G")
@@ -425,9 +425,7 @@ def certificate_from_dict(d: dict) -> LocalCertificate:
         place = parse_int(place)
     witness = d["witness"]
     if witness is not None:
-        if not isinstance(witness, list):
-            raise TypeError("a witness is a list of three ints")
-        witness = tuple(map(parse_int, witness))
+        witness = parse_ints(witness)
     return LocalCertificate(
         parse_int(d["k"]), place, parse_int(d["precision"]), witness, d["verdict"]
     )

@@ -475,6 +475,61 @@ def test_trace_serialization_round_trip():
     assert verify_trace(G, back)
 
 
+def _g_trace_payload():
+    return json.loads(json.dumps(trace_to_dict(descend(G, rational_point(G, (5, 9, 12), 10)))))
+
+
+@pytest.mark.parametrize("path, value", [
+    (("start", "t"), " 10\n"), (("start", "t"), "010"), (("start", "t"), 10),
+    (("start", "m"), "+7"), (("start", "v", 0), "5.0"), (("start", "v"), "5912"),
+    (("steps", 0, "after", "t"), "0_5"), (("steps", 1, "before", "v", 2), True),
+    (("steps", 0, "data", "p"), "05"), (("steps", 0, "data", "z"), ["1", " 0", "0"]),
+    (("terminal", "t"), "01"), (("terminal", "v"), "210"),
+], ids=repr)
+def test_trace_from_dict_refuses_noncanonical_ints(path, value):
+    # each forged field is equal in value to the honest one, or was read so
+    payload = _g_trace_payload()
+    assert verify_trace(G, trace_from_dict(payload))
+    *parents, key = path
+    node = payload
+    for step in parents:
+        node = node[step]
+    node[key] = value
+    with pytest.raises((ValueError, TypeError)):
+        trace_from_dict(payload)
+
+
+def test_trace_from_dict_decodes_each_point_once(monkeypatch):
+    payload = _g_trace_payload()
+    decoded = []
+    real = adc._point_from_dict
+    monkeypatch.setattr(adc, "_point_from_dict", lambda d: decoded.append(d) or real(d))
+    trace = trace_from_dict(payload)
+    # the start and each step's after; every before and the terminal reused
+    assert decoded == [payload["start"]] + [s["after"] for s in payload["steps"]]
+    points = [trace.start] + [s.after for s in trace.steps]
+    assert all(s.before is prev for s, prev in zip(trace.steps, points))
+    assert trace.terminal is points[-1]
+    assert trace == descend(G, rational_point(G, (5, 9, 12), 10))
+
+
+def test_trace_from_dict_decodes_a_point_that_breaks_the_chain():
+    # a before or terminal not written as the point before it is decoded
+    # on its own, and the replay rejects the broken chain
+    honest = trace_from_dict(_g_trace_payload())
+    for path in (("steps", 1, "before"), ("terminal",)):
+        payload = _g_trace_payload()
+        node = payload
+        for step in path[:-1]:
+            node = node[step]
+        node[path[-1]] = {"v": ["2", "1", "0"], "t": "1", "m": "7"}
+        trace = trace_from_dict(payload)
+        assert trace != honest and not verify_trace(G, trace)
+        node[path[-1]]["t"] = " 1"
+        with pytest.raises(ValueError):
+            trace_from_dict(payload)
+
+
 # --- adc_check ---
 
 

@@ -17,6 +17,7 @@ from hassettmax.arith import (
     is_prime,
     is_square,
     parse_int,
+    parse_ints,
 )
 from hassettmax.linalg import (
     det_bareiss,
@@ -414,3 +415,14 @@ def test_parse_int_reads_what_str_writes(n):
 def test_parse_int_refuses_every_other_spelling(text):
     with pytest.raises(ValueError):
         parse_int(text)
+
+
+def test_parse_ints_reads_a_list_of_canonical_ints():
+    assert parse_ints(["5", "-9", "0"]) == (5, -9, 0) and parse_ints([]) == ()
+    # a string would read one digit at a time, a dict by its keys
+    for value in ["591", ("5", "9"), {"5": "9"}, None, 5]:
+        with pytest.raises(TypeError):
+            parse_ints(value)
+    with pytest.raises(ValueError):
+        parse_ints(["5", " 9"])
+

@@ -549,7 +549,15 @@ def test_verify_file_rejects_malformed_payloads(capsys, tmp_path, command, shape
     ("geometry cubic", ["--a", "0", "--seed", "1"], ("seed",), 1.7),
     ("geometry cubic", ["--a", "0", "--seed", "1"], ("a",), "0.0"),
     ("local certify", ["--k", "7"], ("certificates", 0, "precision"), 3.9),
-], ids=["seed-1.7", "a-0.0", "precision-3.9"])
+    ("geometry cubic", ["--a", "0", "--seed", "1"], ("monomials", 0, 0), 3.0),
+    ("hassett represent", ["7986"], ("n",), " 7986\n"),
+    ("hassett represent", ["7986"], ("n",), 7986.9),
+    ("hassett represent", ["7986"], ("n",), "07986"),
+    ("hassett represent", ["7986"], ("checks", "mod8"), 1),
+    ("adc descend", ["--form", "g", "--num", "5,9,12", "--den", "10"], ("start", "t"), " 10\n"),
+    ("adc descend", ["--form", "g", "--num", "5,9,12", "--den", "10"], ("start", "t"), "010"),
+], ids=["seed-1.7", "a-0.0", "precision-3.9", "exponent-3.0", "n-spaced", "n-7986.9",
+        "n-07986", "mod8-1", "t-spaced", "t-010"])
 def test_verify_file_refuses_noncanonical_spellings(capsys, tmp_path, command, produce,
                                                     field, value):
     # each forged field has the value of the honest one, spelled otherwise

@@ -528,13 +528,17 @@ def _twins(cfg):
 # --- seeded cubics: plane 4's masked rows against all 40 rows ---
 
 
-def _random_cubic_reference(cfg, seed):
-    """The seeded cubic read off the echelon of all 40 restriction rows:
-    weights in [-9, 9] at the free columns, drawn in ascending order."""
-    rows, pivots = echelon(restriction_matrix(cfg))
+def _seeded_cubic(rows, pivots, seed):
+    """The kernel vector of echelon's reduced (rows, pivots) whose value
+    at each free column is a weight in [-9, 9], drawn in ascending order."""
     rng = SplitMix64(seed)
     weights = {fc: rng.randint(-9, 9) for fc in range(56) if fc not in pivots}
     return CubicPoly(tuple(kernel_vector(rows, pivots, 56, weights)))
+
+
+def _random_cubic_reference(cfg, seed):
+    """The seeded cubic read off the echelon of all 40 restriction rows."""
+    return _seeded_cubic(*echelon(restriction_matrix(cfg)), seed)
 
 
 def _fixed_rows(rows_of):
@@ -692,6 +696,81 @@ def test_replay_does_not_use_the_masked_rows(configs, monkeypatch):
         raise AssertionError("the replay took the masked rows")
 
     monkeypatch.setattr(geometry, "_masked_echelon", refuse)
+    assert all(verify_cubic_dict(payload) for payload in payloads)
+
+
+# --- the replay checks the kernel and the free columns ---
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(_PARAMETERS, _PARAMETERS, st.integers(0, 2**64))
+@example(Fraction(0), Fraction(0), 1)
+@example(Fraction(0), Fraction(-7, 3), 5)
+@example(Fraction(-4, 9), Fraction(-6, 5), 0)
+@example(*_PAIR30, 7)
+@example(Fraction(2**61 - 1), Fraction(-(2**61 - 1), 3), 11)
+def test_replay_agrees_with_the_seeded_cubic_off_all_40_rows(a, b, seed):
+    # an honest payload replays, and so does the reference's cubic under
+    # another seed exactly when it is that seed's cubic too
+    cfg = standard_config(a, b)
+    payload = json.loads(json.dumps(cubic_to_dict(random_cubic(cfg, seed), cfg, seed)))
+    cubic = cubic_from_dict(payload)[0]
+    assert cubic == _seeded_cubic(*echelon(restriction_matrix(cfg)), seed)
+    assert verify_cubic_dict(payload)
+    other = (seed + 1) % 2**64
+    same = _random_cubic_reference(cfg, other) == cubic
+    assert verify_cubic_dict(dict(payload, seed=str(other))) is same
+
+
+def _free_columns(cfg):
+    return [c for c in range(56) if c not in echelon(restriction_matrix(cfg))[1]]
+
+
+@pytest.mark.parametrize("pair", [*PAIRS, _PAIR30])
+def test_replay_rejects_an_honest_cubic_plus_a_vanishing_one(pair):
+    # the sum still vanishes on all four planes; only the seeded free
+    # values tell it from the honest cubic
+    cfg = standard_config(*pair)
+    matrix = restriction_matrix(cfg)
+    free = _free_columns(cfg)
+    basis = cubics_through(cfg)
+    for seed, (column, extra) in enumerate(zip(free, basis)):
+        honest = random_cubic(cfg, seed)
+        forged = CubicPoly(tuple(h + 2 * e for h, e in zip(honest.coeffs, extra.coeffs)))
+        assert not any(any(_on_plane(matrix, i, forged.coeffs)) for i in (1, 2, 3, 4))
+        assert forged.coeffs[column] != honest.coeffs[column]
+        assert verify_cubic_dict(cubic_to_dict(honest, cfg, seed))
+        assert not verify_cubic_dict(cubic_to_dict(forged, cfg, seed))
+
+
+@pytest.mark.parametrize("pair", [*PAIRS, _PAIR30])
+def test_replay_rejects_a_changed_pivot_coefficient(pair):
+    # every free value is still the seeded weight; the cubic leaves the kernel
+    cfg = standard_config(*pair)
+    pivots = echelon(restriction_matrix(cfg))[1]
+    free = _free_columns(cfg)
+    honest = random_cubic(cfg, 3)
+    for pivot in pivots:
+        coeffs = list(honest.coeffs)
+        coeffs[pivot] += 1
+        forged = CubicPoly(tuple(coeffs))
+        assert [forged.coeffs[c] for c in free] == [honest.coeffs[c] for c in free]
+        assert not verify_cubic_dict(cubic_to_dict(forged, cfg, 3))
+
+
+def test_replay_reads_no_kernel_vector(configs, monkeypatch):
+    from hassettmax import linalg
+
+    payloads = [cubic_to_dict(random_cubic(cfg, seed), cfg, seed)
+                for seed, cfg in enumerate(configs.values())]
+    payloads.append(cubic_to_dict(random_cubic(standard_config(*_PAIR30), 9),
+                                  standard_config(*_PAIR30), 9))
+
+    def refuse(*args):
+        raise AssertionError("the replay rebuilt the cubic")
+
+    monkeypatch.setattr(geometry, "kernel_vector", refuse)
+    monkeypatch.setattr(linalg, "kernel_vector", refuse)
     assert all(verify_cubic_dict(payload) for payload in payloads)
 
 
@@ -904,6 +983,24 @@ def test_parse_rational_refuses_every_other_spelling(text):
         parse_rational(text)
 
 
+@pytest.mark.parametrize("text", [
+    "7", "-7", "0", "-0", "07", "00", "+7", " 7", "7\n", "7_0", "\u0663", "7.0", "1e3", "",
+    "-", str(10**4299), str(-(10**4299)),
+], ids=repr)
+def test_parse_rational_without_a_slash_takes_what_the_fraction_rule_took(text):
+    # parse_int reads these: the same strings as Fraction's rule, no more
+    try:
+        value = Fraction(text)
+        want = value if str(value) == text and "e" not in text.lower() else None
+    except ValueError:
+        want = None
+    if want is None:
+        with pytest.raises(ValueError):
+            parse_rational(text)
+    else:
+        assert parse_rational(text) == want and type(parse_rational(text)) is Fraction
+
+
 def _noncanonical_coefficient(payload):
     """The first nonzero coefficient p/q written as 2p/2q: "-1" as "-2/2"."""
     idx, value = next((i, Fraction(c)) for i, c in enumerate(payload["coeffs"]) if c != "0")
@@ -912,10 +1009,21 @@ def _noncanonical_coefficient(payload):
     return coeffs
 
 
+def _exponent_as_float(payload):
+    """x^3 written [3.0, 0, 0, 0, 0, 0]: equal in value, not an int."""
+    return [[3.0, *payload["monomials"][0][1:]], *payload["monomials"][1:]]
+
+
+def _exponent_as_bool(payload):
+    """x^2*y written [2, true, 0, 0, 0, 0]."""
+    return [payload["monomials"][0], [2, True, 0, 0, 0, 0], *payload["monomials"][2:]]
+
+
 @pytest.mark.parametrize("field, value", [
     ("seed", 1.7), ("seed", True), ("seed", 1), ("seed", " 1\n"), ("seed", "0001"),
     ("a", "0.0"), ("a", " 0 "), ("a", "0/5"), ("a", "-0"), ("a", 0),
     ("coeffs", _noncanonical_coefficient),
+    ("monomials", _exponent_as_float), ("monomials", _exponent_as_bool),
 ], ids=lambda x: getattr(x, "__name__", repr(x)))
 def test_verify_cubic_dict_refuses_noncanonical_fields(field, value):
     # a = 0, seed 1: every forged field has the value of the honest one

@@ -287,3 +287,35 @@ def test_certificate_serialization_round_trip():
         back = certificate_from_dict(json.loads(blob))
         assert back == cert
         assert verify_certificate(back)
+
+
+def _set(payload, path, value):
+    *parents, key = path
+    node = payload
+    for step in parents:
+        node = node[step]
+    node[key] = value
+
+
+@pytest.mark.parametrize("path, value", [
+    (("n",), " 7986\n"), (("n",), 7986.9), (("n",), "07986"), (("n",), 7986), (("n",), "+7986"),
+    (("u",), "1.0"), (("k",), "0_63855"), (("g", 0), True), (("xyz", 1), "-0"),
+    (("v", 0), 1), (("v",), "1111"), (("g",), "111"), (("xyz",), {"0": "1"}),
+    (("checks", "mod8"), 1), (("checks", "positive"), "true"), (("checks", "mod9"), None),
+], ids=repr)
+def test_certificate_from_dict_refuses_noncanonical_fields(path, value):
+    # each forged field is equal in value to the honest one, or was read so
+    payload = json.loads(json.dumps(certificate_to_dict(represent(7986))))
+    assert verify_certificate(certificate_from_dict(payload))
+    _set(payload, path, value)
+    with pytest.raises((ValueError, TypeError)):
+        certificate_from_dict(payload)
+
+
+def test_certificate_from_dict_reads_a_special_certificate():
+    payload = json.loads(json.dumps(certificate_to_dict(represent(24))))
+    assert payload["checks"] is None and payload["g"] is None
+    assert certificate_from_dict(payload) == represent(24)
+    _set(payload, ("v", 2), "-01")
+    with pytest.raises(ValueError):
+        certificate_from_dict(payload)
