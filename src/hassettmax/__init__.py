@@ -12,11 +12,9 @@ from .adc import (
     adc_check,
     cube_bound,
     descend,
-    divide_by_4,
     rational_point,
     reduce_3G,
     secant_step,
-    torus_reduce,
     verify_trace,
 )
 from .hassett_rep import (
@@ -58,7 +56,6 @@ __all__ = [
     "certify_local",
     "cube_bound",
     "descend",
-    "divide_by_4",
     "evaluate",
     "gram_M",
     "hilbert_symbol",
@@ -75,7 +72,6 @@ __all__ = [
     "represent",
     "representations",
     "secant_step",
-    "torus_reduce",
     "verify_certificate",
     "verify_trace",
     "voisin_value",

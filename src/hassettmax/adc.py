@@ -9,17 +9,18 @@ or, as a last resort, by enumeration of integer representations.
 
 A trace holds trivial, secant, divide4 and enumerate steps, each strictly
 shrinking t. A trivial step divides out the content v shares with t, so no
-later prime p of t divides every coordinate of v: torus_reduce's shortcut
-v/p never applies inside a descent, and no trace holds a torus step.
+later prime p of t divides every coordinate of v.
 
-The denominator is factored once, at the first reduction, and its
-{prime: exponent} dict is carried from step to step: a trivial step divides
-out the primes of the common content, a halving step drops one p, a secant
-step drops p and adds the factors of its new t_r < p, and an enumeration
-step clears it. The largest prime is always the one reduced, as if t were
-factored afresh. cube_bound(form) is computed once per descent.
+The denominator is factored once, at the first reduction, into a set of
+candidate primes. Every step divides t, except a secant step, which
+multiplies t/p by its new t_r < p; the primes of t_r join the set. So the
+set holds every prime of t, and the largest candidate dividing t is the
+largest prime of t, the one reduced, as if t were factored afresh.
+cube_bound(form) is computed once per descent.
 
-Every step re-verifies the certified value; nothing is trusted blindly.
+secant_step audits the value and the shrink of every secant step, and the
+halving identity audits its own value; trivial and enumerate steps are
+exact by construction.
 """
 
 from __future__ import annotations
@@ -139,35 +140,25 @@ def _centered_residue(x: int, p: int) -> int:
     return r if x > 0 else -r
 
 
-def _torus_reduce_full(form: QuadraticForm, v, p: int, bound: int):
-    """Returns (v', i, t, z) with Q(v'/(i*t)) = Q(v)/p^2 from the secant step
-    through z = (i*v - w)/p, for the least i in [1, min(p-1, bound)] whose
-    centered residue w of i*v mod p has 0 < Q(w) < p^2; bound is cube_bound."""
-    q = evaluate(form, v)
-    p2 = p * p
-    if q % p2 != 0:
-        raise ValueError(f"p^2 = {p2} does not divide Q(v) = {q}")
-    m_red = q // p2
+def _torus_reduce_full(form: QuadraticForm, point: RationalPoint, p: int, bound: int):
+    """(after, i, z) for a prime p of point.t: after has point's value and the
+    denominator t_r * t/p, t_r < p, from the secant step at i*v/p through
+    z = (i*v - w)/p, for the least i in [1, min(p-1, bound)] whose centered
+    residue w of i*v mod p has 0 < Q(w) < p^2; bound is cube_bound."""
+    v, m, s = point.v, point.m, point.t // p
     for i in range(1, min(p - 1, bound) + 1):
         w = tuple(_centered_residue(i * x, p) for x in v)
-        if 0 < evaluate(form, w) < p2:
+        if 0 < evaluate(form, w) < p * p:
             break
     else:
         raise ReductionUnavailable(f"no qualifying multiple for p = {p}")
     iv = tuple(i * x for x in v)
     z = tuple((ivj - wj) // p for ivj, wj in zip(iv, w))
-    reduced = secant_step(form, RationalPoint(iv, p, i * i * m_red), z)
-    return reduced.v, i, reduced.t, z
-
-
-def torus_reduce(form: QuadraticForm, v, p: int):
-    """(v', i, t) with 0 < i, t < p and Q(v'/(i*t)) = Q(v)/p^2."""
-    bound = cube_bound(form)  # first: it rejects a form not positive definite
-    v = tuple(int(x) for x in v)
-    if all(x % p == 0 for x in v):
-        return tuple(x // p for x in v), 1, 1
-    new_v, i, t, _ = _torus_reduce_full(form, v, p, bound)
-    return new_v, i, t
+    # Q(i*v/p) = i^2 m s^2, since Q(v) = m t^2 and t = p s
+    reduced = secant_step(form, RationalPoint(iv, p, i * i * m * s * s), z)
+    if any(x % i for x in reduced.v):
+        raise AssertionError("secant output must be divisible by i")
+    return RationalPoint(tuple(x // i for x in reduced.v), reduced.t * s, m), i, z
 
 
 def _halve_pair(x: int, z: int) -> tuple[int, int]:
@@ -199,16 +190,9 @@ def _halve(form: QuadraticForm, v) -> tuple[int, ...]:
     a, b = odd
     w = [x // 2 for x in v]
     w[a], w[b] = _halve_pair(v[a], v[b])
+    if evaluate(form, w) * 4 != q:
+        raise AssertionError("halving lost the certified value")
     return tuple(w)
-
-
-def divide_by_4(v) -> tuple[int, ...]:
-    """For Q3: w with Q3(w) = Q3(v)/4. Precondition: 4 | Q3(v)."""
-    q3 = builtin_form("Q3")
-    w = _halve(q3, v)
-    if evaluate(q3, w) * 4 != evaluate(q3, v):
-        raise AssertionError("divide_by_4 value check failed")
-    return w
 
 
 def reduce_3G(a: int, b: int, c: int) -> tuple[int, int, int]:
@@ -226,14 +210,6 @@ def _is_builtin_ternary(form: QuadraticForm) -> bool:
     return form.gram in (builtin_form("Q3").gram, builtin_form("G").gram)
 
 
-def _drop(primes: dict[int, int], p: int) -> None:
-    """Remove one factor p from the factorization primes, in place."""
-    if primes[p] == 1:
-        del primes[p]
-    else:
-        primes[p] -= 1
-
-
 def descend(form: QuadraticForm, point: RationalPoint) -> DescentTrace:
     """Run the full denominator descent from point.
 
@@ -249,65 +225,42 @@ def descend(form: QuadraticForm, point: RationalPoint) -> DescentTrace:
     current = point
     # an integer point needs no torus scan, so no bound (nor definiteness)
     bound = cube_bound(form) if t > 1 else 0
-    # {prime: exponent} of current.t, carried from step to step; factored at
-    # the first reduction, after any leading trivial steps, so the content
+    # candidate primes, holding every prime of current.t; factored at the
+    # first reduction, after any leading trivial steps, so the content
     # shared with t (say a large prime squared) is never factored
-    primes: dict[int, int] | None = None
+    primes: set[int] | None = None
 
     def push(kind: str, data: dict, after: RationalPoint):
         nonlocal current
-        if evaluate(form, after.v) != m * after.t * after.t:
-            raise AssertionError(f"{kind} step lost the certified value")
         steps.append(DescentStep(kind, data, current, after))
         current = after
 
     while current.t > 1:
         g = gcd(content(current.v), current.t)
         if g > 1:
-            push(
-                "trivial",
-                {"g": g},
-                RationalPoint(
-                    tuple(x // g for x in current.v), current.t // g, m
-                ),
-            )
-            for q in list(primes or ()):
-                while g % q == 0:
-                    g //= q
-                    _drop(primes, q)
+            after = RationalPoint(tuple(x // g for x in current.v), current.t // g, m)
+            push("trivial", {"g": g}, after)
             continue
         if primes is None:
-            primes = factorize(current.t)
-        elif prod(q**e for q, e in primes.items()) != current.t:
-            raise AssertionError("carried factorization lost the denominator")
-        p = max(primes)
-        s = current.t // p
-        # no torus shortcut: after the trivial steps p does not divide all of v
+            primes = set(factorize(current.t))
+        p = max((q for q in primes if current.t % q == 0), default=None)
+        if p is None:
+            raise AssertionError("carried factorization lost a prime of the denominator")
         try:
-            raw_v, i, t_r, z = _torus_reduce_full(form, current.v, p, bound)
+            after, i, z = _torus_reduce_full(form, current, p, bound)
         except ReductionUnavailable:
             if p == 2 and _is_builtin_ternary(form):
                 w = _halve(form, current.v)
-                push("divide4", {"p": 2}, RationalPoint(w, s, m))
-                _drop(primes, 2)
+                push("divide4", {"p": 2}, RationalPoint(w, current.t // 2, m))
                 continue
             reps = representations(form, m)
             if reps:
                 push("enumerate", {"p": p}, RationalPoint(reps[0], 1, m))
-                primes.clear()
                 continue
             break  # residual denominator stays; form is not ADC here
-        if any(x % i for x in raw_v):
-            raise AssertionError("secant output must be divisible by i")
-        push(
-            "secant",
-            {"p": p, "i": i, "z": z},
-            RationalPoint(tuple(x // i for x in raw_v), t_r * s, m),
-        )
-        _drop(primes, p)
-        # t_r < p is the only new factor of the denominator
-        for q, e in factorize(t_r).items():
-            primes[q] = primes.get(q, 0) + e
+        # t_r = after.t / (t/p) < p is the only new factor of the denominator
+        primes.update(factorize(after.t * p // current.t))
+        push("secant", {"p": p, "i": i, "z": z}, after)
     return DescentTrace(form.name or "?", point, tuple(steps), current)
 
 

@@ -40,6 +40,14 @@ def _int_csv(arity: int):
     return parse
 
 
+def _variant(text: str) -> tuple[int, int]:
+    """An (alpha, beta) pair of lattice isometry, each 0 or 1 as for lattice gram."""
+    pair = _int_csv(2)(text)
+    if not set(pair) <= {0, 1}:
+        raise argparse.ArgumentTypeError("alpha and beta must be 0 or 1")
+    return pair
+
+
 def _bounded_int(high: int, low: int | None = None):
     """An int option in [low, high], so a few bytes cannot ask for a run that
     never ends (or, for adc check, for a mask of that many bits), nor scan nothing."""
@@ -97,10 +105,11 @@ def _short_int(n: int) -> str:
 def _replay(path: str, what: str, decode, check, label) -> int:
     """The --verify-file mode of every command: decode the JSON at path,
     replay it with check, print label(decoded) and the verdict. A
-    payload that does not decode is an unreadable `what` (exit 1)."""
+    payload that does not decode, nested too deep for json included, is an
+    unreadable `what` (exit 1)."""
     try:
         obj = decode(_load_json(path))
-    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
         print(f"unreadable {what}: {exc}", file=sys.stderr)
         return 1
     ok = check(obj)
@@ -405,8 +414,8 @@ def _build_parser() -> argparse.ArgumentParser:
     gram.add_argument("--beta", type=int, choices=(0, 1), required=True)
     isometry = _command(tactions, "isometry", "basis change between variants",
                         _cmd_lattice_isometry)
-    isometry.add_argument("--from", dest="from_pair", type=_int_csv(2), required=True)
-    isometry.add_argument("--to", dest="to_pair", type=_int_csv(2), required=True)
+    isometry.add_argument("--from", dest="from_pair", type=_variant, required=True)
+    isometry.add_argument("--to", dest="to_pair", type=_variant, required=True)
 
     geo = groups.add_parser("geometry", help="plane configurations and cubics")
     gactions = geo.add_subparsers(dest="action", required=True)

@@ -9,12 +9,13 @@ import json
 import time
 from fractions import Fraction
 
+from hassettmax import adc
 from hassettmax.adc import (
     adc_check,
+    cube_bound,
     descend,
     rational_point,
     reduce_3G,
-    torus_reduce,
     verify_trace,
 )
 from hassettmax.arith import SplitMix64, is_prime
@@ -168,9 +169,10 @@ def test_06_torus_reduction_guarantee():
         v = (v1, v2, v3)
         q = evaluate(Q3, v)
         assert q % p2 == 0
-        new_v, i, t = torus_reduce(Q3, v, p)
-        assert 0 < i < p and 0 < t < p
-        assert evaluate(Q3, new_v) == (q // p2) * (i * t) ** 2
+        after, i, _ = adc._torus_reduce_full(Q3, rational_point(Q3, v, p), p, cube_bound(Q3))
+        assert 0 < i < p and 0 < after.t < p
+        assert after.m == q // p2
+        assert evaluate(Q3, after.v) == after.m * after.t**2
         done += 1
     print(f"[PASS] 6: 200 torus reductions succeeded with 0 < i, t < p "
           f"and exact value preservation")

@@ -24,11 +24,9 @@ from hassettmax.adc import (
     cube_bound,
     cube_sup,
     descend,
-    divide_by_4,
     rational_point,
     reduce_3G,
     secant_step,
-    torus_reduce,
     trace_from_dict,
     trace_to_dict,
     verify_trace,
@@ -143,16 +141,21 @@ def test_secant_diminishes_denominator_on_generated_points():
 
 
 def test_torus_worked_example():
-    assert torus_reduce(Q3, (21, 20, 0), 29) == ((-3, -4, 0), 1, 5)
+    point = rational_point(Q3, (21, 20, 0), 29)
+    after, i, z = adc._torus_reduce_full(Q3, point, 29, cube_bound(Q3))
+    assert (after, i, z) == (RationalPoint((-3, -4, 0), 5, 1), 1, (1, 1, 0))
 
 
 def test_torus_requires_p_squared_divisibility():
     with pytest.raises(ValueError):
-        torus_reduce(Q3, (1, 0, 0), 5)
+        rational_point(Q3, (1, 0, 0), 5)
 
 
 def test_torus_shortcut_when_p_divides_v():
-    assert torus_reduce(Q3, (5, 10, 0), 5) == ((1, 2, 0), 1, 1)
+    # v/p is a trivial step, which descend takes before any torus step
+    trace = descend(Q3, rational_point(Q3, (5, 10, 0), 5))
+    assert [(s.kind, s.data) for s in trace.steps] == [("trivial", {"g": 5})]
+    assert trace.terminal == RationalPoint((1, 2, 0), 1, 5)
 
 
 def torus_case(rng, form_coeffs, p):
@@ -183,9 +186,10 @@ def test_torus_reduction_seeded_sweep():
             continue
         q = evaluate(Q3, v)
         assert q % (p * p) == 0
-        new_v, i, t = torus_reduce(Q3, v, p)
-        assert 0 < i < p and 0 < t < p
-        assert evaluate(Q3, new_v) == (q // (p * p)) * (i * t) ** 2
+        after, i, _ = adc._torus_reduce_full(Q3, rational_point(Q3, v, p), p, cube_bound(Q3))
+        assert 0 < i < p and 0 < after.t < p
+        assert after.m == q // (p * p)
+        assert evaluate(Q3, after.v) == after.m * after.t**2
         done += 1
     assert done >= 20
 
@@ -226,7 +230,7 @@ def test_small_odd_primes_always_have_a_torus_step():
                 lift = lift_to_p_squared(form, v, p)
                 if lift is not None:  # a state descend can meet: run its step
                     lifted += 1
-                    adc._torus_reduce_full(form, lift, p, bound)
+                    adc._torus_reduce_full(form, rational_point(form, lift, p), p, bound)
         # the classes with no lift are (0, 0, z) for Q3 and (0, y, z) for G at p = 3
         assert (classes, lifted) == {"Q3": (1538, 1536), "G": (1544, 1536)}[form.name]
 
@@ -235,7 +239,7 @@ def test_small_odd_primes_always_have_a_torus_step():
 
 
 def test_divide_by_4_frozen():
-    assert divide_by_4((1, 0, 1)) == (1, 0, 0)
+    assert adc._halve(Q3, (1, 0, 1)) == (1, 0, 0)
 
 
 def test_divide_by_4_sweep():
@@ -244,13 +248,19 @@ def test_divide_by_4_sweep():
             for z in range(-6, 7):
                 q = x * x + y * y + 3 * z * z
                 if q % 4 == 0 and q > 0:
-                    w = divide_by_4((x, y, z))
+                    w = adc._halve(Q3, (x, y, z))
                     assert evaluate(Q3, w) * 4 == q
 
 
 def test_divide_by_4_requires_multiple_of_4():
     with pytest.raises(ValueError):
-        divide_by_4((1, 0, 0))
+        adc._halve(Q3, (1, 0, 0))
+
+
+def test_halve_audits_its_value(monkeypatch):
+    monkeypatch.setattr(adc, "_halve_pair", lambda x, z: (x, z))
+    with pytest.raises(AssertionError, match="halving lost the certified value"):
+        adc._halve(Q3, (1, 0, 1))
 
 
 def test_reduce_3g_frozen():
@@ -345,9 +355,7 @@ def refactoring_descend(form, point):
             push("torus", {"p": p}, RationalPoint(tuple(x // p for x in current.v), s, m))
             continue
         try:
-            raw_v, i, t_r, z = adc._torus_reduce_full(
-                form, current.v, p, cube_bound(form)
-            )
+            after, i, z = adc._torus_reduce_full(form, current, p, cube_bound(form))
         except ReductionUnavailable:
             if p == 2 and adc._is_builtin_ternary(form):
                 push("divide4", {"p": 2}, RationalPoint(adc._halve(form, current.v), s, m))
@@ -357,7 +365,6 @@ def refactoring_descend(form, point):
                 push("enumerate", {"p": p}, RationalPoint(reps[0], 1, m))
                 continue
             break
-        after = RationalPoint(tuple(x // i for x in raw_v), t_r * s, m)
         push("secant", {"p": p, "i": i, "z": z}, after)
     return DescentTrace(form.name or "?", point, tuple(steps), current)
 
@@ -434,6 +441,26 @@ def test_descend_audits_the_carried_factorization(monkeypatch):
     monkeypatch.setattr(adc, "factorize", lambda n: {5: 1} if n == 10 else factorize(n))
     with pytest.raises(AssertionError, match="carried factorization"):
         descend(G, point)
+
+
+def test_descend_factors_once_plus_once_per_secant_step(monkeypatch):
+    rng = SplitMix64(5)
+    cases = [(form, pt) for form in (Q3, G) for pt in chord_points(form, rng, 20, 11)]
+    cases.append((Q3, rational_point(Q3, (5, 10, 0), 5)))  # trivial steps only
+    cases += [(F, pt) for pt in chord_points(F, rng, 6, 5)]
+    cases += [(F, pt) for pt in f_residual_points(rng, 4)]
+    calls = []
+    monkeypatch.setattr(adc, "factorize", lambda n: calls.append(n) or factorize(n))
+    seen = set()
+    for form, pt in cases:
+        calls.clear()
+        trace = descend(form, pt)
+        kinds = [s.kind for s in trace.steps]
+        # the first reduction is any step but a trivial one, or a residual stop
+        reduced = any(k != "trivial" for k in kinds) or trace.terminal.t > 1
+        assert len(calls) == reduced + kinds.count("secant"), (form.name, pt, kinds)
+        seen.update(kinds)
+    assert seen == {"trivial", "secant", "divide4", "enumerate"}
 
 
 def test_verify_trace_rejects_tampering():

@@ -403,6 +403,13 @@ def test_lattice_isometry(capsys):
     assert len(payload["matrix"]) == 5
 
 
+@pytest.mark.parametrize("pair", [("0,2", "1,1"), ("1,1", "3,0"), ("0,1", "1,1,0")])
+def test_lattice_isometry_rejects_a_pair_off_0_1_at_parse_time(capsys, pair):
+    code, out, err = run(capsys, "lattice", "isometry", "--from", pair[0], "--to", pair[1])
+    assert code == 2 and out == ""
+    assert "usage:" in err
+
+
 # --- geometry ---
 
 
@@ -574,6 +581,15 @@ def test_verify_file_refuses_noncanonical_spellings(capsys, tmp_path, command, p
     path.write_text(json.dumps(payload))
     code, out, _ = run(capsys, *command.split(), "--verify-file", str(path))
     assert code == 1 and ": valid" not in out
+
+
+@pytest.mark.parametrize("command", sorted(REPLAYS), ids=lambda c: c.replace(" ", "-"))
+def test_verify_file_reports_deeply_nested_json_as_unreadable(capsys, tmp_path, command):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 200000)
+    code, out, err = run(capsys, *command.split(), "--verify-file", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("unreadable ") and err.count("\n") == 1
 
 
 # --- argparse plumbing ---
