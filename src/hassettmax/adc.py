@@ -18,9 +18,9 @@ set holds every prime of t, and the largest candidate dividing t is the
 largest prime of t, the one reduced, as if t were factored afresh.
 cube_bound(form) is computed once per descent.
 
-secant_step audits the value and the shrink of every secant step, and the
+_secant audits the value and the shrink of every secant step, and the
 halving identity audits its own value; trivial and enumerate steps are
-exact by construction.
+exact by construction. The torus scan hands _secant the Q(w) it checked.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from itertools import product
 from .arith import ceil_sqrt, factorize, parse_int, parse_ints
 from .qforms import (
     QuadraticForm,
-    bilinear,
     builtin_form,
     content,
     evaluate,
@@ -108,17 +107,24 @@ def cube_bound(form: QuadraticForm) -> int:
 
 def secant_step(form: QuadraticForm, point: RationalPoint, z) -> RationalPoint:
     z = tuple(int(x) for x in z)
-    v, t, m = point.v, point.t, point.m
-    diff = tuple(vi - t * zi for vi, zi in zip(v, z))
-    num = evaluate(form, diff)  # Q(v/t - z) = num / t^2
+    v, t = point.v, point.t
+    num = evaluate(form, tuple(vi - t * zi for vi, zi in zip(v, z)))  # Q(v/t - z) = num / t^2
     if num == 0:
         raise DegenerateChordError("z lies on the quadric through v/t")
     if abs(num) >= t * t:
         raise ValueError("secant step requires 0 < |Q(v/t - z)| < 1")
+    return _secant(form, point, z, num)
+
+
+def _secant(form: QuadraticForm, point: RationalPoint, z, num: int) -> RationalPoint:
+    """The second point of the line through v/t and the integer z, given
+    num = Q(v - t z) with 0 < |num| < t^2."""
+    v, t, m = point.v, point.t, point.m
     a = evaluate(form, z) - m
-    b = 2 * (m * t - bilinear(form, v, z))
+    # num = t (a t + b) for b = 2 (m t - B(v, z)), so B(v, z) is not needed
+    new_t = num // t
+    b = new_t - a * t
     new_v = tuple(a * vi + b * zi for vi, zi in zip(v, z))
-    new_t = a * t + b
     if new_t < 0:
         new_v = tuple(-x for x in new_v)
         new_t = -new_t
@@ -148,14 +154,15 @@ def _torus_reduce_full(form: QuadraticForm, point: RationalPoint, p: int, bound:
     v, m, s = point.v, point.m, point.t // p
     for i in range(1, min(p - 1, bound) + 1):
         w = tuple(_centered_residue(i * x, p) for x in v)
-        if 0 < evaluate(form, w) < p * p:
+        num = evaluate(form, w)
+        if 0 < num < p * p:
             break
     else:
         raise ReductionUnavailable(f"no qualifying multiple for p = {p}")
     iv = tuple(i * x for x in v)
     z = tuple((ivj - wj) // p for ivj, wj in zip(iv, w))
-    # Q(i*v/p) = i^2 m s^2, since Q(v) = m t^2 and t = p s
-    reduced = secant_step(form, RationalPoint(iv, p, i * i * m * s * s), z)
+    # Q(i*v/p) = i^2 m s^2, since Q(v) = m t^2 and t = p s; i*v - p*z = w
+    reduced = _secant(form, RationalPoint(iv, p, i * i * m * s * s), z, num)
     if any(x % i for x in reduced.v):
         raise AssertionError("secant output must be divisible by i")
     return RationalPoint(tuple(x // i for x in reduced.v), reduced.t * s, m), i, z

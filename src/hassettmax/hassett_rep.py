@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .arith import factorize, is_square, parse_int, parse_ints
-from .qforms import QuadraticForm, builtin_form, evaluate, is_primitive, vectors_up_to
+from .qforms import QuadraticForm, builtin_form, evaluate, image_mask, is_primitive
 
 _F = builtin_form("F")
 _G = builtin_form("G")
@@ -67,7 +67,7 @@ def values_in_hassett(form: QuadraticForm) -> bool:
     put every nonzero value of the positive definite form in the admissible set."""
     return (all(x % 3 == 2 for row in form.gram for x in row)
             and all(form.gram[i][i] % 2 == 0 for i in range(form.dim))
-            and not any(q for _, q in vectors_up_to(form, 7)))
+            and image_mask(form, 7) == 1)
 
 
 def k_value(n: int, u: int) -> int:

@@ -12,6 +12,12 @@ Enumeration is one Fincke-Pohst walk, all int operations, over an integer
 LDL scaled by Bareiss elimination. Coordinates 1 and 0 are two nested loops
 in one generator frame; the room left for coordinate 0 is w[0] times an int
 that, as w[1] d[2] == w[0], steps by integer differences along each row.
+Except in representations, the walk yields rows: one per fixed v[1:], with
+the range of v[0], Q at its first value and the first difference.
+primitive_image, and image_mask for a form that is not diagonal, mark rows
+in a bytearray and take the half walk, one of each +-v (same value, same
+content). primitive_image takes g = gcd(v[1:]) once per row: all of the row
+is primitive when g == 1, else the v[0] with gcd(g, v[0]) == 1.
 
 image_mask holds a form's values up to a bound as the bits of one Python
 int. For a positive definite diagonal form it skips the walk: each
@@ -160,10 +166,16 @@ def _scaled_ldl(form: QuadraticForm, what: str):
     return d, b, [m // (d[i] * d[i + 1]) for i in range(n)], m
 
 
-def _walk(ldl, bound: int, exact: bool):
-    """Fincke-Pohst walk over a scaled integer LDL: yield (v, Q(v)) for
-    every integer v with Q(v) <= bound, or Q(v) == bound when `exact`.
-    Requires bound >= 0.
+def _walk(ldl, bound: int, exact: bool, half: bool = False):
+    """Fincke-Pohst walk over a scaled integer LDL. Requires bound >= 0.
+
+    When `exact`, yield (v, bound) for every integer v with Q(v) == bound.
+    Otherwise yield one row (v, first, last, q, dq) per fixed v[1:], for the
+    v with Q(v) <= bound: v is the walk's own list, holding v[1:] until the
+    next row; v[0] runs over first..last; q is Q(v) at v[0] = first, Q rises
+    by dq per step of v[0], and dq by 2 d[1]. Only non-empty rows are
+    yielded. When `half`, the rows hold only the v whose last nonzero
+    coordinate is positive: one of each pair +-v != 0.
 
     Coordinates are fixed from the last one down. Level i gets the room r
     left for sum_{k<=i} w[k] L_k^2 and the shift s = L_i - d[i+1] v[i], and
@@ -178,10 +190,11 @@ def _walk(ldl, bound: int, exact: bool):
     top = m * bound
     v = [0] * n
 
-    def level(i: int, r: int, s: int):
+    def level(i: int, r: int, s: int, zero: bool):
+        # zero: the half walk with v[i+1:] all 0, so s == 0 and v[i] >= 0
         di, wi = d[i + 1], w[i]
         t = isqrt(r // wi)
-        lo, hi = -((t + s) // di), (t - s) // di
+        lo, hi = 0 if zero else -((t + s) // di), (t - s) // di
         row = b[i - 1]
         # shift of level i-1, less its v[i] term
         below = sum(row[j] * v[j] for j in range(i + 1, n))
@@ -189,7 +202,7 @@ def _walk(ldl, bound: int, exact: bool):
         if i > 1:
             for v[i] in range(lo, hi + 1):
                 ell = di * v[i] + s
-                yield from level(i - 1, r - wi * ell * ell, below + c * v[i])
+                yield from level(i - 1, r - wi * ell * ell, below + c * v[i], zero and not v[i])
         elif exact:
             ell = di * lo + s
             q = (r - wi * ell * ell) // w0
@@ -208,20 +221,21 @@ def _walk(ldl, bound: int, exact: bool):
                 r0 = r - wi * ell * ell
                 s0 = below + c * x
                 t = isqrt(r0 // w0)
-                first = -((t + s0) // d1)
-                ell = d1 * first + s0
-                q = (top - r0 + w0 * ell * ell) // m
-                v[1] = x
-                for v[0] in range(first, (t - s0) // d1 + 1):
-                    yield tuple(v), q
-                    q += 2 * ell + d1
-                    ell += d1
+                first, last = 1 if zero and not x else -((t + s0) // d1), (t - s0) // d1
+                if first <= last:
+                    ell = d1 * first + s0
+                    v[1] = x
+                    yield v, first, last, (top - r0 + w0 * ell * ell) // m, 2 * ell + d1
 
     if n > 1:
-        yield from level(n - 1, top, 0)
+        yield from level(n - 1, top, 0, half)
     else:  # Q(x) = d1 x^2
         t = isqrt(bound // d1)
-        yield from (((x,), d1 * x * x) for x in range(-t, t + 1) if not exact or d1 * x * x == bound)
+        first = 1 if half else -t
+        if exact:
+            yield from (((x,), bound) for x in range(-t, t + 1) if d1 * x * x == bound)
+        elif first <= t:
+            yield v, first, t, d1 * first * first, d1 * (2 * first + 1)
 
 
 def representations(form: QuadraticForm, n: int) -> list[tuple[int, ...]]:
@@ -239,19 +253,41 @@ def vectors_up_to(form: QuadraticForm, bound: int):
     """
     ldl = _scaled_ldl(form, "enumeration")
     if bound >= 0:
-        yield from _walk(ldl, bound, False)
+        step = 2 * ldl[0][1]
+        for v, first, last, q, dq in _walk(ldl, bound, False):
+            for v[0] in range(first, last + 1):
+                yield tuple(v), q
+                q += dq
+                dq += step
+
+
+def _marked(form: QuadraticForm, n_max: int, what: str, primitive: bool) -> bytearray:
+    """Flag each value 0 < Q(v) <= n_max of a v != 0, primitive v only when
+    `primitive`. `what` names the caller in _scaled_ldl's error."""
+    ldl = _scaled_ldl(form, what)
+    seen = bytearray(max(n_max, 0) + 1)
+    if n_max < 0:
+        return seen
+    step = 2 * ldl[0][1]
+    for v, first, last, q, dq in _walk(ldl, n_max, False, True):
+        g = gcd(*v[1:]) if primitive else 1
+        if g == 1:
+            for _ in range(first, last + 1):
+                seen[q] = 1
+                q += dq
+                dq += step
+        else:
+            for x in range(first, last + 1):
+                if gcd(g, x) == 1:
+                    seen[q] = 1
+                q += dq
+                dq += step
+    return seen
 
 
 def primitive_image(form: QuadraticForm, n_max: int) -> list[int]:
     """Sorted values Q(v) for primitive v with 0 < Q(v) <= n_max."""
-    seen: set[int] = set()
-    try:
-        for vec, q in vectors_up_to(form, n_max):
-            if 0 < q and q not in seen and is_primitive(vec):
-                seen.add(q)
-    except ValueError:  # the only one vectors_up_to raises: not positive definite
-        raise ValueError("primitive_image requires a positive definite form") from None
-    return sorted(seen)
+    return list(set_bits(flags_to_mask(_marked(form, n_max, "primitive_image", True))))
 
 
 # byte tables between a 0/1 flag per value and the ASCII digits of int(_, 2)
@@ -265,8 +301,8 @@ def image_mask(form: QuadraticForm, n_max: int) -> int:
     is set when some v has Q(v) = q. Bit 0 is always set (the zero vector),
     and no bit above max(n_max, 0) is.
 
-    Requires a positive definite form; any other raises the ValueError of
-    vectors_up_to.
+    Other forms mark the rows of the half walk in a bytearray. Requires a
+    positive definite form; any other raises vectors_up_to's ValueError.
     """
     n_max = max(n_max, 0)
     if is_diagonal(form) and is_positive_definite(form):
@@ -281,9 +317,8 @@ def image_mask(form: QuadraticForm, n_max: int) -> int:
                 grown |= mask << c * x * x
             mask = grown & width
         return mask
-    seen = bytearray(n_max + 1)
-    for _, q in vectors_up_to(form, n_max):
-        seen[q] = 1
+    seen = _marked(form, n_max, "enumeration", False)
+    seen[0] = 1
     return flags_to_mask(seen)
 
 

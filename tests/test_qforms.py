@@ -23,6 +23,7 @@ from hassettmax.qforms import (
     content,
     evaluate,
     flags_to_mask,
+    image_mask,
     integer_image_upto,
     is_diagonal,
     is_positive_definite,
@@ -462,6 +463,38 @@ def test_enumeration_matches_box_brute_force(form, bound):
 def test_enumeration_matches_box_brute_force_in_dims_1_2(form, bound):
     # here the walk is only its last two coordinates (or the one of dim 1)
     check_enumeration(form, bound)
+
+
+@PROPERTY
+@given(nondiagonal_forms(), st.integers(-1, 60))
+@example(QuadraticForm(1, ((7,),)), 60)
+@example(QuadraticForm(2, ((2, 1), (1, 10))), 8)
+@example(QuadraticForm(3, ((3, 1, 1), (1, 20, 1), (1, 1, 20))), 12)
+@example(QuadraticForm(4, ((2, 1, 1, 1), (1, 30, 1, 1), (1, 1, 30, 1), (1, 1, 1, 30))), 20)
+def test_value_sets_match_box_brute_force(form, bound):
+    # the value consumers walk one of each +-v per row; the examples include
+    # forms whose only vectors up to the bound lie on the first axis, where
+    # the rows start past the zero vector
+    table = brute_table(form, bound) if bound >= 0 else {}
+    assert Counter(vectors_up_to(form, bound)) == Counter(
+        (v, n) for n, vs in table.items() for v in vs
+    )
+    assert primitive_image(form, bound) == sorted(
+        n for n, vs in table.items() if n > 0 and any(content(v) == 1 for v in vs)
+    )
+    assert list(set_bits(image_mask(form, bound))) == sorted(set(table) | {0})
+
+
+@pytest.mark.parametrize("n_max, image", [(-1, []), (0, []), (7, []), (8, [8])])
+def test_primitive_image_of_f_at_the_bottom(n_max, image):
+    assert primitive_image(F, n_max) == image
+
+
+@pytest.mark.parametrize("a", [1, 2, 7])
+@pytest.mark.parametrize("n_max", [-1, 0, 1, 6, 7, 28, 100])
+def test_primitive_image_of_a_unary_form(a, n_max):
+    # a x^2 is primitive only at x = +-1
+    assert primitive_image(QuadraticForm(1, ((a,),)), n_max) == ([a] if a <= n_max else [])
 
 
 @PROPERTY
