@@ -12,12 +12,12 @@ Enumeration is one Fincke-Pohst walk, all int operations, over an integer
 LDL scaled by Bareiss elimination. Coordinates 1 and 0 are two nested loops
 in one generator frame; the room left for coordinate 0 is w[0] times an int
 that, as w[1] d[2] == w[0], steps by integer differences along each row.
-Except in representations, the walk yields rows: one per fixed v[1:], with
-the range of v[0], Q at its first value and the first difference.
-primitive_image, and image_mask for a form that is not diagonal, mark rows
-in a bytearray and take the half walk, one of each +-v (same value, same
-content). primitive_image takes g = gcd(v[1:]) once per row: all of the row
-is primitive when g == 1, else the v[0] with gcd(g, v[0]) == 1.
+Every walk is a half walk, one of each +-v != 0 (same value, same content);
+callers mirror it. Except in representations, it yields rows: one per fixed
+v[1:], with the range of v[0], Q at its first value and the first
+difference. primitive_image, and image_mask for a form that is not diagonal,
+mark rows in a bytearray. primitive_image takes g = gcd(v[1:]) once per row:
+all of the row is primitive when g == 1, else the v[0] with gcd(g, v[0]) == 1.
 
 image_mask holds a form's values up to a bound as the bits of one Python
 int. For a positive definite diagonal form it skips the walk: each
@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from itertools import compress, count
 from math import gcd, isqrt, lcm
+from operator import neg
 
 _GRAM_F = (
     (8, -4, -4, -1),
@@ -166,23 +167,25 @@ def _scaled_ldl(form: QuadraticForm, what: str):
     return d, b, [m // (d[i] * d[i + 1]) for i in range(n)], m
 
 
-def _walk(ldl, bound: int, exact: bool, half: bool = False):
+def _walk(ldl, bound: int, exact: bool):
     """Fincke-Pohst walk over a scaled integer LDL. Requires bound >= 0.
 
-    When `exact`, yield (v, bound) for every integer v with Q(v) == bound.
-    Otherwise yield one row (v, first, last, q, dq) per fixed v[1:], for the
-    v with Q(v) <= bound: v is the walk's own list, holding v[1:] until the
-    next row; v[0] runs over first..last; q is Q(v) at v[0] = first, Q rises
-    by dq per step of v[0], and dq by 2 d[1]. Only non-empty rows are
-    yielded. When `half`, the rows hold only the v whose last nonzero
-    coordinate is positive: one of each pair +-v != 0.
+    Every walk is a half walk: it visits only the v != 0 whose last nonzero
+    coordinate is positive, one of each pair +-v, and callers mirror it.
+    When `exact`, yield each such v with Q(v) == bound. Otherwise yield one
+    row (v, first, last, q, dq) per fixed v[1:], for the v with Q(v) <=
+    bound: v is a list holding v[1:] until the next row; v[0] runs over
+    first..last; q is Q(v) at v[0] = first, Q rises by dq per step of v[0],
+    and dq by 2 d[1]. Only non-empty rows are yielded.
 
     Coordinates are fixed from the last one down. Level i gets the room r
     left for sum_{k<=i} w[k] L_k^2 and the shift s = L_i - d[i+1] v[i], and
-    walks |L_i| <= isqrt(r // w[i]). Levels 1 and 0 are two nested loops.
-    The level-0 room is w[0] q, q = d[1] (bound - Q(v)) + L_0^2 at v[0] = 0,
-    and q falls by 2 L_1 + d[2] per step of v[1] (w[1] d[2] == w[0]); exact
-    mode takes L_0 = +-sqrt(q). Q(v) rises by 2 L_0 + d[1] per step of v[0].
+    walks |L_i| <= isqrt(r // w[i]), from v[i] = 0 while v[i+1:] == 0 (from
+    v[1] = 1: the axis v[1:] == 0, Q = d[1] v[0]^2, is walked last). Levels
+    1 and 0 are two nested loops. The level-0 room is w[0] q, q = d[1]
+    (bound - Q(v)) + L_0^2 at v[0] = 0, and q falls by 2 L_1 + d[2] per step
+    of v[1] (w[1] d[2] == w[0]); exact mode takes L_0 = +-sqrt(q). Q(v)
+    rises by 2 L_0 + d[1] per step of v[0].
     """
     d, b, w, m = ldl
     n = len(w)
@@ -191,10 +194,10 @@ def _walk(ldl, bound: int, exact: bool, half: bool = False):
     v = [0] * n
 
     def level(i: int, r: int, s: int, zero: bool):
-        # zero: the half walk with v[i+1:] all 0, so s == 0 and v[i] >= 0
+        # zero: v[i+1:] all 0, so s == 0 and v[i] >= 0 (v[1] >= 1)
         di, wi = d[i + 1], w[i]
         t = isqrt(r // wi)
-        lo, hi = 0 if zero else -((t + s) // di), (t - s) // di
+        lo, hi = int(i == 1) if zero else -((t + s) // di), (t - s) // di
         row = b[i - 1]
         # shift of level i-1, less its v[i] term
         below = sum(row[j] * v[j] for j in range(i + 1, n))
@@ -212,7 +215,7 @@ def _walk(ldl, bound: int, exact: bool, half: bool = False):
                     s0 = below + c * x
                     for root in {t, -t}:  # one root when t == 0
                         if (root - s0) % d1 == 0:
-                            yield ((root - s0) // d1, x, *v[2:]), bound
+                            yield ((root - s0) // d1, x, *v[2:])
                 q -= 2 * ell + di
                 ell += di
         else:
@@ -221,42 +224,43 @@ def _walk(ldl, bound: int, exact: bool, half: bool = False):
                 r0 = r - wi * ell * ell
                 s0 = below + c * x
                 t = isqrt(r0 // w0)
-                first, last = 1 if zero and not x else -((t + s0) // d1), (t - s0) // d1
+                first, last = -((t + s0) // d1), (t - s0) // d1
                 if first <= last:
                     ell = d1 * first + s0
                     v[1] = x
                     yield v, first, last, (top - r0 + w0 * ell * ell) // m, 2 * ell + d1
 
     if n > 1:
-        yield from level(n - 1, top, 0, half)
-    else:  # Q(x) = d1 x^2
-        t = isqrt(bound // d1)
-        first = 1 if half else -t
-        if exact:
-            yield from (((x,), bound) for x in range(-t, t + 1) if d1 * x * x == bound)
-        elif first <= t:
-            yield v, first, t, d1 * first * first, d1 * (2 * first + 1)
+        yield from level(n - 1, top, 0, True)
+    t = isqrt(bound // d1)  # the axis: v[0] = 1..t
+    if exact:
+        if t and d1 * t * t == bound:
+            yield (t,) + (0,) * (n - 1)
+    elif t:
+        yield [0] * n, 1, t, d1, 3 * d1
 
 
 def representations(form: QuadraticForm, n: int) -> list[tuple[int, ...]]:
-    """All integer vectors v with Q(v) = n, in lexicographic order."""
+    """All integer vectors v with Q(v) = n, in lexicographic order: the
+    half walk, its mirror, and the zero vector when n == 0."""
     ldl = _scaled_ldl(form, "representations")
     if n < 0:
         raise ValueError("n must be >= 0")
-    return sorted(v for v, _ in _walk(ldl, n, True))
+    half = list(_walk(ldl, n, True))
+    return sorted(half + [tuple(map(neg, v)) for v in half] + [(0,) * form.dim] * (n == 0))
 
 
 def vectors_up_to(form: QuadraticForm, bound: int):
-    """Yield (v, Q(v)) over all integer v with Q(v) <= bound.
-
-    Includes the zero vector. Order is not specified.
-    """
+    """Yield (v, Q(v)) over all integer v with Q(v) <= bound, in no set
+    order: the zero vector once, then each half-walk vector and its -v."""
     ldl = _scaled_ldl(form, "enumeration")
     if bound >= 0:
+        yield (0,) * form.dim, 0
         step = 2 * ldl[0][1]
         for v, first, last, q, dq in _walk(ldl, bound, False):
             for v[0] in range(first, last + 1):
                 yield tuple(v), q
+                yield tuple(map(neg, v)), q
                 q += dq
                 dq += step
 
@@ -269,7 +273,7 @@ def _marked(form: QuadraticForm, n_max: int, what: str, primitive: bool) -> byte
     if n_max < 0:
         return seen
     step = 2 * ldl[0][1]
-    for v, first, last, q, dq in _walk(ldl, n_max, False, True):
+    for v, first, last, q, dq in _walk(ldl, n_max, False):
         g = gcd(*v[1:]) if primitive else 1
         if g == 1:
             for _ in range(first, last + 1):
@@ -302,7 +306,8 @@ def image_mask(form: QuadraticForm, n_max: int) -> int:
     and no bit above max(n_max, 0) is.
 
     Other forms mark the rows of the half walk in a bytearray. Requires a
-    positive definite form; any other raises vectors_up_to's ValueError.
+    positive definite form; _scaled_ldl raises ValueError("enumeration
+    requires a positive definite form") for any other.
     """
     n_max = max(n_max, 0)
     if is_diagonal(form) and is_positive_definite(form):

@@ -18,6 +18,7 @@ from hassettmax.linalg import det_bareiss
 from hassettmax.qforms import (
     QuadraticForm,
     _scaled_ldl,
+    _walk,
     bilinear,
     builtin_form,
     content,
@@ -483,6 +484,52 @@ def test_value_sets_match_box_brute_force(form, bound):
         n for n, vs in table.items() if n > 0 and any(content(v) == 1 for v in vs)
     )
     assert list(set_bits(image_mask(form, bound))) == sorted(set(table) | {0})
+
+
+# the exact walk is a half walk; representations mirrors it. The examples
+# have solutions on the first axis, v[1:] == 0, at small n.
+HALF_WALK_EXAMPLES = (
+    QuadraticForm(1, ((3,),)),
+    QuadraticForm(2, ((2, 1), (1, 2))),
+    QuadraticForm(4, ((2, 1, 1, 1), (1, 30, 1, 1), (1, 1, 30, 1), (1, 1, 1, 30))),
+)
+
+
+def half_walk_examples(test):
+    for form in HALF_WALK_EXAMPLES:
+        test = example(form)(test)
+    return test
+
+
+@PROPERTY
+@given(nondiagonal_forms())
+@half_walk_examples
+def test_exact_walk_is_a_half_walk(form):
+    ldl = _scaled_ldl(form, "test")
+    zero = (0,) * form.dim
+    for n in range(41):
+        walked = list(_walk(ldl, n, True))
+        assert zero not in walked, f"n = {n}"
+        mirrored = {tuple(-x for x in v) for v in walked}
+        assert mirrored.isdisjoint(walked), f"n = {n}"
+        assert all(evaluate(form, v) == n for v in walked)
+
+
+@PROPERTY
+@given(nondiagonal_forms())
+@half_walk_examples
+def test_representations_are_closed_under_negation(form):
+    for n in range(41):
+        reps = representations(form, n)
+        assert all(a < b for a, b in zip(reps, reps[1:])), f"n = {n}: not one of each"
+        assert {tuple(-x for x in v) for v in reps} == set(reps), f"n = {n}"
+
+
+@PROPERTY
+@given(nondiagonal_forms())
+@half_walk_examples
+def test_representations_of_zero_are_the_zero_vector(form):
+    assert representations(form, 0) == [(0,) * form.dim]
 
 
 @pytest.mark.parametrize("n_max, image", [(-1, []), (0, []), (7, []), (8, [8])])
