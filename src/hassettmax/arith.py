@@ -3,26 +3,47 @@ integer square roots, the splitmix64 generator used for seeded randomized
 checks, and parse_int and parse_ints, the strict decoders of a certificate's
 ints.
 
+factorize takes out the primes below B = 4096 by one gcd with their product,
+so a cofactor below B^2 is prime; is_prime tests the larger ones. It splits a
+perfect power by an integer root and the rest by Brent's variant of Pollard
+rho (Brent 1980), four steps per modular product.
+
 Everything here is exact. No floats anywhere.
 """
 
 from __future__ import annotations
 
-from math import gcd, isqrt
+from itertools import compress
+from math import gcd, isqrt, prod
 
-# Miller-Rabin with the primes up to 41 as bases is proven correct below
-# psi_13 (Sorenson and Webster 2017), the least strong pseudoprime to all
-# of them (= 1287836182261 * 2575672364521). From psi_13 on, is_prime is
-# Baillie-PSW: base 2 plus a strong Lucas test with Selfridge's parameters.
+# Miller-Rabin with the first k prime bases is proven correct below psi_k,
+# the least strong pseudoprime to all of them (Jaeschke 1993; psi_12 and
+# psi_13 = 1287836182261 * 2575672364521 from Sorenson and Webster 2017).
+# psi_8 = psi_7 and psi_11 = psi_10 = psi_9 add nothing. From psi_13 on,
+# is_prime is Baillie-PSW: base 2 plus a strong Lucas test with Selfridge's
+# parameters.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_PSI_13 = 3317044064679887385961981
+_PSI = (
+    (2047, 1), (1373653, 2), (25326001, 3), (3215031751, 4), (2152302898747, 5),
+    (3474749660383, 6), (341550071728321, 7), (3825123056546413051, 9),
+    (318665857834031151167461, 12), (3317044064679887385961981, 13),
+)
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
+# factorize's trial bound B: the primes below it and their product
+_TRIAL_BOUND = 1 << 12
+_sieve = bytearray([0, 0]) + bytearray([1]) * (_TRIAL_BOUND - 2)
+for _p in range(2, isqrt(_TRIAL_BOUND) + 1):
+    _sieve[_p * _p :: _p] = bytes(len(_sieve[_p * _p :: _p]))
+_TRIAL = list(compress(range(_TRIAL_BOUND), _sieve))
+_PRIMORIAL = prod(_TRIAL)
+del _sieve, _p
+
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test: Miller-Rabin with the fixed bases
-    below psi_13, Baillie-PSW from there on (no known counterexample)."""
+    """Deterministic primality test: Miller-Rabin with the first k prime
+    bases below psi_k, Baillie-PSW from psi_13 on (no known counterexample)."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -30,8 +51,9 @@ def is_prime(n: int) -> bool:
             return True
         if n % p == 0:
             return False
-    if n < _PSI_13:
-        return _miller_rabin(n, _MR_BASES)
+    for psi, k in _PSI:
+        if n < psi:
+            return _miller_rabin(n, _MR_BASES[:k])
     return _miller_rabin(n, (2,)) and _strong_lucas_probable_prime(n)
 
 
@@ -122,7 +144,14 @@ def _pollard_rho(n: int) -> int:
             k = 0
             while k < r and g == 1:
                 ys = y
-                for _ in range(min(m, r - k)):
+                batch = min(m, r - k)
+                for _ in range(batch >> 2):
+                    y1 = (y * y + c) % n
+                    y2 = (y1 * y1 + c) % n
+                    y3 = (y2 * y2 + c) % n
+                    y = (y3 * y3 + c) % n
+                    q = q * (x - y1) * (x - y2) % n * (x - y3) * (x - y) % n
+                for _ in range(batch & 3):
                     y = (y * y + c) % n
                     q = q * (x - y) % n
                 g = gcd(q, n)
@@ -149,9 +178,10 @@ def _iroot(m: int, k: int) -> int:
 
 def _perfect_power(m: int) -> tuple[int, int] | None:
     """(r, k) with r**k == m and k prime, or None, for m with no prime
-    factor below 53; then r >= 53, so only the k with 53^k <= m can occur."""
+    factor below B = _TRIAL_BOUND; then r >= B, so only the k with B^k <= m
+    can occur."""
     k = 2
-    while 53**k <= m:
+    while _TRIAL_BOUND**k <= m:
         if is_prime(k):
             r = isqrt(m) if k == 2 else _iroot(m, k)
             if r**k == m:
@@ -165,14 +195,23 @@ def factorize(n: int) -> dict[int, int]:
     if n < 1:
         raise ValueError("factorize requires n >= 1")
     out: dict[int, int] = {}
-    for p in _SMALL_PRIMES:
+    g = gcd(n, _PRIMORIAL)  # the product of the primes below B dividing n
+    primes = iter(_TRIAL)
+    while g > 1:
+        p = next(primes)
+        if p * p > g:
+            p = g  # what is left of g is prime
+        elif g % p:
+            continue
+        g //= p
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
     stack = [(n, 1)] if n > 1 else []  # (cofactor > 1, its multiplicity)
     while stack:
         m, e = stack.pop()
-        if is_prime(m):
+        # no prime below B divides m, so m < B^2 is prime
+        if m < _TRIAL_BOUND**2 or is_prime(m):
             out[m] = out.get(m, 0) + e
             continue
         power = _perfect_power(m)

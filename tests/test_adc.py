@@ -5,13 +5,16 @@ integer solution z of Q = m and any direction d, the second intersection
 of the line z + s*d with the quadric is rational with denominator Q(d).
 """
 
+import hashlib
 import itertools
 import json
 from math import gcd, isqrt
 
 import pytest
+import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from sympy.solvers.diophantine.diophantine import cornacchia
 
 from hassettmax import adc, local_global
 from hassettmax.adc import (
@@ -461,6 +464,40 @@ def test_descend_factors_once_plus_once_per_secant_step(monkeypatch):
         assert len(calls) == reduced + kinds.count("secant"), (form.name, pt, kinds)
         seen.update(kinds)
     assert seen == {"trivial", "secant", "divide4", "enumerate"}
+
+
+def semiprime_chord_point(form, bits_p, bits_q):
+    """A chord point whose denominator Q(d) = p q, p and q the first primes
+    from 2^bits that Q3 (p = 1 mod 4) or G (p = 1 mod 3) represents."""
+    modulus = 4 if form is Q3 else 3
+
+    def prime_from(bits):
+        r = sympy.nextprime(2**bits)
+        while r % modulus != 1:
+            r = sympy.nextprime(r)
+        return r
+
+    p, q = prime_from(bits_p), prime_from(bits_q)
+    a, b = min(cornacchia(1, form.gram[1][1], p * q))
+    v, t = secant_generated_point(form, (1, 1, 1), (a, b, 0))
+    assert t == p * q
+    return rational_point(form, v, t)
+
+
+# length and sha256 of the canonical JSON of every trace below: how
+# factorize finds the primes of a denominator must not move a byte
+FROZEN_TRACES = (1703300, "417c3d8c7b09a66a388518b1867bc71390681e8aa62566aea2a14aad9199722c")
+
+
+def test_descend_traces_are_frozen():
+    rng = SplitMix64(28)
+    cases = [(form, pt) for form in (Q3, G) for pt in chord_points(form, rng, 150, 11)]
+    # Pollard rho's tail: two primes of 30 to 37 bits and nothing smaller
+    cases += [(form, semiprime_chord_point(form, *bits))
+              for form in (Q3, G) for bits in ((30, 31), (33, 35), (36, 37))]
+    traces = [trace_to_dict(descend(form, pt)) for form, pt in cases]
+    blob = json.dumps(traces, sort_keys=True, separators=(",", ":")).encode()
+    assert (len(blob), hashlib.sha256(blob).hexdigest()) == FROZEN_TRACES
 
 
 def test_verify_trace_rejects_tampering():

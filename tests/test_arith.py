@@ -1,7 +1,8 @@
 """Unit tests for the integer and exact linear algebra substrate."""
 
+import itertools
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, prod
 
 import pytest
 import sympy
@@ -135,7 +136,7 @@ def test_factorize_splits_perfect_powers_without_rho(monkeypatch):
     for k in (2, 3, 5, 6, 7, 11):
         assert factorize(q**k) == {q: k}
     assert factorize(3 * q**5) == {3: 1, q: 5}
-    assert factorize(53**2) == {53: 2}  # the least composite the branch sees
+    assert factorize(53**2) == {53: 2}  # a square of a prime the trial gcd takes out
 
 
 def test_factorize_splits_the_root_of_a_power_once(monkeypatch):
@@ -170,6 +171,114 @@ def test_factorize_matches_sympy(big, small):
     for p, e in [big, *small]:
         n *= p**e
     assert factorize(n) == sympy.factorint(n)
+
+
+B = arith._TRIAL_BOUND
+# the least strong pseudoprime to the first k prime bases, k = 1..13
+PSI = {1: 2047, 2: 1373653, 3: 25326001, 4: 3215031751, 5: 2152302898747,
+       6: 3474749660383, 7: 341550071728321, 8: 341550071728321,
+       9: 3825123056546413051, 10: 3825123056546413051, 11: 3825123056546413051,
+       12: 318665857834031151167461, 13: PSI_13}
+
+
+def test_trial_primes_and_their_product():
+    assert 2**8 <= B <= 2**12
+    assert arith._TRIAL == list(sympy.primerange(2, B))
+    assert arith._PRIMORIAL == prod(arith._TRIAL)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 2**30))
+@example(B**2 - 1)
+@example(B**2)
+@example(arith._TRIAL[-1] * arith._TRIAL[-2])
+def test_factorize_matches_sympy_up_to_2_30(n):
+    assert factorize(n) == sympy.factorint(n)
+
+
+def test_factorize_at_the_trial_bound(monkeypatch):
+    below = [sympy.prevprime(B), sympy.prevprime(sympy.prevprime(B))]
+    above = [sympy.nextprime(B), sympy.nextprime(sympy.nextprime(B))]
+    for p, q in itertools.combinations_with_replacement(below + above, 2):
+        for n in (p * q, 6 * p * q, p * q * arith._PRIMORIAL):
+            assert factorize(n) == sympy.factorint(n)
+
+    def no_rho(n):
+        raise AssertionError(f"Pollard rho called on {n}")
+
+    monkeypatch.setattr(arith, "_pollard_rho", no_rho)
+    r = above[0]
+    for n in (r**2, r**3, 2 * r**2, below[0] * r**3, r**5 * arith._PRIMORIAL):
+        assert factorize(n) == sympy.factorint(n)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(2**19, 2**36).flatmap(lambda a: st.tuples(st.just(a), st.integers(a, 2 * a))))
+@example((2**36, 2**37 - 2**30))
+def test_factorize_splits_balanced_semiprimes(pair):
+    # two primes of 20 to 37 bits: all of it is Pollard rho's work
+    n = sympy.nextprime(pair[0]) * sympy.nextprime(pair[1])
+    assert factorize(n) == sympy.factorint(n)
+
+
+def _rho_one_step(n):
+    """Brent's loop one step per modular product, as _pollard_rho was
+    written before its four-step batches: the reference for its result."""
+    seed = 1
+    while True:
+        seed += 1
+        y, c, m = seed, seed + 1, 128
+        g = r = q = 1
+        x = ys = y
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(m, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += m
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(3, 2**24).map(sympy.nextprime), min_size=2, max_size=3, unique=True))
+def test_pollard_rho_returns_the_one_step_factor(primes):
+    # the same y sequence, q products and backtracking, so the same factor;
+    # small primes make the first rounds, of one and two steps, find it
+    n = prod(primes)
+    assert arith._pollard_rho(n) == _rho_one_step(n)
+
+
+@pytest.mark.parametrize("k", sorted(PSI))
+def test_is_prime_around_each_psi(k):
+    psi = PSI[k]
+    # psi_k passes the first k bases; the bases is_prime uses at psi_k reject it
+    assert arith._miller_rabin(psi, arith._MR_BASES[:k])
+    assert not is_prime(psi)
+    for n in range(psi - 6, psi + 7):
+        assert is_prime(n) == sympy.isprime(n)
+
+
+@SYMPY
+@given(st.integers(1, PSI_13.bit_length()).flatmap(lambda b: st.integers(2, min(2**b, PSI_13 - 1))))
+@example(PSI_13 - 1)
+def test_is_prime_matches_sympy_below_psi13(n):
+    assert is_prime(n) == sympy.isprime(n)
+    p = sympy.nextprime(n)
+    assert is_prime(p)
+    assert not is_prime(p * sympy.nextprime(p))
 
 
 def test_ceil_sqrt_and_is_square():
