@@ -13,8 +13,6 @@ from .adc import (
     cube_bound,
     descend,
     rational_point,
-    reduce_3G,
-    secant_step,
     verify_trace,
 )
 from .hassett_rep import (
@@ -68,10 +66,8 @@ __all__ = [
     "odd_representation",
     "primitive_image",
     "rational_point",
-    "reduce_3G",
     "represent",
     "representations",
-    "secant_step",
     "verify_certificate",
     "verify_trace",
     "voisin_value",

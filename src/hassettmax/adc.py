@@ -45,10 +45,6 @@ from .qforms import (
 from . import local_global
 
 
-class DegenerateChordError(ValueError):
-    """Secant chord hit the quadric tangentially (z already on it)."""
-
-
 class ReductionUnavailable(Exception):
     """No torus multiple qualified; only possible for p <= cube_bound."""
 
@@ -103,17 +99,6 @@ def cube_sup(form: QuadraticForm) -> int:
 def cube_bound(form: QuadraticForm) -> int:
     """ceil(sqrt(M))^dim, the prime threshold of the torus pigeonhole."""
     return ceil_sqrt(cube_sup(form)) ** form.dim
-
-
-def secant_step(form: QuadraticForm, point: RationalPoint, z) -> RationalPoint:
-    z = tuple(int(x) for x in z)
-    v, t = point.v, point.t
-    num = evaluate(form, tuple(vi - t * zi for vi, zi in zip(v, z)))  # Q(v/t - z) = num / t^2
-    if num == 0:
-        raise DegenerateChordError("z lies on the quadric through v/t")
-    if abs(num) >= t * t:
-        raise ValueError("secant step requires 0 < |Q(v/t - z)| < 1")
-    return _secant(form, point, z, num)
 
 
 def _secant(form: QuadraticForm, point: RationalPoint, z, num: int) -> RationalPoint:
@@ -200,17 +185,6 @@ def _halve(form: QuadraticForm, v) -> tuple[int, ...]:
     if evaluate(form, w) * 4 != q:
         raise AssertionError("halving lost the certified value")
     return tuple(w)
-
-
-def reduce_3G(a: int, b: int, c: int) -> tuple[int, int, int]:
-    """(x, y, z) with G(x, y, z) = Q3(a, b, c)/3. Precondition: 3 | Q3(a, b, c)."""
-    q = a * a + b * b + 3 * c * c
-    if q % 3 != 0:
-        raise ValueError(f"Q3(a, b, c) = {q} is not divisible by 3")
-    # forced: a sum of two squares is 0 mod 3 only when both terms are
-    if a % 3 or b % 3:
-        raise AssertionError("3 | Q3 must force 3 | a and 3 | b")
-    return (c, a // 3, b // 3)
 
 
 def _is_builtin_ternary(form: QuadraticForm) -> bool:

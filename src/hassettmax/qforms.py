@@ -101,19 +101,6 @@ def evaluate(form: QuadraticForm, v):
     return total
 
 
-def bilinear(form: QuadraticForm, v, w):
-    """B(v, w) with B(v, v) = Q(v)."""
-    _check_dim(form, v)
-    _check_dim(form, w)
-    total = 0
-    for i, j, c in form._terms:
-        if i == j:
-            total += c * v[i] * w[i]
-        else:  # c = 2 B[i][j]
-            total += c // 2 * (v[i] * w[j] + v[j] * w[i])
-    return total
-
-
 def is_diagonal(form: QuadraticForm) -> bool:
     """True when every off-diagonal Gram entry is zero."""
     return all(i == j for i, j, _ in form._terms)

@@ -15,7 +15,6 @@ from hassettmax.adc import (
     cube_bound,
     descend,
     rational_point,
-    reduce_3G,
     verify_trace,
 )
 from hassettmax.arith import SplitMix64, is_prime
@@ -187,11 +186,10 @@ def test_07_forced_divisibility_and_3g_reduction():
                 if q % 3:
                     continue
                 assert a % 3 == 0 and b % 3 == 0, (a, b, c)
-                x, y, z = reduce_3G(a, b, c)
-                assert 3 * evaluate(G, (x, y, z)) == q
+                assert 3 * evaluate(G, (c, a // 3, b // 3)) == q
                 checked += 1
     print(f"[PASS] 7: 3 | Q3 forces 3 | a, 3 | b on {checked} triples; "
-          f"reduce_3G preserves value/3")
+          f"G(c, a/3, b/3) = Q3(a, b, c)/3")
 
 
 def test_08_local_certificates():

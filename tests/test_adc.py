@@ -18,7 +18,6 @@ from sympy.solvers.diophantine.diophantine import cornacchia
 
 from hassettmax import adc, local_global
 from hassettmax.adc import (
-    DegenerateChordError,
     DescentStep,
     DescentTrace,
     RationalPoint,
@@ -28,8 +27,6 @@ from hassettmax.adc import (
     cube_sup,
     descend,
     rational_point,
-    reduce_3G,
-    secant_step,
     trace_from_dict,
     trace_to_dict,
     verify_trace,
@@ -38,7 +35,6 @@ from hassettmax.arith import SplitMix64, factorize, is_prime
 from hassettmax.local_global import sqrt_mod_pk
 from hassettmax.qforms import (
     QuadraticForm,
-    bilinear,
     builtin_form,
     content,
     evaluate,
@@ -52,12 +48,25 @@ G = builtin_form("G")
 F = builtin_form("F")
 
 
+def polar(form, v, w):
+    """B(v, w) by polarization: (Q(v + w) - Q(v) - Q(w)) / 2."""
+    s = tuple(a + b for a, b in zip(v, w))
+    return (evaluate(form, s) - evaluate(form, v) - evaluate(form, w)) // 2
+
+
+def secant(form, point, z):
+    """adc._secant through the integer point z, with the num = Q(v - t z)
+    that the torus scan would hand it."""
+    num = evaluate(form, tuple(x - point.t * zi for x, zi in zip(point.v, z)))
+    return adc._secant(form, point, z, num)
+
+
 def secant_generated_point(form, z, d):
     """Second intersection of the line through integer solution z along d."""
     qd = evaluate(form, d)
     if qd == 0:
         return None
-    bzd = bilinear(form, z, d)
+    bzd = polar(form, z, d)
     v = tuple(qd * zi - 2 * bzd * di for zi, di in zip(z, d))
     return v, qd
 
@@ -97,21 +106,10 @@ def test_rational_point_validation():
 
 
 def test_secant_worked_examples():
-    out = secant_step(Q3, rational_point(Q3, (3, 4, 5), 5), (1, 1, 1))
+    out = secant(Q3, rational_point(Q3, (3, 4, 5), 5), (1, 1, 1))
     assert (out.v, out.t, out.m) == ((-1, 0, 1), 1, 4)
-    out2 = secant_step(Q3, rational_point(Q3, (7, 1, 0), 5), (1, 0, 0))
+    out2 = secant(Q3, rational_point(Q3, (7, 1, 0), 5), (1, 0, 0))
     assert (out2.v, out2.t, out2.m) == ((-1, -1, 0), 1, 2)
-
-
-def test_secant_degenerate_chord():
-    with pytest.raises(DegenerateChordError):
-        secant_step(Q3, rational_point(Q3, (2, 2, 2), 2), (1, 1, 1))
-
-
-def test_secant_needs_nearby_integer_point():
-    # z too far: |Q(v/t - z)| >= 1
-    with pytest.raises(ValueError):
-        secant_step(Q3, rational_point(Q3, (3, 4, 5), 5), (5, 5, 5))
 
 
 def test_secant_diminishes_denominator_on_generated_points():
@@ -134,7 +132,7 @@ def test_secant_diminishes_denominator_on_generated_points():
         diff_val = evaluate(Q3, tuple(a - pt.t * b for a, b in zip(pt.v, z)))
         if diff_val == 0 or diff_val >= pt.t * pt.t:
             continue
-        out = secant_step(Q3, pt, z)
+        out = adc._secant(Q3, pt, z, diff_val)
         assert out.t < pt.t
         assert evaluate(Q3, out.v) == out.m * out.t * out.t
         assert out.m == pt.m
@@ -267,10 +265,9 @@ def test_halve_audits_its_value(monkeypatch):
 
 
 def test_reduce_3g_frozen():
-    assert reduce_3G(3, 3, 1) == (1, 1, 1)
-    assert reduce_3G(0, 3, 0) == (0, 0, 1)
-    with pytest.raises(ValueError):
-        reduce_3G(1, 1, 1)
+    # 3 | Q3(a, b, c) forces 3 | a and 3 | b, and G(c, a/3, b/3) = Q3(a, b, c)/3
+    assert evaluate(Q3, (3, 3, 1)) == 3 * evaluate(G, (1, 1, 1)) == 21
+    assert evaluate(Q3, (0, 3, 0)) == 3 * evaluate(G, (0, 0, 1)) == 9
 
 
 def test_reduce_3g_sweep_and_forced_divisibility():
@@ -280,8 +277,7 @@ def test_reduce_3g_sweep_and_forced_divisibility():
                 q = a * a + b * b + 3 * c * c
                 if q % 3 == 0:
                     assert a % 3 == 0 and b % 3 == 0
-                    out = reduce_3G(a, b, c)
-                    assert evaluate(G, out) * 3 == q
+                    assert evaluate(G, (c, a // 3, b // 3)) * 3 == q
 
 
 # --- full descent ---
@@ -408,7 +404,7 @@ def f_residual_points(rng, count):
         qd = evaluate(F, d)
         if qd == 0:
             continue
-        bvd = bilinear(F, v0, d)
+        bvd = polar(F, v0, d)
         v = tuple(qd * x - 2 * bvd * di for x, di in zip(v0, d))
         points.append(rational_point(F, v, t0 * qd))
     return points

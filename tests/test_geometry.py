@@ -969,6 +969,19 @@ def test_verify_cubic_dict_rejects_tampering(configs):
     assert not verify_cubic_dict({"a": "1"})
 
 
+@pytest.mark.parametrize("coeffs", [
+    "0" * 56, {str(i): "0" for i in range(56)},
+], ids=["string", "object"])
+def test_cubic_coeffs_must_be_a_json_list(configs, coeffs):
+    # each would otherwise be read one character or one key at a time,
+    # into 56 coefficients
+    cfg = configs[(1, 1)]
+    payload = dict(cubic_to_dict(random_cubic(cfg, seed=7), cfg, seed=7), coeffs=coeffs)
+    with pytest.raises(TypeError):
+        cubic_from_dict(payload)
+    assert not verify_cubic_dict(payload)
+
+
 @pytest.mark.parametrize("text", ["0", "-1", "2/3", "-7/5", str(Fraction(10**40 + 1, 3))])
 def test_parse_rational_reads_what_str_writes(text):
     assert str(parse_rational(text)) == text
