@@ -1,13 +1,13 @@
-"""Denominator descent and ADC verification for positive definite forms.
+"""Denominator descent and ADC verification for the ternary forms Q3 and G.
 
 The engine takes a rational representation Q(v/t) = m and shrinks t one
 prime at a time. For a prime p above the pigeonhole bound, some multiple
 i*v/p lands near the integer lattice on the torus R^n/Z^n, and a secant
-step through the nearby integer point cuts the denominator below p. Small
-primes are cleared by an exact halving identity (p = 2, forms Q3 and G)
-or, as a last resort, by enumeration of integer representations.
+step through the nearby integer point cuts the denominator below p. The
+odd primes below the bound have such a multiple too (tests check every
+class); p = 2, when it has none, is cleared by an exact halving identity.
 
-A trace holds trivial, secant, divide4 and enumerate steps, each strictly
+A trace holds trivial, secant and divide4 steps, each strictly
 shrinking t. A trivial step divides out the content v shares with t, so no
 later prime p of t divides every coordinate of v.
 
@@ -19,34 +19,28 @@ largest prime of t, the one reduced, as if t were factored afresh.
 cube_bound(form) is computed once per descent.
 
 _secant audits the value and the shrink of every secant step, and the
-halving identity audits its own value; trivial and enumerate steps are
-exact by construction. The torus scan hands _secant the Q(w) it checked.
+halving identity audits its own value; trivial steps are exact by
+construction. The torus scan hands _secant the Q(w) it checked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd
 from itertools import product
 
 from .arith import ceil_sqrt, factorize, parse_int, parse_ints
 from .qforms import (
     QuadraticForm,
     builtin_form,
-    content,
     evaluate,
     image_mask,
     is_diagonal,
     is_positive_definite,
-    representations,
     set_bits,
 )
 from . import local_global
-
-
-class ReductionUnavailable(Exception):
-    """No torus multiple qualified; only possible for p <= cube_bound."""
 
 
 @dataclass(frozen=True)
@@ -64,7 +58,7 @@ class RationalPoint:
 
 @dataclass(frozen=True)
 class DescentStep:
-    kind: str  # "secant" | "divide4" | "trivial" | "enumerate"
+    kind: str  # "secant" | "divide4" | "trivial"
     data: dict
     before: RationalPoint
     after: RationalPoint
@@ -135,7 +129,8 @@ def _torus_reduce_full(form: QuadraticForm, point: RationalPoint, p: int, bound:
     """(after, i, z) for a prime p of point.t: after has point's value and the
     denominator t_r * t/p, t_r < p, from the secant step at i*v/p through
     z = (i*v - w)/p, for the least i in [1, min(p-1, bound)] whose centered
-    residue w of i*v mod p has 0 < Q(w) < p^2; bound is cube_bound."""
+    residue w of i*v mod p has 0 < Q(w) < p^2; bound is cube_bound. None
+    when no such i exists."""
     v, m, s = point.v, point.m, point.t // p
     for i in range(1, min(p - 1, bound) + 1):
         w = tuple(_centered_residue(i * x, p) for x in v)
@@ -143,7 +138,7 @@ def _torus_reduce_full(form: QuadraticForm, point: RationalPoint, p: int, bound:
         if 0 < num < p * p:
             break
     else:
-        raise ReductionUnavailable(f"no qualifying multiple for p = {p}")
+        return None
     iv = tuple(i * x for x in v)
     z = tuple((ivj - wj) // p for ivj, wj in zip(iv, w))
     # Q(i*v/p) = i^2 m s^2, since Q(v) = m t^2 and t = p s; i*v - p*z = w
@@ -192,19 +187,16 @@ def _is_builtin_ternary(form: QuadraticForm) -> bool:
 
 
 def descend(form: QuadraticForm, point: RationalPoint) -> DescentTrace:
-    """Run the full denominator descent from point.
-
-    For Q3 and G the trace always ends in an integer vector of the same
-    value. For other positive definite forms the loop stops once no
-    reduction applies, leaving the residual denominator in the terminal
-    point.
-    """
+    """Run the full denominator descent from point, for Q3 and G only. The
+    trace always ends in an integer vector of the same value."""
+    if not _is_builtin_ternary(form):
+        raise ValueError("descend serves Q3 and G only")
     v, t, m = point.v, point.t, point.m
     if evaluate(form, v) != m * t * t:
         raise ValueError("point does not satisfy Q(v/t) = m")
     steps: list[DescentStep] = []
     current = point
-    # an integer point needs no torus scan, so no bound (nor definiteness)
+    # an integer point needs no torus scan, so no bound
     bound = cube_bound(form) if t > 1 else 0
     # candidate primes, holding every prime of current.t; factored at the
     # first reduction, after any leading trivial steps, so the content
@@ -217,7 +209,7 @@ def descend(form: QuadraticForm, point: RationalPoint) -> DescentTrace:
         current = after
 
     while current.t > 1:
-        g = gcd(content(current.v), current.t)
+        g = gcd(*current.v, current.t)
         if g > 1:
             after = RationalPoint(tuple(x // g for x in current.v), current.t // g, m)
             push("trivial", {"g": g}, after)
@@ -227,18 +219,15 @@ def descend(form: QuadraticForm, point: RationalPoint) -> DescentTrace:
         p = max((q for q in primes if current.t % q == 0), default=None)
         if p is None:
             raise AssertionError("carried factorization lost a prime of the denominator")
-        try:
-            after, i, z = _torus_reduce_full(form, current, p, bound)
-        except ReductionUnavailable:
-            if p == 2 and _is_builtin_ternary(form):
-                w = _halve(form, current.v)
-                push("divide4", {"p": 2}, RationalPoint(w, current.t // 2, m))
-                continue
-            reps = representations(form, m)
-            if reps:
-                push("enumerate", {"p": p}, RationalPoint(reps[0], 1, m))
-                continue
-            break  # residual denominator stays; form is not ADC here
+        reduced = _torus_reduce_full(form, current, p, bound)
+        if reduced is None:
+            # Q3 and G have a torus multiple at every odd prime (a test checks each class)
+            if p != 2:
+                raise AssertionError(f"no torus multiple for the odd prime {p}")
+            w = _halve(form, current.v)
+            push("divide4", {"p": 2}, RationalPoint(w, current.t // 2, m))
+            continue
+        after, i, z = reduced
         # t_r = after.t / (t/p) < p is the only new factor of the denominator
         primes.update(factorize(after.t * p // current.t))
         push("secant", {"p": p, "i": i, "z": z}, after)
@@ -256,7 +245,7 @@ def verify_trace(form: QuadraticForm, trace: DescentTrace) -> bool:
     for step in trace.steps:
         if step.before != prev:
             return False
-        if step.kind not in ("trivial", "secant", "divide4", "enumerate"):
+        if step.kind not in ("trivial", "secant", "divide4"):
             return False
         if step.after.m != m:
             return False
@@ -268,39 +257,19 @@ def verify_trace(form: QuadraticForm, trace: DescentTrace) -> bool:
     return prev == trace.terminal
 
 
-def _rational_test(form: QuadraticForm, n_max: int, candidates: int) -> list[int]:
-    """The set bits n of candidates (all in [1, n_max]) that are values of Q
-    over the rationals. Exact for unary and diagonal ternary forms, where the
-    rational values up to n_max form one bitmask; a bounded search per
-    candidate otherwise."""
-    if form.dim == 1:
-        # a x^2 takes the rational values a0 t^2, a0 the square-free part of a
-        a0 = prod(p for p, e in factorize(form.gram[0][0]).items() if e % 2)
-        return list(set_bits(candidates & image_mask(QuadraticForm(1, ((a0,),)), n_max)))
-    if form.dim == 3 and is_diagonal(form):
-        diag = tuple(form.gram[i][i] for i in range(3))
-        return list(set_bits(candidates & local_global.rational_values_mask(diag, n_max)))
-    # sound but not complete: witness search over denominators up to 8
-    return [
-        n for n in set_bits(candidates)
-        if any(representations(form, n * t * t) for t in range(1, 9))
-    ]
-
-
 def adc_check(form: QuadraticForm, n_max: int) -> list[int]:
-    """Integers n in [1, n_max] rationally but not integrally represented.
-
-    The candidates are the zero bits of qforms.image_mask; for unary and
-    diagonal ternary forms the answer is that mask's complement ANDed with
-    the mask of rational values, read in one pass with no step per candidate.
-    """
-    try:
-        image = image_mask(form, n_max)
-    except ValueError:  # the only one it raises: not positive definite
-        raise ValueError("adc_check requires a positive definite form") from None
+    """Integers n in [1, n_max] rationally but not integrally represented by
+    a positive definite diagonal ternary form: the complement of
+    qforms.image_mask ANDed with the mask of rational values, read in one
+    pass with no step per candidate."""
+    if not is_positive_definite(form):
+        raise ValueError("adc_check requires a positive definite form")
+    if form.dim != 3 or not is_diagonal(form):
+        raise ValueError("adc_check decides diagonal ternary forms only")
     n_max = max(n_max, 0)
-    outside = ~image & ((2 << n_max) - 2)  # bits 1..n_max not in the image
-    return _rational_test(form, n_max, outside)
+    outside = ~image_mask(form, n_max) & ((2 << n_max) - 2)  # bits 1..n_max
+    diag = tuple(form.gram[i][i] for i in range(3))
+    return list(set_bits(outside & local_global.rational_values_mask(diag, n_max)))
 
 
 # --- serialization (integers as decimal strings) ---
@@ -351,6 +320,8 @@ def trace_from_dict(d: dict) -> DescentTrace:
     before written as the point before it (the start, or the previous
     step's after) is that decoded point, not decoded again; so is a
     terminal written as the last point."""
+    if not isinstance(d["steps"], list):
+        raise TypeError(f"not a list of steps: {d['steps']!r:.60}")
     prev_dict = d["start"]
     prev = start = _point_from_dict(prev_dict)
     steps = []

@@ -440,6 +440,8 @@ def report_to_dict(report: GlobalSolvabilityReport) -> dict:
 
 
 def report_from_dict(d: dict) -> GlobalSolvabilityReport:
+    if not isinstance(d["certificates"], list):
+        raise TypeError(f"not a list of certificates: {d['certificates']!r:.60}")
     return GlobalSolvabilityReport(
         parse_int(d["k"]),
         tuple(certificate_from_dict(c) for c in d["certificates"]),

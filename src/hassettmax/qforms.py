@@ -106,16 +106,9 @@ def is_diagonal(form: QuadraticForm) -> bool:
     return all(i == j for i, j, _ in form._terms)
 
 
-def content(v) -> int:
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    return g
-
-
 def is_primitive(v) -> bool:
     # zero vector counts as non-primitive
-    return content(v) == 1
+    return gcd(*v) == 1
 
 
 def is_positive_definite(form: QuadraticForm) -> bool:

@@ -8,7 +8,7 @@ of the line z + s*d with the quadric is rational with denominator Q(d).
 import hashlib
 import itertools
 import json
-from math import gcd, isqrt
+from math import gcd
 
 import pytest
 import sympy
@@ -21,7 +21,6 @@ from hassettmax.adc import (
     DescentStep,
     DescentTrace,
     RationalPoint,
-    ReductionUnavailable,
     adc_check,
     cube_bound,
     cube_sup,
@@ -36,11 +35,8 @@ from hassettmax.local_global import sqrt_mod_pk
 from hassettmax.qforms import (
     QuadraticForm,
     builtin_form,
-    content,
     evaluate,
     integer_image_upto,
-    is_diagonal,
-    representations,
 )
 
 Q3 = builtin_form("Q3")
@@ -210,11 +206,12 @@ def lift_to_p_squared(form, v, p):
 
 
 def test_small_odd_primes_always_have_a_torus_step():
-    # descend reaches its enumerate fallback only when _torus_reduce_full finds
-    # no multiple i. Its test reads v mod p alone, and after the trivial steps
-    # v is nonzero mod p. So checking every such class v with p | Q(v) at the
-    # odd primes up to 23 shows the fallback is unreachable for Q3 and G: above
-    # 27 = cube_bound the pigeonhole bound gives an i, and p = 2 is divide4.
+    # descend raises AssertionError when _torus_reduce_full finds no multiple
+    # i at an odd prime. Its test reads v mod p alone, and after the trivial
+    # steps v is nonzero mod p. So checking every such class v with p | Q(v)
+    # at the odd primes up to 23 shows that raise is unreachable for Q3 and G:
+    # above 27 = cube_bound the pigeonhole bound gives an i, and p = 2 is
+    # divide4.
     for form in (Q3, G):
         bound = cube_bound(form)
         assert bound == 27
@@ -307,6 +304,29 @@ def test_descend_integer_point_is_a_fixed_point():
     assert trace.terminal == pt
 
 
+def test_descend_serves_q3_and_g_only():
+    # refused before the point is read: none of these satisfies Q(v/t) = m
+    for form in (F, diagonal_form(1, 1, 1), diagonal_form(1, 1, 3, 3)):
+        with pytest.raises(ValueError, match="^descend serves Q3 and G only$"):
+            descend(form, RationalPoint((1,) * form.dim, 2, 1))
+    # the Gram matrix decides, not the name
+    point = rational_point(Q3, (3, 4, 5), 5)
+    trace, named = descend(QuadraticForm(3, Q3.gram), point), descend(Q3, point)
+    assert trace.form_name == "?"
+    assert (trace.steps, trace.terminal) == (named.steps, named.terminal)
+
+
+def test_descend_asserts_a_torus_multiple_at_odd_primes(monkeypatch):
+    real = adc._torus_reduce_full
+
+    def even_only(form, point, p, bound):
+        return None if p % 2 else real(form, point, p, bound)
+
+    monkeypatch.setattr(adc, "_torus_reduce_full", even_only)
+    with pytest.raises(AssertionError, match="^no torus multiple for the odd prime 5$"):
+        descend(G, rational_point(G, (5, 9, 12), 10))
+
+
 def test_descend_seeded_points_both_forms():
     rng = SplitMix64(77)
     bases = {"Q3": ((1, 1, 1), Q3), "G": ((1, 1, 1), G)}
@@ -343,7 +363,7 @@ def refactoring_descend(form, point):
         current = after
 
     while current.t > 1:
-        g = gcd(content(current.v), current.t)
+        g = gcd(*current.v, current.t)
         if g > 1:
             after = RationalPoint(tuple(x // g for x in current.v), current.t // g, m)
             push("trivial", {"g": g}, after)
@@ -353,17 +373,12 @@ def refactoring_descend(form, point):
         if all(x % p == 0 for x in current.v):  # the torus shortcut
             push("torus", {"p": p}, RationalPoint(tuple(x // p for x in current.v), s, m))
             continue
-        try:
-            after, i, z = adc._torus_reduce_full(form, current, p, cube_bound(form))
-        except ReductionUnavailable:
-            if p == 2 and adc._is_builtin_ternary(form):
-                push("divide4", {"p": 2}, RationalPoint(adc._halve(form, current.v), s, m))
-                continue
-            reps = representations(form, m)
-            if reps:
-                push("enumerate", {"p": p}, RationalPoint(reps[0], 1, m))
-                continue
-            break
+        reduced = adc._torus_reduce_full(form, current, p, cube_bound(form))
+        if reduced is None:
+            assert p == 2
+            push("divide4", {"p": 2}, RationalPoint(adc._halve(form, current.v), s, m))
+            continue
+        after, i, z = reduced
         push("secant", {"p": p, "i": i, "z": z}, after)
     return DescentTrace(form.name or "?", point, tuple(steps), current)
 
@@ -392,24 +407,6 @@ def rescaled(form, point, k):
     return rational_point(form, tuple(k * x for x in point.v), k * point.t)
 
 
-def f_residual_points(rng, count):
-    """F points whose value F does not represent integrally: second chord
-    intersections through the rational points (4,4,3,2)/2 (value 35) and
-    (4,3,0,1)/7 (value 2), so the descent keeps a residual denominator."""
-    bases = [((4, 4, 3, 2), 2), ((4, 3, 0, 1), 7)]
-    points = []
-    while len(points) < count:
-        v0, t0 = bases[len(points) % 2]
-        d = tuple(log_uniform_entry(rng, 4) for _ in range(4))
-        qd = evaluate(F, d)
-        if qd == 0:
-            continue
-        bvd = polar(F, v0, d)
-        v = tuple(qd * x - 2 * bvd * di for x, di in zip(v0, d))
-        points.append(rational_point(F, v, t0 * qd))
-    return points
-
-
 def test_carried_factorization_keeps_traces_identical():
     rng = SplitMix64(4)
     cases = []
@@ -421,18 +418,14 @@ def test_carried_factorization_keeps_traces_identical():
             # content sharing a square and a second prime with t, and not
             cases.append((form, rescaled(form, pt, small[0] ** 2 * small[-1])))
             cases.append((form, rescaled(form, pt, 7**3 * 11)))
-    cases += [(F, pt) for pt in chord_points(F, rng, 12, 5)]
-    cases += [(F, pt) for pt in f_residual_points(rng, 12)]
 
-    kinds = {"mid-trace trivial": 0, "enumerate": 0, "residual": 0}
+    mid_trace_trivial = 0
     for form, pt in cases:
         trace = descend(form, pt)
         assert trace_to_dict(trace) == trace_to_dict(refactoring_descend(form, pt))
         assert verify_trace(form, trace)
-        kinds["mid-trace trivial"] += any(s.kind == "trivial" for s in trace.steps[1:])
-        kinds["enumerate"] += any(s.kind == "enumerate" for s in trace.steps)
-        kinds["residual"] += trace.terminal.t > 1
-    assert all(count > 0 for count in kinds.values()), kinds
+        mid_trace_trivial += any(s.kind == "trivial" for s in trace.steps[1:])
+    assert mid_trace_trivial > 0
 
 
 def test_descend_audits_the_carried_factorization(monkeypatch):
@@ -446,8 +439,6 @@ def test_descend_factors_once_plus_once_per_secant_step(monkeypatch):
     rng = SplitMix64(5)
     cases = [(form, pt) for form in (Q3, G) for pt in chord_points(form, rng, 20, 11)]
     cases.append((Q3, rational_point(Q3, (5, 10, 0), 5)))  # trivial steps only
-    cases += [(F, pt) for pt in chord_points(F, rng, 6, 5)]
-    cases += [(F, pt) for pt in f_residual_points(rng, 4)]
     calls = []
     monkeypatch.setattr(adc, "factorize", lambda n: calls.append(n) or factorize(n))
     seen = set()
@@ -455,11 +446,11 @@ def test_descend_factors_once_plus_once_per_secant_step(monkeypatch):
         calls.clear()
         trace = descend(form, pt)
         kinds = [s.kind for s in trace.steps]
-        # the first reduction is any step but a trivial one, or a residual stop
-        reduced = any(k != "trivial" for k in kinds) or trace.terminal.t > 1
+        # the first reduction is any step but a trivial one
+        reduced = any(k != "trivial" for k in kinds)
         assert len(calls) == reduced + kinds.count("secant"), (form.name, pt, kinds)
         seen.update(kinds)
-    assert seen == {"trivial", "secant", "divide4", "enumerate"}
+    assert seen == {"trivial", "secant", "divide4"}
 
 
 def semiprime_chord_point(form, bits_p, bits_q):
@@ -520,9 +511,10 @@ def test_verify_trace_rejects_steps_that_keep_the_denominator():
     assert not verify_trace(G, DescentTrace(trace.form_name, start, (idle,), negated))
     # a real step under a kind descend never emits
     first = trace.steps[0]
-    torus = DescentStep("torus", first.data, first.before, first.after)
-    relabeled = DescentTrace(trace.form_name, start, (torus,) + trace.steps[1:], trace.terminal)
-    assert not verify_trace(G, relabeled)
+    for kind in ("torus", "enumerate"):
+        step = DescentStep(kind, first.data, first.before, first.after)
+        relabeled = DescentTrace(trace.form_name, start, (step,) + trace.steps[1:], trace.terminal)
+        assert not verify_trace(G, relabeled)
     assert verify_trace(G, trace)
 
 
@@ -545,6 +537,7 @@ def _g_trace_payload():
     (("steps", 0, "after", "t"), "0_5"), (("steps", 1, "before", "v", 2), True),
     (("steps", 0, "data", "p"), "05"), (("steps", 0, "data", "z"), ["1", " 0", "0"]),
     (("terminal", "t"), "01"), (("terminal", "v"), "210"),
+    (("steps",), {}), (("steps",), ""),  # each once read as 0 steps
 ], ids=repr)
 def test_trace_from_dict_refuses_noncanonical_ints(path, value):
     # each forged field is equal in value to the honest one, or was read so
@@ -593,11 +586,6 @@ def test_trace_from_dict_decodes_a_point_that_breaks_the_chain():
 # --- adc_check ---
 
 
-def test_adc_check_toy_counterexample():
-    four_x_squared = QuadraticForm(1, ((4,),))
-    assert adc_check(four_x_squared, 10) == [1, 9]
-
-
 def test_adc_check_ternary_forms_clean_small():
     assert adc_check(Q3, 300) == []
     assert adc_check(G, 300) == []
@@ -615,38 +603,30 @@ def test_adc_check_rejects_indefinite_forms(gram):
 
 @pytest.mark.parametrize("n_max", [0, -1, -10**6])
 def test_adc_check_empty_range(n_max):
-    for form in (Q3, G, QuadraticForm(1, ((4,),)), QuadraticForm(2, ((1, 1), (1, 5)))):
+    for form in (Q3, G, diagonal_form(2, 3, 5)):
         assert adc_check(form, n_max) == []
+
+
+def test_adc_check_decides_diagonal_ternary_forms_only():
+    # x^2 + 2xy + 5y^2 = (x + y)^2 + 4y^2
+    for form in (F, QuadraticForm(2, ((1, 1), (1, 5))), QuadraticForm(1, ((4,),)),
+                 QuadraticForm(3, ((2, 1, 0), (1, 2, 0), (0, 0, 1)))):
+        with pytest.raises(ValueError, match="^adc_check decides diagonal ternary forms only$"):
+            adc_check(form, 50)
 
 
 # --- adc_check against the per-n loop it replaced ---
 
 
-def reference_rationally_representable(form, n):
-    """Per-n rational test: exact for unary and diagonal ternary forms,
-    a witness search over denominators up to 8 otherwise."""
-    if n == 0:
-        return True
-    if form.dim == 1:
-        a = form.gram[0][0]
-        r = isqrt(abs(n * a))
-        return n * a >= 0 and r * r == n * a
-    if form.dim == 3 and is_diagonal(form):
-        diag = tuple(form.gram[i][i] for i in range(3))
-        return local_global.rationally_representable_ternary(diag, n)
-    for t in range(1, 9):
-        if representations(form, n * t * t):
-            return True
-    return False
-
-
 def reference_adc_check(form, n_max):
-    """The image as a set, then every n in [1, n_max] outside it tested."""
+    """The image as a set, then every n in [1, n_max] outside it tested
+    with the per-n rational test of a diagonal ternary form."""
     image = integer_image_upto(form, n_max)
+    diag = tuple(form.gram[i][i] for i in range(3))
     return [
         n
         for n in range(1, n_max + 1)
-        if n not in image and reference_rationally_representable(form, n)
+        if n not in image and local_global.rationally_representable_ternary(diag, n)
     ]
 
 
@@ -665,24 +645,3 @@ def test_adc_check_matches_reference_loop_on_diagonal_ternary_forms(coeffs, n_ma
     # most of these forms are not ADC, so the violation lists are nonempty
     form = diagonal_form(*coeffs)
     assert adc_check(form, n_max) == reference_adc_check(form, n_max)
-
-
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
-@given(st.integers(1, 12), st.integers(0, 1500))
-def test_adc_check_matches_reference_loop_on_unary_forms(a, n_max):
-    form = diagonal_form(a)
-    assert adc_check(form, n_max) == reference_adc_check(form, n_max)
-
-
-@settings(max_examples=6, deadline=None, derandomize=True, database=None)
-@given(st.integers(0, 1500))
-def test_adc_check_matches_reference_loop_on_the_search_fallback(n_max):
-    # x^2 + 2xy + 5y^2 = (x + y)^2 + 4y^2 is not ADC: 2 = Q(1/2, 1/2)
-    form = QuadraticForm(2, ((1, 1), (1, 5)))
-    assert adc_check(form, n_max) == reference_adc_check(form, n_max)
-
-
-def test_adc_check_search_fallback_finds_violations():
-    # x^2 + 4y^2 misses every n = 2 mod 4; those that are twice a sum of two
-    # squares are rational values, since 2 = (1/2)^2 + 4 (1/2)^2
-    assert adc_check(QuadraticForm(2, ((1, 1), (1, 5))), 60) == [2, 10, 18, 26, 34, 50, 58]

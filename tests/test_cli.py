@@ -583,6 +583,22 @@ def test_verify_file_refuses_noncanonical_spellings(capsys, tmp_path, command, p
     assert code == 1 and ": valid" not in out
 
 
+@pytest.mark.parametrize("command, field, what", [
+    ("adc descend", "steps", "trace"), ("local certify", "certificates", "report"),
+], ids=["steps", "certificates"])
+@pytest.mark.parametrize("value", [{}, ""], ids=["object", "string"])
+def test_verify_file_refuses_a_list_written_as_another_shape(capsys, tmp_path, command, field,
+                                                             what, value):
+    # each would otherwise decode as a trace or report with nothing in it
+    code, payload, _ = run_json(capsys, *command.split(), *REPLAYS[command][0])
+    assert code == 0
+    path = tmp_path / "payload.json"
+    path.write_text(json.dumps(dict(payload, **{field: value})))
+    code, out, err = run(capsys, *command.split(), "--verify-file", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith(f"unreadable {what}: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", sorted(REPLAYS), ids=lambda c: c.replace(" ", "-"))
 def test_verify_file_reports_deeply_nested_json_as_unreadable(capsys, tmp_path, command):
     path = tmp_path / "nested.json"

@@ -667,6 +667,7 @@ def test_report_serialization_round_trip():
     (("certificates", 2, "place"), "3.0"),
     (("certificates", 1, "witness"), [True, True, True]),
     (("certificates", 1, "witness"), "111"),
+    (("certificates",), {}), (("certificates",), ""),  # each once read as no certificates
 ], ids=repr)
 def test_report_from_dict_refuses_noncanonical_ints(path, value):
     payload = json.loads(json.dumps(report_to_dict(certify_global(7))))
