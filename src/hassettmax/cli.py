@@ -67,6 +67,7 @@ def _bounded_int(high: int, low: int | None = None):
 
 
 _MAX_DIGITS = 4300  # str() refuses a longer int by default, so no JSON could print it
+_LIMIT = 10**_MAX_DIGITS  # the least int of more than _MAX_DIGITS digits
 
 
 def _digits(n: int) -> int:
@@ -218,7 +219,7 @@ def _cmd_adc_descend(args) -> int:
         return 2
     form = builtin_form(_FORM_FLAGS[args.form])
     point = adc.rational_point(form, args.num, args.den)
-    if point.m >= 10**_MAX_DIGITS:  # m >= 0: Q3 and G are positive definite
+    if point.m >= _LIMIT:  # m >= 0: Q3 and G are positive definite
         print(f"error: Q(v/t) has more than {_MAX_DIGITS} digits", file=sys.stderr)
         return 2
     trace = adc.descend(form, point)
@@ -236,11 +237,22 @@ def _cmd_adc_descend(args) -> int:
 _MAX_PRECISION = 10**3
 
 
+def _check_modulus(p: int, e: int) -> None:
+    """A witness at p lives mod p**e, e >= 1: refuse one of more than
+    _MAX_DIGITS digits. A bit length past the limit's decides alone."""
+    if (abs(p).bit_length() - 1) * e >= _LIMIT.bit_length() or abs(p) ** e >= _LIMIT:
+        raise ValueError(f"{_short_int(p)}**{e} has more than {_MAX_DIGITS} digits")
+
+
 def _decode_report(payload):
     report = local_global.report_from_dict(payload)
-    for cert in report.certificates:  # the replay computes p**precision
+    for cert in report.certificates:  # the producer's limits: the replay computes p**precision
         if cert.precision > _MAX_PRECISION:
             raise ValueError(f"precision {cert.precision} is above the limit {_MAX_PRECISION}")
+        if cert.precision < 1:
+            raise ValueError(f"precision {cert.precision} is below the limit 1")
+        if cert.place != "real":
+            _check_modulus(cert.place, cert.precision)
     return report
 
 
@@ -248,13 +260,11 @@ def _cmd_local_certify(args) -> int:
     if args.k is None:
         print("error: need --k or --verify-file", file=sys.stderr)
         return 2
-    # a witness lives mod p**precision; a bit length past the limit's decides alone
-    e, limit = args.precision, 10**_MAX_DIGITS
-    big = [p for p in args.primes or () if (abs(p).bit_length() - 1) * e >= limit.bit_length()
-           or abs(p) ** e >= limit]
-    if big:
-        print(f"error: {_short_int(big[0])}**{e} has more than {_MAX_DIGITS} digits",
-              file=sys.stderr)
+    try:
+        for p in args.primes or ():
+            _check_modulus(p, args.precision)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     report = local_global.certify_global(args.k, args.primes, args.precision)
     if args.json:
@@ -272,7 +282,8 @@ def _cmd_local_certify(args) -> int:
 
 
 def _cmd_lattice_gram(args) -> int:
-    m = lattices.gram_M(args.alpha, args.beta)
+    # standard_config(a, b) has (alpha, beta) = ([a == 0], [b == 0])
+    m = geometry.gram_from_geometry(geometry.standard_config(1 - args.alpha, 1 - args.beta))
     if args.json:
         _emit(
             {
@@ -334,8 +345,7 @@ def _cmd_geometry_dims(args) -> int:
 def _cmd_geometry_cubic(args) -> int:
     config = geometry.standard_config(args.a, args.b)
     cubic = geometry.random_cubic(config, args.seed)
-    limit = 10**_MAX_DIGITS
-    big = [x for c in cubic.coeffs for x in (c.numerator, c.denominator) if abs(x) >= limit]
+    big = [x for c in cubic.coeffs for x in (c.numerator, c.denominator) if abs(x) >= _LIMIT]
     if big:
         print(f"error: a coefficient has {max(map(_digits, big))} digits, "
               f"above the limit {_MAX_DIGITS}", file=sys.stderr)
@@ -421,7 +431,8 @@ def _build_parser() -> argparse.ArgumentParser:
     gactions = geo.add_subparsers(dest="action", required=True)
     dims = _command(gactions, "dims", "dimension report", _cmd_geometry_dims)
     cubic = _command(gactions, "cubic", "emit a seeded vanishing cubic", _cmd_geometry_cubic,
-                     ("cubic", lambda d: d, geometry.verify_cubic_dict, lambda d: "cubic"))
+                     ("cubic", geometry.cubic_from_dict, lambda c: geometry.cubic_replays(*c),
+                      lambda c: "cubic"))
     for command in (dims, cubic):
         command.add_argument("--a", type=_fraction, default=Fraction(1))
         command.add_argument("--b", type=_fraction, default=Fraction(1))

@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import gcd
 from operator import itemgetter
 
 from .arith import SplitMix64, parse_int
@@ -395,17 +396,16 @@ def cubic_to_dict(cubic: CubicPoly, config: PlaneConfig, seed: int) -> dict:
 
 def parse_rational(text: str) -> Fraction:
     """Only the spelling str(Fraction) writes: lowest terms, no "0.0", "-0",
-    "+1" or whitespace. Without a "/" that is the spelling str(int)
-    writes, read by parse_int. Exponent notation is refused before
-    Fraction sees it, since "1e100000" would stand for a 100001-digit
-    parameter."""
+    "+1", whitespace or zero denominator ("1/0", "1/00", "-0/0"). Each side
+    of a "/", or the text without one, is read by parse_int, which refuses
+    the exponent notation with which "1e100000" would stand for a
+    100001-digit parameter."""
     if isinstance(text, str):
         if "/" not in text:
             return Fraction(parse_int(text))
-        if "e" not in text.lower():
-            value = Fraction(text)
-            if str(value) == text:
-                return value
+        num, den = map(parse_int, text.split("/", 1))
+        if den > 1 and gcd(num, den) == 1:
+            return Fraction(num, den)
     raise ValueError(f"not a rational as str(Fraction) writes it: {text!r:.60}")
 
 
@@ -424,10 +424,9 @@ def cubic_from_dict(d: dict) -> tuple[CubicPoly, PlaneConfig, int]:
     return cubic, config, parse_int(d["seed"])
 
 
-def verify_cubic_dict(d: dict) -> bool:
-    """Replay: the stored cubic must vanish on all four planes and match
-    its seed, checked on all 40 restriction rows, not random_cubic's
-    masked plane 4.
+def cubic_replays(cubic: CubicPoly, config: PlaneConfig, seed: int) -> bool:
+    """Replay: the cubic must vanish on all four planes and match its seed,
+    checked on all 40 restriction rows, not random_cubic's masked plane 4.
 
     A cubic through the planes is a kernel vector of the restriction, and
     a kernel vector is fixed by its coefficients at the free columns of
@@ -437,10 +436,6 @@ def verify_cubic_dict(d: dict) -> bool:
     coefficient at each free column, in ascending order, is the seeded
     weight random_cubic draws there. These pass exactly when the cubic is
     random_cubic's, and nothing of the producer is rebuilt."""
-    try:
-        cubic, config, seed = cubic_from_dict(d)
-    except (KeyError, ValueError, TypeError, ZeroDivisionError):
-        return False
     matrix = restriction_matrix(config)
     coeffs = clear_denominators(cubic.coeffs)
     if any(sum(c * x for c, x in zip(coeffs, row) if c) for row in matrix):
@@ -449,3 +444,12 @@ def verify_cubic_dict(d: dict) -> bool:
     free = [c for c in range(56) if c not in pivots]
     rng = SplitMix64(seed)
     return all(cubic.coeffs[fc] == rng.randint(-9, 9) for fc in free)
+
+
+def verify_cubic_dict(d: dict) -> bool:
+    """cubic_from_dict, then cubic_replays; False when the payload does not decode."""
+    try:
+        decoded = cubic_from_dict(d)
+    except (KeyError, ValueError, TypeError):
+        return False
+    return cubic_replays(*decoded)

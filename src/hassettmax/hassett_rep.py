@@ -254,7 +254,7 @@ def certificate_to_dict(cert: HassettCertificate) -> dict:
 def certificate_from_dict(d: dict) -> HassettCertificate:
     """Every int only as str(int) writes it (arith.parse_int), each vector a
     JSON list, each check a JSON boolean."""
-    checks = d.get("checks")
+    checks = d["checks"]
     if checks is not None:
         checks = (checks["positive"], checks["mod8"], checks["mod3"], checks["mod9"])
         if any(type(c) is not bool for c in checks):

@@ -4,7 +4,7 @@ A form is stored by the symmetric integer matrix B of its polarization,
 so Q(v) = v^T B v. All three builtin forms used by the rest of the
 package live here:
 
-    F   rank 4, the discriminant form of the rank-5 plane lattice
+    F   rank 4, induced from the rank-5 plane lattice (lattices.induced_form_F)
     Q3  x^2 + y^2 + 3 z^2
     G   x^2 + 3 y^2 + 3 z^2
 
@@ -35,12 +35,6 @@ from itertools import compress, count
 from math import gcd, isqrt, lcm
 from operator import neg
 
-_GRAM_F = (
-    (8, -4, -4, -1),
-    (-4, 8, 2, -1),
-    (-4, 2, 8, -1),
-    (-1, -1, -1, 8),
-)
 _GRAM_Q3 = ((1, 0, 0), (0, 1, 0), (0, 0, 3))
 _GRAM_G = ((1, 0, 0), (0, 3, 0), (0, 0, 3))
 
@@ -79,7 +73,8 @@ class QuadraticForm:
 @cache  # forms are immutable, so callers may share one instance
 def builtin_form(name: str) -> QuadraticForm:
     if name == "F":
-        return QuadraticForm(4, _GRAM_F, "F")
+        from .lattices import induced_form_F  # lattices imports this module
+        return QuadraticForm(4, induced_form_F().gram, "F")
     if name == "Q3":
         return QuadraticForm(3, _GRAM_Q3, "Q3")
     if name == "G":

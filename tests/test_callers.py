@@ -16,10 +16,7 @@ SOURCES = sorted((ROOT / "src" / "hassettmax").glob("*.py"))
 BENCH_SOURCES = sorted((ROOT / "perfbench").glob("*.py"))
 
 # kept without a caller, each with its reason
-ALLOWED = {
-    "gram_from_geometry": "ROADMAP item 12",
-    "induced_form_F": "ROADMAP item 12",
-}
+ALLOWED = {}
 
 
 def _names(node) -> set[str]:

@@ -94,6 +94,20 @@ def test_hassett_verify_file_round_trip(capsys, tmp_path):
     assert code == 1 and "unreadable" in err
 
 
+@pytest.mark.parametrize("n", ["24", "7986"], ids=["special", "general"])
+@pytest.mark.parametrize("key", ["checks", "u"])
+def test_hassett_verify_file_needs_every_key(capsys, tmp_path, n, key):
+    # a special certificate's checks are null: a missing key is no null
+    code, payload, _ = run_json(capsys, "hassett", "represent", n, "--json")
+    assert code == 0
+    del payload[key]
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "hassett", "represent", "--verify-file", str(path))
+    assert code == 1 and out == ""
+    assert err == f"unreadable certificate: '{key}'\n"
+
+
 # --- adc ---
 
 
@@ -353,6 +367,33 @@ def test_local_verify_file_rejects_forged_and_oversized_reports(capsys, tmp_path
     assert code == 1 and "above the limit 1000" in err and "valid" not in out
 
 
+def test_local_verify_file_holds_the_producers_modulus_limit(capsys, tmp_path):
+    # 1000003**700 has 4201 digits: the producer writes it, and it replays
+    path = tmp_path / "report.json"
+    code, out, _ = run(capsys, "local", "certify", "--k", "7", "--primes", "1000003",
+                       "--precision", "700", "--json")
+    assert code == 0
+    path.write_text(out)
+    code, out, err = run(capsys, "local", "certify", "--verify-file", str(path))
+    assert code == 0 and out == "report for k = 7, overall solvable: valid\n" and err == ""
+    # 1000003**1000 has 6001 digits, which the producer refuses; G(2, 1, 0) = 7 holds
+    # at every precision, so the claim is true, but the report is unreadable
+    assert run(capsys, "local", "certify", "--k", "7", "--primes", "1000003",
+               "--precision", "1000")[0] == 2
+    _, payload, _ = run_json(capsys, "local", "certify", "--k", "7", "--json")
+    payload["certificates"][-1].update(place="1000003", precision="1000",
+                                       witness=["2", "1", "0"], verdict="solvable")
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "local", "certify", "--verify-file", str(path))
+    assert code == 1 and out == ""
+    assert err == "unreadable report: 1000003**1000 has more than 4300 digits\n"
+    # nor does the producer write a precision below 1, which is no modulus
+    payload["certificates"][-1].update(place="0", precision="-1")
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "local", "certify", "--verify-file", str(path))
+    assert code == 1 and out == "" and err == "unreadable report: precision -1 is below the limit 1\n"
+
+
 @pytest.mark.parametrize("kept", [["real", "2", "5", "7"], []], ids=["no-3", "empty"])
 def test_local_verify_file_rejects_a_report_without_its_obstruction(capsys, tmp_path, kept):
     # G fails only at 3 for k = 5; with that place gone every listed one is solvable
@@ -391,6 +432,18 @@ def test_lattice_gram(capsys):
     assert len(payload["entries"]) == 5
     code, _, _ = run(capsys, "lattice", "gram", "--alpha", "2", "--beta", "0")
     assert code == 2
+
+
+@pytest.mark.parametrize("alpha, beta", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_lattice_gram_prints_the_papers_matrices(capsys, alpha, beta):
+    # built from how the four planes meet; frozen from the paper's template
+    entries = [[3, 1, 1, 1, 1], [1, 3, -1, -1, 0], [1, -1, 3, 1, alpha], [1, -1, 1, 3, beta],
+               [1, 0, alpha, beta, 3]]
+    code, payload, _ = run_json(capsys, "lattice", "gram", f"--alpha={alpha}", f"--beta={beta}",
+                                "--json")
+    assert code == 0
+    assert payload == {"alpha": str(alpha), "beta": str(beta),
+                       "entries": [[str(x) for x in row] for row in entries]}
 
 
 def test_lattice_isometry(capsys):
@@ -507,6 +560,8 @@ def test_digits_counts_past_the_str_limit():
 # --- forged --verify-file payloads ---
 
 
+_DELETED = object()  # as a field's value: the key is removed
+
 # command -> (arguments that produce a payload, fields set to a wrong type,
 # each as (path into the payload, value))
 REPLAYS = {
@@ -517,7 +572,8 @@ REPLAYS = {
     ),
     "local certify": (["--k", "7", "--json"], [(["certificates", 0, "witness"], 5)]),
     "geometry cubic": (
-        ["--json"], [(["coeffs"], 5), (["a"], "1/0"), (["a"], "1e64000"), (["a"], 5)]
+        ["--json"],
+        [(["coeffs"], 5), (["a"], "1/0"), (["a"], "1e64000"), (["a"], 5), (["seed"], _DELETED)],
     ),
 }
 
@@ -533,7 +589,10 @@ def forged(payload, shape, fields):
         node = copy
         for k in parents:
             node = node[k]
-        node[key] = value
+        if value is _DELETED:
+            del node[key]
+        else:
+            node[key] = value
         out.append(copy)
     return out
 
@@ -547,9 +606,9 @@ def test_verify_file_rejects_malformed_payloads(capsys, tmp_path, command, shape
     path = tmp_path / "forged.json"
     for bad in forged(payload, shape, fields):
         path.write_text(json.dumps(bad))
-        code, out, _ = run(capsys, *command.split(), "--verify-file", str(path))
-        assert code == 1, bad
-        assert ": valid" not in out
+        code, out, err = run(capsys, *command.split(), "--verify-file", str(path))
+        assert code == 1 and out == "", bad
+        assert err.startswith("unreadable ") and err.count("\n") == 1, bad
 
 
 @pytest.mark.parametrize("command, produce, field, value", [

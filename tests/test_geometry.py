@@ -990,6 +990,7 @@ def test_parse_rational_reads_what_str_writes(text):
 @pytest.mark.parametrize("text", [
     0, 1.5, True, None,
     "0.0", " 0 ", "0/5", "-0", "+1", "2/4", "-2/2", "1/-2", "0.5", "1e3", "1E3", "1_0",
+    "1/0", "1/00", "-0/0", "1/0_0",  # a zero denominator is a ValueError too
 ], ids=repr)
 def test_parse_rational_refuses_every_other_spelling(text):
     with pytest.raises(ValueError):

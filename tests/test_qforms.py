@@ -99,6 +99,12 @@ def test_builtin_names():
         builtin_form("H")
 
 
+def test_f_is_the_papers_matrix():
+    # builtin_form builds F from the plane lattice; the paper's matrix is the reference
+    gram = ((8, -4, -4, -1), (-4, 8, 2, -1), (-4, 2, 8, -1), (-1, -1, -1, 8))
+    assert F == QuadraticForm(4, gram, "F") and F.name == "F"
+
+
 def test_f_matches_polynomial_everywhere_small():
     for x in range(-4, 5):
         for y in range(-4, 5):
