@@ -195,7 +195,9 @@ def _trace_ok(trace) -> bool:
 
 def _decode_trace(payload):
     trace = adc.trace_from_dict(payload)
-    builtin_form(trace.form_name)  # a trace of an unknown form is unreadable
+    points = (trace.start, trace.terminal, *(p for s in trace.steps for p in (s.before, s.after)))
+    if trace.form_name not in _FORM_FLAGS.values() or any(len(p.v) != 3 for p in points):
+        raise ValueError(f"not a trace of Q3 or G in 3 coordinates: {trace.form_name!r:.60}")
     return trace
 
 

@@ -23,10 +23,10 @@ planes, so each of those echelons is unit rows (checked at import), and a
 count is the number of its pinned columns plus the rank of plane 4's rows
 with those columns deleted. Every cubic through planes 1-3 is 0 at the 22
 pinned restriction columns, and a seeded cubic is read off plane 4's
-echelon with those columns set to 0. The replay rebuilds no cubic: on all
-40 restriction rows it checks that the cubic vanishes and that its
-coefficients at the free columns of their echelon are the seeded
-weights, which fix a kernel vector.
+echelon with those columns set to 0. The replay rebuilds no cubic and
+eliminates nothing: on all 40 restriction rows it checks that the cubic
+vanishes and that its coefficients at the free columns, read off the
+chart, are the seeded weights, which fix a kernel vector.
 """
 
 from __future__ import annotations
@@ -424,23 +424,40 @@ def cubic_from_dict(d: dict) -> tuple[CubicPoly, PlaneConfig, int]:
     return cubic, config, parse_int(d["seed"])
 
 
+def _chart_pivots(matrix) -> set:
+    """Pivots of the 40 restriction rows, no elimination: the columns of planes 1-3's unit rows,
+    and per row of plane 4 the least other column hitting it (in the chart each hits one)."""
+    if any(len(row) - row.count(0) != 1 for row in matrix[:30]):
+        raise ValueError("a restriction row of planes 1-3 is not a unit row")
+    pinned, least = set(), {}
+    for c, column in enumerate(zip(*matrix)):
+        fourth = column[30:]
+        if column[:30].count(0) < 30:
+            pinned.add(c)
+        elif fourth.count(0) < 9:
+            raise ValueError("plane 4 is not in standard_config's chart")
+        elif any(fourth):
+            least.setdefault(fourth.index(sum(fourth)), c)
+    return pinned.union(least.values())
+
+
 def cubic_replays(cubic: CubicPoly, config: PlaneConfig, seed: int) -> bool:
     """Replay: the cubic must vanish on all four planes and match its seed,
     checked on all 40 restriction rows, not random_cubic's masked plane 4.
 
     A cubic through the planes is a kernel vector of the restriction, and
-    a kernel vector is fixed by its coefficients at the free columns of
-    the echelon, those that are not pivots. So the replay checks that the
-    cubic is in the kernel, takes the pivots from a forward-only echelon
-    (the same columns as the reduced one's), and checks that the
-    coefficient at each free column, in ascending order, is the seeded
-    weight random_cubic draws there. These pass exactly when the cubic is
-    random_cubic's, and nothing of the producer is rebuilt."""
+    a kernel vector is fixed by its coefficients at the free columns, those
+    that are not pivots. So the replay reads the pivots off the 40 rows
+    (_chart_pivots, which refuses a plane 4 outside the chart), checks that
+    the cubic is in the kernel, and checks that the coefficient at each
+    free column, in ascending order, is the seeded weight random_cubic
+    draws there. These pass exactly when the cubic is random_cubic's, and
+    nothing of the producer is rebuilt."""
     matrix = restriction_matrix(config)
+    pivots = _chart_pivots(matrix)
     coeffs = clear_denominators(cubic.coeffs)
     if any(sum(c * x for c, x in zip(coeffs, row) if c) for row in matrix):
         return False
-    pivots = set(echelon(matrix, reduced=False)[1])
     free = [c for c in range(56) if c not in pivots]
     rng = SplitMix64(seed)
     return all(cubic.coeffs[fc] == rng.randint(-9, 9) for fc in free)

@@ -568,7 +568,8 @@ REPLAYS = {
     "hassett represent": (["14", "--json"], [(["v"], 5)]),
     "adc descend": (
         ["--form", "g", "--num", "5,9,12", "--den", "10", "--json"],
-        [(["steps", 0, "data"], "x"), (["form"], ["G"])],
+        [(["steps", 0, "data"], "x"), (["form"], ["G"]), (["form"], "F"),
+         (["start", "v"], ["5", "9", "12", "0"])],
     ),
     "local certify": (["--k", "7", "--json"], [(["certificates", 0, "witness"], 5)]),
     "geometry cubic": (

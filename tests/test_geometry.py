@@ -774,6 +774,76 @@ def test_replay_reads_no_kernel_vector(configs, monkeypatch):
     assert all(verify_cubic_dict(payload) for payload in payloads)
 
 
+# --- the replay reads its pivots off the chart ---
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(_PARAMETERS, _PARAMETERS)
+@example(Fraction(0), Fraction(0))
+@example(Fraction(0), Fraction(-7, 3))
+@example(Fraction(-4, 9), Fraction(0))
+@example(*_PAIR30)
+@example(Fraction(2**61 - 1), Fraction(0))
+@example(Fraction(2**61 - 1), Fraction(-(2**61 - 1), 3))
+def test_chart_pivots_are_the_echelon_pivots_of_all_40_rows(a, b):
+    matrix = restriction_matrix(standard_config(a, b))
+    free = [c for c in range(56) if c not in geometry._chart_pivots(matrix)]
+    pivots = echelon(matrix, reduced=False)[1]
+    assert free == [c for c in range(56) if c not in pivots]
+
+
+def test_replay_runs_no_echelon(configs, monkeypatch):
+    from hassettmax import linalg
+
+    payloads = [cubic_to_dict(random_cubic(cfg, seed), cfg, seed)
+                for seed, cfg in enumerate(configs.values())]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the replay ran an echelon")
+
+    monkeypatch.setattr(geometry, "echelon", refuse)
+    monkeypatch.setattr(linalg, "echelon", refuse)
+    assert all(verify_cubic_dict(payload) for payload in payloads)
+
+
+@pytest.mark.parametrize("pair", [(0, 0), (Fraction(-4, 9), Fraction(-6, 5)), _PAIR30])
+def test_replay_refuses_a_plane_4_off_the_chart(pair):
+    # the degenerate plane 4 of the twin counts, a line with basis vector
+    # e_x twice, writes x as s0 + s1: column x^3 of its block has four
+    # nonzeros. The planes of _twins, the point among them included, are in
+    # the chart, and their pivots are read off as the echelon finds them
+    cfg = standard_config(*pair)
+    p1, p2, p3, p4 = cfg.bases
+    line = PlaneConfig(cfg.a, cfg.b, cfg.ideals, (p1, p2, p3, (p4[0], p4[0], p4[2])))
+    with pytest.raises(ValueError, match="not in standard_config's chart"):
+        geometry.cubic_replays(CubicPoly((Fraction(0),) * 56), line, 1)
+    fourths = {basis for _, bases in _twins(cfg) for basis in bases}
+    assert any(rank(basis) < 3 for basis in fourths)
+    for fourth in fourths:
+        matrix = restriction_matrix(PlaneConfig(cfg.a, cfg.b, cfg.ideals, (p1, p2, p3, fourth)))
+        assert geometry._chart_pivots(matrix) == set(echelon(matrix, reduced=False)[1])
+
+
+def test_replay_verdicts_on_one_coefficient_edits_are_frozen():
+    # the honest payload and each +1 edit of one coefficient, five pairs at
+    # seeds 0-9: count and sha256 of the verdicts, pinned on the echelon replay
+    verdicts = []
+    for pair in [*PAIRS, _PAIR30]:
+        cfg = standard_config(*pair)
+        for seed in range(10):
+            payload = cubic_to_dict(random_cubic(cfg, seed), cfg, seed)
+            verdicts.append(verify_cubic_dict(payload))
+            for i, coeff in enumerate(payload["coeffs"]):
+                coeffs = list(payload["coeffs"])
+                coeffs[i] = str(Fraction(coeff) + 1)
+                verdicts.append(verify_cubic_dict(dict(payload, coeffs=coeffs)))
+    blob = "".join("1" if ok else "0" for ok in verdicts).encode()
+    assert (len(verdicts), sum(verdicts)) == (2850, 50)
+    assert hashlib.sha256(blob).hexdigest() == (
+        "bf4b2c35f3357b081c0a6cb490a7c790eae96511f1b6eb52c658d1a1a68d280f"
+    )
+
+
 def test_seeded_cubics_are_frozen():
     # 200 (a, b, seed) triples, a and b zero or 6-digit fractions; len and
     # sha256 of the JSON payloads, pinned before the masked plane-4 rows
