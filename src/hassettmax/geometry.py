@@ -22,11 +22,12 @@ their restriction, oracle or stabilizer rows. Planes 1-3 are coordinate
 planes, so each of those echelons is unit rows (checked at import), and a
 count is the number of its pinned columns plus the rank of plane 4's rows
 with those columns deleted. Every cubic through planes 1-3 is 0 at the 22
-pinned restriction columns, and a seeded cubic is read off plane 4's
-echelon with those columns set to 0. The replay rebuilds no cubic and
-eliminates nothing: on all 40 restriction rows it checks that the cubic
-vanishes and that its coefficients at the free columns, read off the
-chart, are the seeded weights, which fix a kernel vector.
+pinned restriction columns, and each other column of plane 4's block hits
+at most one row, so a seeded cubic is read off the chart. Its replay, on
+all 40 restriction rows, checks that the cubic vanishes and that its
+coefficients at the free columns, read off the chart as the producer
+reads them, are the seeded weights. Neither eliminates, and both refuse a
+plane 4 off the chart.
 """
 
 from __future__ import annotations
@@ -326,29 +327,34 @@ def stabilizer_dim(config: PlaneConfig) -> tuple[int, int]:
     return (stab, 36 - stab)
 
 
-def _masked_echelon(basis) -> tuple:
-    """Echelon of the plane's restriction block with the _PINNED columns
-    set to 0. Planes 1-3's echelon is the unit rows at _PINNED, so these
-    are the 40-row echelon's rows at its other pivots, up to a factor."""
-    pinned = _PINNED
-    return echelon([[0 if c in pinned else x for c, x in enumerate(row)]
-                    for row in _plane_block(basis)])
+def _plane_4_hits(pinned, block) -> list:
+    """Per row of plane 4's block, the (column, entry) pairs of the columns
+    outside pinned that hit it, ascending. In standard_config's chart each
+    column hits at most one row; a column hitting two raises ValueError."""
+    hits = [[] for _ in block]
+    for c, column in enumerate(zip(*block)):
+        if c not in pinned and any(column):
+            if column.count(0) < len(column) - 1:
+                raise ValueError("plane 4 is not in standard_config's chart")
+            x = sum(column)
+            hits[column.index(x)].append((c, x))
+    return hits
 
 
 def random_cubic(config: PlaneConfig, seed: int) -> CubicPoly:
-    """Deterministic small-integer combination of the vanishing basis.
-
-    One seeded weight in [-9, 9] per free column of the echelon of all 40
-    restriction rows, drawn in ascending column order, and the cubic is
-    the kernel vector whose coefficient at each free column is its weight
-    (linalg.kernel_vector). That echelon is plane 4's masked rows plus the
-    unit rows at _PINNED, where the cubic is 0, so only plane 4's rows are
-    eliminated."""
-    rows, pivots = _masked_echelon(config.bases[3])
-    free = [c for c in range(56) if c not in pivots and c not in _PINNED]
+    """Deterministic small-integer combination of the vanishing basis, read
+    off the chart: the pivots of all 40 restriction rows are _PINNED, where
+    the cubic is 0, and the first column hitting each row of plane 4. One
+    seeded weight in [-9, 9] is drawn per other column, ascending, and each
+    row's pivot coefficient is the quotient that makes the row vanish."""
+    hits = [row for row in _plane_4_hits(_PINNED, _plane_block(config.bases[3])) if row]
+    pivots = _PINNED.union(row[0][0] for row in hits)
     rng = SplitMix64(seed)
-    weights = {fc: rng.randint(-9, 9) for fc in free}
-    return CubicPoly(tuple(kernel_vector(rows, pivots, 56, weights)))
+    weights = [0 if c in pivots else rng.randint(-9, 9) for c in range(56)]
+    coeffs = list(map(Fraction, weights))
+    for (pc, x), *rest in hits:
+        coeffs[pc] = Fraction(-sum(weights[c] * y for c, y in rest), x)
+    return CubicPoly(tuple(coeffs))
 
 
 def dims_report(config: PlaneConfig) -> dict:
@@ -425,25 +431,18 @@ def cubic_from_dict(d: dict) -> tuple[CubicPoly, PlaneConfig, int]:
 
 
 def _chart_pivots(matrix) -> set:
-    """Pivots of the 40 restriction rows, no elimination: the columns of planes 1-3's unit rows,
-    and per row of plane 4 the least other column hitting it (in the chart each hits one)."""
+    """Pivots of the 40 restriction rows, no elimination: the columns of
+    planes 1-3's unit rows, read off those rows, and the first column
+    _plane_4_hits finds for each row of plane 4 it hits."""
     if any(len(row) - row.count(0) != 1 for row in matrix[:30]):
         raise ValueError("a restriction row of planes 1-3 is not a unit row")
-    pinned, least = set(), {}
-    for c, column in enumerate(zip(*matrix)):
-        fourth = column[30:]
-        if column[:30].count(0) < 30:
-            pinned.add(c)
-        elif fourth.count(0) < 9:
-            raise ValueError("plane 4 is not in standard_config's chart")
-        elif any(fourth):
-            least.setdefault(fourth.index(sum(fourth)), c)
-    return pinned.union(least.values())
+    pinned = {c for c, column in enumerate(zip(*matrix[:30])) if any(column)}
+    return pinned.union(row[0][0] for row in _plane_4_hits(pinned, matrix[30:]) if row)
 
 
 def cubic_replays(cubic: CubicPoly, config: PlaneConfig, seed: int) -> bool:
     """Replay: the cubic must vanish on all four planes and match its seed,
-    checked on all 40 restriction rows, not random_cubic's masked plane 4.
+    checked on all 40 restriction rows, pinned columns read off the rows.
 
     A cubic through the planes is a kernel vector of the restriction, and
     a kernel vector is fixed by its coefficients at the free columns, those

@@ -525,7 +525,7 @@ def _twins(cfg):
     ]
 
 
-# --- seeded cubics: plane 4's masked rows against all 40 rows ---
+# --- seeded cubics: the chart read-off against all 40 rows ---
 
 
 def _seeded_cubic(rows, pivots, seed):
@@ -649,21 +649,23 @@ def test_counts_off_the_fixed_planes_are_the_ranks_of_all_rows(pair):
 
 
 @pytest.mark.parametrize("pair", [(0, 0), (Fraction(-4, 9), Fraction(-6, 5)), _PAIR30])
-def test_random_cubic_on_twins_is_read_off_all_40_rows(pair, monkeypatch):
-    # the twins that change planes 1-3 are refused by PlaneConfig; over the
-    # fixed planes 1-3, a degenerate plane 4 is read off its masked rows
+def test_random_cubic_on_twins_is_read_off_all_40_rows(pair):
+    # over the fixed planes 1-3, a zero plane 4 and each plane of _twins,
+    # the point among them included, are in the chart and read off all 40
+    # rows; the line with basis vector e_x twice is not, and the producer
+    # refuses it as the replay does
     cfg = standard_config(*pair)
     p1, p2, p3, p4 = cfg.bases
     zero = (0,) * 6
-    masked = []
-    real = geometry._masked_echelon
-    monkeypatch.setattr(geometry, "_masked_echelon",
-                        lambda basis: masked.append(basis) or real(basis))
-    for n, fourth in enumerate([(p4[0], p4[0], p4[2]), (zero, zero, zero)]):
+    fourths = {basis for _, bases in _twins(cfg) for basis in bases} | {(zero, zero, zero)}
+    for n, fourth in enumerate(sorted(fourths)):
         twin = PlaneConfig(cfg.a, cfg.b, cfg.ideals, (p1, p2, p3, fourth))
-        masked.clear()
         assert random_cubic(twin, n) == _random_cubic_reference(twin, n)
-        assert masked == [fourth]
+    line = PlaneConfig(cfg.a, cfg.b, cfg.ideals, (p1, p2, p3, (p4[0], p4[0], p4[2])))
+    with pytest.raises(ValueError, match="not in standard_config's chart"):
+        random_cubic(line, 1)
+    with pytest.raises(ValueError, match="not in standard_config's chart"):
+        geometry.cubic_replays(CubicPoly((Fraction(0),) * 56), line, 1)
 
 
 @pytest.mark.parametrize("pair", PAIRS)
@@ -690,13 +692,53 @@ def test_replay_rejects_a_cubic_with_a_pinned_column_dropped(configs, monkeypatc
 
 
 def test_replay_does_not_use_the_masked_rows(configs, monkeypatch):
+    # the producer masks plane 4's block at _PINNED; the replay reads the
+    # pinned columns off planes 1-3's rows and never touches that table
     payloads = [cubic_to_dict(random_cubic(cfg, 5), cfg, 5) for cfg in configs.values()]
 
-    def refuse(basis):
-        raise AssertionError("the replay took the masked rows")
+    def refuse(*args):
+        raise AssertionError("the replay read the producer's _PINNED")
 
-    monkeypatch.setattr(geometry, "_masked_echelon", refuse)
+    class Refuse:
+        __getattr__ = __contains__ = __iter__ = __len__ = __or__ = __sub__ = __eq__ = refuse
+
+    monkeypatch.setattr(geometry, "_PINNED", Refuse())
     assert all(verify_cubic_dict(payload) for payload in payloads)
+
+
+def test_random_cubic_runs_no_elimination(monkeypatch):
+    from hassettmax import linalg
+
+    cases = [(standard_config(*pair), seed) for pair in [*PAIRS, _PAIR30, (2**61 - 1, 0)]
+             for seed in (0, 5, 2**64 - 1)]
+    payloads = [cubic_to_dict(random_cubic(cfg, seed), cfg, seed) for cfg, seed in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("random_cubic eliminated")
+
+    for module in (geometry, linalg):
+        monkeypatch.setattr(module, "echelon", refuse)
+        monkeypatch.setattr(module, "kernel_vector", refuse)
+    assert [cubic_to_dict(random_cubic(cfg, seed), cfg, seed) for cfg, seed in cases] == payloads
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(_PARAMETERS, _PARAMETERS)
+@example(Fraction(0), Fraction(0))
+@example(*_PAIR30)
+@example(Fraction(2**61 - 1), Fraction(0))
+@example(Fraction(0), Fraction(-(2**61 - 1), 3))
+def test_plane_4_hits_are_the_closed_form_of_the_chart(a, b):
+    # on plane 4, x^e0 y^e1 z^e2 u^e3 v^e4 is den(b)^e1 num(b)^e4 den(a)^e2
+    # num(a)^e3 times s0^e0 s1^(e1+e4) s2^(e2+e3), and a monomial with w is 0:
+    # the hit table from exponents alone
+    table = [[] for _ in PARAM_MONOMIALS]
+    for m, (e0, e1, e2, e3, e4, e5) in enumerate(MONOMIALS):
+        weight = b.denominator**e1 * b.numerator**e4 * a.denominator**e2 * a.numerator**e3
+        if m not in geometry._PINNED and not e5 and weight:
+            table[PARAM_MONOMIALS.index((e0, e1 + e4, e2 + e3))].append((m, weight))
+    block = geometry._plane_block(standard_config(a, b).bases[3])
+    assert geometry._plane_4_hits(geometry._PINNED, block) == table
 
 
 # --- the replay checks the kernel and the free columns ---
