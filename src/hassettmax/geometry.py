@@ -23,11 +23,11 @@ planes, so each of those echelons is unit rows (checked at import), and a
 count is the number of its pinned columns plus the rank of plane 4's rows
 with those columns deleted. Every cubic through planes 1-3 is 0 at the 22
 pinned restriction columns, and each other column of plane 4's block hits
-at most one row, so a seeded cubic is read off the chart. Its replay, on
-all 40 restriction rows, checks that the cubic vanishes and that its
-coefficients at the free columns, read off the chart as the producer
-reads them, are the seeded weights. Neither eliminates, and both refuse a
-plane 4 off the chart.
+at most one row, so a seeded cubic is read off the chart. Its replay
+builds no restriction matrix: the cubic vanishes on all 40 rows exactly
+when its 22 pinned coefficients are 0 and each of plane 4's rows, then a
+short sum, is 0, and its free coefficients must be the seeded weights.
+Neither eliminates, and both refuse a plane 4 off the chart.
 """
 
 from __future__ import annotations
@@ -430,36 +430,34 @@ def cubic_from_dict(d: dict) -> tuple[CubicPoly, PlaneConfig, int]:
     return cubic, config, parse_int(d["seed"])
 
 
-def _chart_pivots(matrix) -> set:
-    """Pivots of the 40 restriction rows, no elimination: the columns of
-    planes 1-3's unit rows, read off those rows, and the first column
-    _plane_4_hits finds for each row of plane 4 it hits."""
-    if any(len(row) - row.count(0) != 1 for row in matrix[:30]):
-        raise ValueError("a restriction row of planes 1-3 is not a unit row")
-    pinned = {c for c, column in enumerate(zip(*matrix[:30])) if any(column)}
-    return pinned.union(row[0][0] for row in _plane_4_hits(pinned, matrix[30:]) if row)
+# the replay's own read-off of planes 1-3's 30 rows, apart from the
+# echelon behind _PINNED: each is a unit row, and its column is pinned
+if any(len(row) - row.count(0) != 1 for block in _FIXED_BLOCKS for row in block):
+    raise AssertionError("a restriction row of planes 1-3 is not a unit row")
+_REPLAY_PINNED = frozenset(c for block in _FIXED_BLOCKS for row in block
+                           for c, x in enumerate(row) if x)
 
 
 def cubic_replays(cubic: CubicPoly, config: PlaneConfig, seed: int) -> bool:
     """Replay: the cubic must vanish on all four planes and match its seed,
-    checked on all 40 restriction rows, pinned columns read off the rows.
+    checked in the chart, with no restriction matrix built.
 
-    A cubic through the planes is a kernel vector of the restriction, and
-    a kernel vector is fixed by its coefficients at the free columns, those
-    that are not pivots. So the replay reads the pivots off the 40 rows
-    (_chart_pivots, which refuses a plane 4 outside the chart), checks that
-    the cubic is in the kernel, and checks that the coefficient at each
-    free column, in ascending order, is the seeded weight random_cubic
-    draws there. These pass exactly when the cubic is random_cubic's, and
-    nothing of the producer is rebuilt."""
-    matrix = restriction_matrix(config)
-    pivots = _chart_pivots(matrix)
+    A cubic through the planes is a kernel vector of the 40 restriction
+    rows, fixed by its coefficients at the free columns, those that are not
+    pivots. Planes 1-3's rows are unit rows at _REPLAY_PINNED, so they
+    vanish exactly when those 22 coefficients are 0, and then each row of
+    plane 4 is its short sum over the columns _plane_4_hits lists (which
+    refuses a plane 4 outside the chart). The free coefficients, ascending,
+    must be the seeded weights random_cubic draws. These pass exactly when
+    the cubic is random_cubic's, and nothing of the producer is rebuilt."""
+    hits = _plane_4_hits(_REPLAY_PINNED, _plane_block(config.bases[3]))
     coeffs = clear_denominators(cubic.coeffs)
-    if any(sum(c * x for c, x in zip(coeffs, row) if c) for row in matrix):
+    if any(coeffs[c] for c in _REPLAY_PINNED) or any(
+            sum(coeffs[c] * x for c, x in row) for row in hits):
         return False
-    free = [c for c in range(56) if c not in pivots]
+    pivots = _REPLAY_PINNED.union(row[0][0] for row in hits if row)
     rng = SplitMix64(seed)
-    return all(cubic.coeffs[fc] == rng.randint(-9, 9) for fc in free)
+    return all(cubic.coeffs[fc] == rng.randint(-9, 9) for fc in range(56) if fc not in pivots)
 
 
 def verify_cubic_dict(d: dict) -> bool:

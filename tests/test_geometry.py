@@ -764,6 +764,49 @@ def test_replay_agrees_with_the_seeded_cubic_off_all_40_rows(a, b, seed):
     assert verify_cubic_dict(dict(payload, seed=str(other))) is same
 
 
+def _dense_replay(matrix, pivots, cubic, seed):
+    """The replay on all 40 rows of matrix: the cubic is in their kernel,
+    and its coefficients at the columns outside pivots, the echelon's, are
+    the seeded weights, drawn in ascending order."""
+    if any(any(_on_plane(matrix, i, cubic.coeffs)) for i in (1, 2, 3, 4)):
+        return False
+    rng = SplitMix64(seed)
+    return all(cubic.coeffs[fc] == rng.randint(-9, 9) for fc in range(56) if fc not in pivots)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(_PARAMETERS, _PARAMETERS, st.integers(0, 2**64))
+@example(Fraction(0), Fraction(0), 1)
+@example(Fraction(-4, 9), Fraction(-6, 5), 0)
+@example(*_PAIR30, 7)
+@example(Fraction(2**61 - 1), Fraction(0), 3)
+@example(Fraction(0), Fraction(-(2**61 - 1), 3), 2**64)
+def test_replay_is_the_dense_check_of_all_40_rows(a, b, seed):
+    # the 22 pinned zeros and plane 4's short sums against all 40 dense
+    # rows: the honest cubic, each +1 edit, the honest cubic plus twice each
+    # basis cubic, and each pinned coefficient set to 1
+    cfg = standard_config(a, b)
+    matrix = restriction_matrix(cfg)
+    pivots = echelon(matrix, reduced=False)[1]
+    honest = random_cubic(cfg, seed)
+
+    def edited(column, value):
+        coeffs = list(honest.coeffs)
+        coeffs[column] = value
+        return CubicPoly(tuple(coeffs))
+
+    cubics = [
+        honest,
+        *(edited(c, x + 1) for c, x in enumerate(honest.coeffs)),
+        *(CubicPoly(tuple(h + 2 * e for h, e in zip(honest.coeffs, extra.coeffs)))
+          for extra in cubics_through(cfg)),
+        *(edited(c, Fraction(1)) for c in sorted(geometry._PINNED)),
+    ]
+    verdicts = [geometry.cubic_replays(cubic, cfg, seed) for cubic in cubics]
+    assert verdicts == [_dense_replay(matrix, pivots, cubic, seed) for cubic in cubics]
+    assert verdicts[0] and verify_cubic_dict(json.loads(json.dumps(cubic_to_dict(honest, cfg, seed))))
+
+
 def _free_columns(cfg):
     return [c for c in range(56) if c not in echelon(restriction_matrix(cfg))[1]]
 
@@ -800,23 +843,21 @@ def test_replay_rejects_a_changed_pivot_coefficient(pair):
         assert not verify_cubic_dict(cubic_to_dict(forged, cfg, 3))
 
 
-def test_replay_reads_no_kernel_vector(configs, monkeypatch):
-    from hassettmax import linalg
-
-    payloads = [cubic_to_dict(random_cubic(cfg, seed), cfg, seed)
-                for seed, cfg in enumerate(configs.values())]
-    payloads.append(cubic_to_dict(random_cubic(standard_config(*_PAIR30), 9),
-                                  standard_config(*_PAIR30), 9))
-
-    def refuse(*args):
-        raise AssertionError("the replay rebuilt the cubic")
-
-    monkeypatch.setattr(geometry, "kernel_vector", refuse)
-    monkeypatch.setattr(linalg, "kernel_vector", refuse)
-    assert all(verify_cubic_dict(payload) for payload in payloads)
-
-
 # --- the replay reads its pivots off the chart ---
+
+
+def _replay_pivots(fourth):
+    """The pivots cubic_replays reads off the chart for plane 4 = fourth:
+    its own pinned table, then the first column of each hit row."""
+    hits = geometry._plane_4_hits(geometry._REPLAY_PINNED, geometry._plane_block(fourth))
+    return geometry._REPLAY_PINNED.union(row[0][0] for row in hits if row)
+
+
+def test_replay_pinned_table_is_the_producers():
+    # two read-offs of planes 1-3's rows: the replay's, column by column at
+    # import, and _PINNED, the pivots of their echelon
+    assert isinstance(geometry._REPLAY_PINNED, frozenset)
+    assert geometry._REPLAY_PINNED == geometry._PINNED
 
 
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
@@ -828,23 +869,24 @@ def test_replay_reads_no_kernel_vector(configs, monkeypatch):
 @example(Fraction(2**61 - 1), Fraction(0))
 @example(Fraction(2**61 - 1), Fraction(-(2**61 - 1), 3))
 def test_chart_pivots_are_the_echelon_pivots_of_all_40_rows(a, b):
-    matrix = restriction_matrix(standard_config(a, b))
-    free = [c for c in range(56) if c not in geometry._chart_pivots(matrix)]
-    pivots = echelon(matrix, reduced=False)[1]
-    assert free == [c for c in range(56) if c not in pivots]
+    cfg = standard_config(a, b)
+    pivots = echelon(restriction_matrix(cfg), reduced=False)[1]
+    assert _replay_pivots(cfg.bases[3]) == set(pivots)
 
 
-def test_replay_runs_no_echelon(configs, monkeypatch):
+def test_replay_builds_no_restriction_matrix(monkeypatch):
     from hassettmax import linalg
 
-    payloads = [cubic_to_dict(random_cubic(cfg, seed), cfg, seed)
-                for seed, cfg in enumerate(configs.values())]
+    cases = [standard_config(*pair) for pair in [*PAIRS, _PAIR30, (2**61 - 1, 0)]]
+    payloads = [cubic_to_dict(random_cubic(cfg, seed), cfg, seed) for seed, cfg in enumerate(cases)]
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the replay ran an echelon")
+        raise AssertionError("the replay built, eliminated or solved the restriction")
 
-    monkeypatch.setattr(geometry, "echelon", refuse)
-    monkeypatch.setattr(linalg, "echelon", refuse)
+    monkeypatch.setattr(geometry, "restriction_matrix", refuse)
+    for module in (geometry, linalg):
+        monkeypatch.setattr(module, "echelon", refuse)
+        monkeypatch.setattr(module, "kernel_vector", refuse)
     assert all(verify_cubic_dict(payload) for payload in payloads)
 
 
@@ -863,7 +905,7 @@ def test_replay_refuses_a_plane_4_off_the_chart(pair):
     assert any(rank(basis) < 3 for basis in fourths)
     for fourth in fourths:
         matrix = restriction_matrix(PlaneConfig(cfg.a, cfg.b, cfg.ideals, (p1, p2, p3, fourth)))
-        assert geometry._chart_pivots(matrix) == set(echelon(matrix, reduced=False)[1])
+        assert _replay_pivots(fourth) == set(echelon(matrix, reduced=False)[1])
 
 
 def test_replay_verdicts_on_one_coefficient_edits_are_frozen():
