@@ -874,20 +874,37 @@ def test_chart_pivots_are_the_echelon_pivots_of_all_40_rows(a, b):
     assert _replay_pivots(cfg.bases[3]) == set(pivots)
 
 
-def test_replay_builds_no_restriction_matrix(monkeypatch):
+@pytest.fixture(scope="module")
+def replay_payloads():
+    cases = [standard_config(*pair) for pair in [*PAIRS, _PAIR30, (2**61 - 1, 0)]]
+    return [cubic_to_dict(random_cubic(cfg, seed), cfg, seed) for seed, cfg in enumerate(cases)]
+
+
+def _refuse(what):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"the replay {what}")
+    return refuse
+
+
+def test_replay_builds_no_restriction_matrix(replay_payloads, monkeypatch):
+    monkeypatch.setattr(geometry, "restriction_matrix", _refuse("built the restriction matrix"))
+    assert all(verify_cubic_dict(payload) for payload in replay_payloads)
+
+
+def test_replay_runs_no_echelon(replay_payloads, monkeypatch):
     from hassettmax import linalg
 
-    cases = [standard_config(*pair) for pair in [*PAIRS, _PAIR30, (2**61 - 1, 0)]]
-    payloads = [cubic_to_dict(random_cubic(cfg, seed), cfg, seed) for seed, cfg in enumerate(cases)]
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("the replay built, eliminated or solved the restriction")
-
-    monkeypatch.setattr(geometry, "restriction_matrix", refuse)
     for module in (geometry, linalg):
-        monkeypatch.setattr(module, "echelon", refuse)
-        monkeypatch.setattr(module, "kernel_vector", refuse)
-    assert all(verify_cubic_dict(payload) for payload in payloads)
+        monkeypatch.setattr(module, "echelon", _refuse("ran an echelon"))
+    assert all(verify_cubic_dict(payload) for payload in replay_payloads)
+
+
+def test_replay_reads_no_kernel_vector(replay_payloads, monkeypatch):
+    from hassettmax import linalg
+
+    for module in (geometry, linalg):
+        monkeypatch.setattr(module, "kernel_vector", _refuse("rebuilt the cubic"))
+    assert all(verify_cubic_dict(payload) for payload in replay_payloads)
 
 
 @pytest.mark.parametrize("pair", [(0, 0), (Fraction(-4, 9), Fraction(-6, 5)), _PAIR30])
