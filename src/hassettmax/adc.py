@@ -9,7 +9,9 @@ class); p = 2, when it has none, is cleared by an exact halving identity.
 
 A trace holds trivial, secant and divide4 steps, each strictly
 shrinking t. A trivial step divides out the content v shares with t, so no
-later prime p of t divides every coordinate of v.
+later prime p of t divides every coordinate of v. verify_trace also needs
+a terminal with t = 1, and trace_from_dict, the one decoder of a trace, a
+form of TRACE_FORMS and points of 3 coordinates.
 
 The denominator is factored once, at the first reduction, into a set of
 candidate primes. Every step divides t, except a secant step, which
@@ -41,6 +43,8 @@ from .qforms import (
     set_bits,
 )
 from . import local_global
+
+TRACE_FORMS = ("Q3", "G")  # the forms descend serves and a trace may name
 
 
 @dataclass(frozen=True)
@@ -236,8 +240,8 @@ def descend(form: QuadraticForm, point: RationalPoint) -> DescentTrace:
 
 def verify_trace(form: QuadraticForm, trace: DescentTrace) -> bool:
     """Certify a chain from start to terminal of steps of descend's kinds, each
-    keeping m = Q(v/t) and strictly shrinking t. That the terminal has t = 1,
-    an integer representation, is the caller's check (cli._trace_ok)."""
+    keeping m = Q(v/t) and strictly shrinking t, to a terminal with t = 1:
+    an integer representation of m."""
     m = trace.start.m
     if evaluate(form, trace.start.v) != m * trace.start.t ** 2:
         return False
@@ -254,7 +258,7 @@ def verify_trace(form: QuadraticForm, trace: DescentTrace) -> bool:
         if step.after.t >= step.before.t:
             return False
         prev = step.after
-    return prev == trace.terminal
+    return prev == trace.terminal and prev.t == 1
 
 
 def adc_check(form: QuadraticForm, n_max: int) -> list[int]:
@@ -316,19 +320,27 @@ def trace_to_dict(trace: DescentTrace) -> dict:
 
 
 def trace_from_dict(d: dict) -> DescentTrace:
-    """Every int only as str(int) writes it (arith.parse_int). A step's
-    before written as the point before it (the start, or the previous
-    step's after) is that decoded point, not decoded again; so is a
-    terminal written as the last point."""
+    """Every int as str(int) writes it (arith.parse_int), a form of
+    TRACE_FORMS, points of 3 coordinates. A step's before written as the point
+    before it (the start, or the previous step's after) is that decoded point,
+    not decoded again; so is a terminal written as the last point."""
+    form = d["form"]
+
+    def point(p: dict) -> RationalPoint:
+        decoded = _point_from_dict(p)
+        if form not in TRACE_FORMS or len(decoded.v) != 3:
+            raise ValueError(f"not a trace of Q3 or G in 3 coordinates: {form!r:.60}")
+        return decoded
+
     if not isinstance(d["steps"], list):
         raise TypeError(f"not a list of steps: {d['steps']!r:.60}")
     prev_dict = d["start"]
-    prev = start = _point_from_dict(prev_dict)
+    prev = start = point(prev_dict)
     steps = []
     for s in d["steps"]:
-        before = prev if s["before"] == prev_dict else _point_from_dict(s["before"])
+        before = prev if s["before"] == prev_dict else point(s["before"])
         prev_dict = s["after"]
-        prev = _point_from_dict(prev_dict)
+        prev = point(prev_dict)
         steps.append(DescentStep(s["kind"], _data_from_dict(s["data"]), before, prev))
-    terminal = prev if d["terminal"] == prev_dict else _point_from_dict(d["terminal"])
-    return DescentTrace(d["form"], start, tuple(steps), terminal)
+    terminal = prev if d["terminal"] == prev_dict else point(d["terminal"])
+    return DescentTrace(form, start, tuple(steps), terminal)

@@ -1,7 +1,7 @@
 """Integer arithmetic helpers: primality, factorization, the Jacobi symbol,
 integer square roots, the splitmix64 generator used for seeded randomized
 checks, and parse_int and parse_ints, the strict decoders of a certificate's
-ints.
+ints, held to int()'s MAX_DIGITS; short_int shows an int of any size.
 
 factorize takes out the primes below B = 4096 by one gcd with their product,
 so a cofactor below B^2 is prime; is_prime tests the larger ones. It splits a
@@ -240,10 +240,20 @@ def is_square(n: int) -> bool:
     return r * r == n
 
 
+MAX_DIGITS = 4300  # str() and int() refuse a longer int by default, so no JSON holds one
+LIMIT = 10**MAX_DIGITS  # the least int of more than MAX_DIGITS digits
+
+
+def short_int(n: int) -> str:
+    """n in full up to 40 digits, else its first 20 characters and digit count."""
+    text, digits = str(n), len(str(abs(n)))
+    return text if digits <= 40 else f"{text[:20]}... ({digits} digits)"
+
+
 def parse_int(text: str) -> int:
     """Only the spelling str(int) writes: no "+", leading zero, "-0",
     whitespace, underscore, JSON number or bool. int() refuses more than
-    4300 digits."""
+    MAX_DIGITS digits."""
     if isinstance(text, str):
         n = int(text)
         if str(n) == text:

@@ -2,7 +2,8 @@
 
 Exit codes: 0 verified/success, 1 verification failure, domain error or
 unwritable --out file, 2 usage error. JSON goes to stdout, diagnostics to
-stderr. All integers in JSON payloads are decimal strings.
+stderr. All integers in JSON payloads are decimal strings. Every
+--verify-file uses the decoder and check of the module that writes the payload.
 """
 
 from __future__ import annotations
@@ -13,9 +14,10 @@ import sys
 from fractions import Fraction
 
 from . import adc, geometry, hassett_rep, lattices, local_global
+from .arith import LIMIT, MAX_DIGITS, short_int as _short_int
 from .qforms import builtin_form
 
-_FORM_FLAGS = {"q3": "Q3", "g": "G"}
+_FORM_FLAGS = {name.lower(): name for name in adc.TRACE_FORMS}
 
 
 def _fraction(text: str) -> Fraction:
@@ -66,13 +68,9 @@ def _bounded_int(high: int, low: int | None = None):
     return parse
 
 
-_MAX_DIGITS = 4300  # str() refuses a longer int by default, so no JSON could print it
-_LIMIT = 10**_MAX_DIGITS  # the least int of more than _MAX_DIGITS digits
-
-
 def _digits(n: int) -> int:
     """Decimal digits of |n|, counted without str(), which refuses more
-    than _MAX_DIGITS of them."""
+    than MAX_DIGITS of them."""
     n = abs(n)
     digits = int((n.bit_length() - 1) * 0.30102999) + 1  # 0.30102999 < log10(2)
     while 10**digits <= n:
@@ -95,12 +93,6 @@ def _load_json(path: str) -> dict:
 
 def _fmt_vec(v) -> str:
     return "(" + ", ".join(str(x) for x in v) + ")"
-
-
-def _short_int(n: int) -> str:
-    """n in full up to 40 digits, else its first 20 characters and digit count."""
-    text, digits = str(n), len(str(abs(n)))
-    return text if digits <= 40 else f"{text[:20]}... ({digits} digits)"
 
 
 def _replay(path: str, what: str, decode, check, label) -> int:
@@ -188,19 +180,6 @@ def _cmd_adc_check(args) -> int:
     return 0 if not violations else 1
 
 
-def _trace_ok(trace) -> bool:
-    form = builtin_form(trace.form_name)
-    return adc.verify_trace(form, trace) and trace.terminal.t == 1
-
-
-def _decode_trace(payload):
-    trace = adc.trace_from_dict(payload)
-    points = (trace.start, trace.terminal, *(p for s in trace.steps for p in (s.before, s.after)))
-    if trace.form_name not in _FORM_FLAGS.values() or any(len(p.v) != 3 for p in points):
-        raise ValueError(f"not a trace of Q3 or G in 3 coordinates: {trace.form_name!r:.60}")
-    return trace
-
-
 def _print_trace(trace) -> None:
     start = trace.start
     print(f"{trace.form_name}: descend {_fmt_vec(start.v)}/{start.t}, value {start.m}")
@@ -221,11 +200,11 @@ def _cmd_adc_descend(args) -> int:
         return 2
     form = builtin_form(_FORM_FLAGS[args.form])
     point = adc.rational_point(form, args.num, args.den)
-    if point.m >= _LIMIT:  # m >= 0: Q3 and G are positive definite
-        print(f"error: Q(v/t) has more than {_MAX_DIGITS} digits", file=sys.stderr)
+    if point.m >= LIMIT:  # m >= 0: Q3 and G are positive definite
+        print(f"error: Q(v/t) has more than {MAX_DIGITS} digits", file=sys.stderr)
         return 2
     trace = adc.descend(form, point)
-    ok = _trace_ok(trace)
+    ok = adc.verify_trace(form, trace)
     if args.json:
         _emit(adc.trace_to_dict(trace))
     else:
@@ -236,35 +215,13 @@ def _cmd_adc_descend(args) -> int:
 # --- local ---
 
 
-_MAX_PRECISION = 10**3
-
-
-def _check_modulus(p: int, e: int) -> None:
-    """A witness at p lives mod p**e, e >= 1: refuse one of more than
-    _MAX_DIGITS digits. A bit length past the limit's decides alone."""
-    if (abs(p).bit_length() - 1) * e >= _LIMIT.bit_length() or abs(p) ** e >= _LIMIT:
-        raise ValueError(f"{_short_int(p)}**{e} has more than {_MAX_DIGITS} digits")
-
-
-def _decode_report(payload):
-    report = local_global.report_from_dict(payload)
-    for cert in report.certificates:  # the producer's limits: the replay computes p**precision
-        if cert.precision > _MAX_PRECISION:
-            raise ValueError(f"precision {cert.precision} is above the limit {_MAX_PRECISION}")
-        if cert.precision < 1:
-            raise ValueError(f"precision {cert.precision} is below the limit 1")
-        if cert.place != "real":
-            _check_modulus(cert.place, cert.precision)
-    return report
-
-
 def _cmd_local_certify(args) -> int:
     if args.k is None:
         print("error: need --k or --verify-file", file=sys.stderr)
         return 2
     try:
         for p in args.primes or ():
-            _check_modulus(p, args.precision)
+            local_global.check_modulus(p, args.precision)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -347,10 +304,10 @@ def _cmd_geometry_dims(args) -> int:
 def _cmd_geometry_cubic(args) -> int:
     config = geometry.standard_config(args.a, args.b)
     cubic = geometry.random_cubic(config, args.seed)
-    big = [x for c in cubic.coeffs for x in (c.numerator, c.denominator) if abs(x) >= _LIMIT]
+    big = [x for c in cubic.coeffs for x in (c.numerator, c.denominator) if abs(x) >= LIMIT]
     if big:
         print(f"error: a coefficient has {max(map(_digits, big))} digits, "
-              f"above the limit {_MAX_DIGITS}", file=sys.stderr)
+              f"above the limit {MAX_DIGITS}", file=sys.stderr)
         return 1
     payload = geometry.cubic_to_dict(cubic, config, args.seed)
     if args.out:
@@ -405,7 +362,9 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--form", choices=sorted(_FORM_FLAGS), required=True)
     check.add_argument("--max", type=_bounded_int(10**7, 1), required=True)
     descend = _command(aactions, "descend", "denominator descent trace", _cmd_adc_descend,
-                       ("trace", _decode_trace, _trace_ok, lambda t: f"trace for {t.form_name}"))
+                       ("trace", adc.trace_from_dict,
+                        lambda t: adc.verify_trace(builtin_form(t.form_name), t),
+                        lambda t: f"trace for {t.form_name}"))
     descend.add_argument("--form", choices=sorted(_FORM_FLAGS), default="q3")
     descend.add_argument("--num", type=_int_csv(3))
     descend.add_argument("--den", type=_bounded_int(10**24, 1))
@@ -413,11 +372,12 @@ def _build_parser() -> argparse.ArgumentParser:
     local = groups.add_parser("local", help="local solvability certificates")
     lactions = local.add_subparsers(dest="action", required=True)
     certify = _command(lactions, "certify", "certify G(w) = k at all places", _cmd_local_certify,
-                       ("report", _decode_report, local_global.verify_report,
+                       ("report", local_global.report_from_dict, local_global.verify_report,
                         lambda r: f"report for k = {_short_int(r.k)}, overall {r.overall}"))
     certify.add_argument("--k", type=int)
     certify.add_argument("--primes", type=_int_list, default=None)
-    certify.add_argument("--precision", type=_bounded_int(_MAX_PRECISION, 1), default=3)
+    certify.add_argument("--precision", type=_bounded_int(local_global.MAX_PRECISION, 1),
+                         default=3)
 
     lattice = groups.add_parser("lattice", help="rank-5 Gram matrices")
     tactions = lattice.add_subparsers(dest="action", required=True)

@@ -8,6 +8,8 @@ an integer witness w with G(w) congruent to k mod p^precision, Hensel-lifted
 from a seed (at 2, from a table indexed by k mod 8); at the real place and
 for "unsolvable" it stores no witness. The verifier re-evaluates w and
 recomputes the verdict, so a forged certificate does not replay.
+report_from_dict, the one decoder of a report, holds the producer's limits
+on the p^precision a replay computes: MAX_PRECISION and check_modulus.
 
 Also contains the generic square-class machinery (Hilbert symbols and
 p-adic squares, built on arith.jacobi) used to decide rational
@@ -24,10 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .arith import factorize, is_prime, jacobi, parse_int, parse_ints
+from .arith import LIMIT, MAX_DIGITS, factorize, is_prime, jacobi, parse_int, parse_ints, short_int
 from .qforms import builtin_form, evaluate, flags_to_mask
 
 _G = builtin_form("G")
+MAX_PRECISION = 1000  # the producer's, and the decoder's, limit on precision
 
 
 def _split_valuation(a: int, p: int) -> tuple[int, int]:
@@ -419,16 +422,30 @@ def certificate_to_dict(cert: LocalCertificate) -> dict:
     }
 
 
+def check_modulus(p: int, e: int) -> None:
+    """Refuse p**e, e >= 1, of more than MAX_DIGITS digits. As 2**(b-1) <= |p| < 2**b,
+    the bit length b decides unless (b - 1) * e < LIMIT.bit_length() <= b * e."""
+    bits, top = abs(p).bit_length(), LIMIT.bit_length()
+    if bits * e >= top and ((bits - 1) * e >= top or abs(p) ** e >= LIMIT):
+        raise ValueError(f"{short_int(p)}**{e} has more than {MAX_DIGITS} digits")
+
+
 def certificate_from_dict(d: dict) -> LocalCertificate:
+    """Also refuses a precision outside [1, MAX_PRECISION] or past check_modulus."""
     place = d["place"]
     if place != "real":
         place = parse_int(place)
     witness = d["witness"]
     if witness is not None:
         witness = parse_ints(witness)
-    return LocalCertificate(
-        parse_int(d["k"]), place, parse_int(d["precision"]), witness, d["verdict"]
-    )
+    k, precision = parse_int(d["k"]), parse_int(d["precision"])
+    if precision > MAX_PRECISION:
+        raise ValueError(f"precision {precision} is above the limit {MAX_PRECISION}")
+    if precision < 1:
+        raise ValueError(f"precision {precision} is below the limit 1")
+    if place != "real":
+        check_modulus(place, precision)
+    return LocalCertificate(k, place, precision, witness, d["verdict"])
 
 
 def report_to_dict(report: GlobalSolvabilityReport) -> dict:

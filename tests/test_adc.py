@@ -8,6 +8,7 @@ of the line z + s*d with the quadric is rational with denominator Q(d).
 import hashlib
 import itertools
 import json
+import re
 from math import gcd
 
 import pytest
@@ -550,6 +551,36 @@ def test_trace_from_dict_refuses_noncanonical_ints(path, value):
     node[key] = value
     with pytest.raises((ValueError, TypeError)):
         trace_from_dict(payload)
+
+
+@pytest.mark.parametrize("path, value", [
+    (("form",), "F"),
+    (("start", "v"), ["5", "9"]),
+    (("steps", 0, "after", "v"), ["1", "2"]),
+    (("steps", 1, "before", "v"), ["1", "2"]),  # no longer the point before it: decoded
+    (("terminal", "v"), ["-2", "1"]),
+], ids=repr)
+def test_trace_from_dict_refuses_other_forms_and_dimensions(path, value):
+    # each once decoded, and then made verify_trace raise instead of return False
+    payload = _g_trace_payload()
+    *parents, key = path
+    node = payload
+    for step in parents:
+        node = node[step]
+    node[key] = value
+    message = f"not a trace of Q3 or G in 3 coordinates: {payload['form']!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        trace_from_dict(payload)
+
+
+def test_verify_trace_needs_an_integer_terminal():
+    # an honest trace cut before any of its steps, ending at the point reached
+    trace = descend(G, rational_point(G, (5, 9, 12), 10))
+    assert verify_trace(G, trace) and len(trace.steps) == 3
+    for n in range(len(trace.steps)):
+        last = trace.steps[n - 1].after if n else trace.start
+        cut = DescentTrace(trace.form_name, trace.start, trace.steps[:n], last)
+        assert last.t > 1 and not verify_trace(G, trace_from_dict(trace_to_dict(cut)))
 
 
 def test_trace_from_dict_decodes_each_point_once(monkeypatch):

@@ -6,21 +6,23 @@ product formula and bimultiplicativity, exhaustive residue tables for the
 """
 
 import json
+import re
 import time
 from dataclasses import replace
-from math import prod
+from math import ceil, log10, prod
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hassettmax.arith import SplitMix64, factorize, is_prime
+from hassettmax.arith import LIMIT, SplitMix64, factorize, is_prime
 from hassettmax.local_global import (
     _BASE_2,
     _overall,
     LocalCertificate,
     certify_global,
     certify_local,
+    check_modulus,
     default_extra_primes,
     hensel_lift_two_squares,
     hilbert_symbol,
@@ -679,3 +681,49 @@ def test_report_from_dict_refuses_noncanonical_ints(path, value):
     node[key] = value
     with pytest.raises((ValueError, TypeError)):
         report_from_dict(payload)
+
+
+@pytest.mark.parametrize("place, edit, message", [
+    ("3", {"precision": "1001"}, "precision 1001 is above the limit 1000"),
+    ("3", {"precision": "0"}, "precision 0 is below the limit 1"),
+    ("3", {"precision": "-1"}, "precision -1 is below the limit 1"),
+    ("3", {"precision": "100000000"}, "precision 100000000 is above the limit 1000"),
+    # G(2, 1, 0) = 7 holds at every precision, but the producer refuses 1000003**1000
+    ("7", {"place": "1000003", "precision": "1000", "witness": ["2", "1", "0"]},
+     "1000003**1000 has more than 4300 digits"),
+], ids=repr)
+def test_report_from_dict_holds_the_producers_limits(place, edit, message):
+    # the replay would compute place**precision: 3**100000000 would not end soon
+    payload = report_to_dict(certify_global(7))
+    next(c for c in payload["certificates"] if c["place"] == place).update(edit)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        report_from_dict(payload)
+
+
+def test_check_modulus_boundary():
+    check_modulus(10, 4299)
+    for p in (10, -10):
+        with pytest.raises(ValueError, match=rf"^{p}\*\*4300 has more than 4300 digits$"):
+            check_modulus(p, 4300)
+    check_modulus(10**4300 - 1, 1)  # 4300 digits
+    assert 3**9012 < LIMIT <= 3**9013
+    check_modulus(3, 9012)
+    with pytest.raises(ValueError, match=r"^3\*\*9013 has more than 4300 digits$"):
+        check_modulus(3, 9013)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 10, 1000003, 2**64 - 59, 2**64, 10**100 + 267])
+def test_check_modulus_agrees_with_the_power(p):
+    # on both sides of the boundary, where the bit length alone decides and where not
+    e0 = ceil(4300 / log10(p))
+    seen = set()
+    for e in range(max(1, e0 - 3), e0 + 4):
+        too_big = p**e >= LIMIT
+        seen.add(too_big)
+        try:
+            check_modulus(p, e)
+        except ValueError:
+            assert too_big, (p, e)
+        else:
+            assert not too_big, (p, e)
+    assert seen == {False, True}
