@@ -1,7 +1,7 @@
 """Integer arithmetic helpers: primality, factorization, the Jacobi symbol,
 integer square roots, the splitmix64 generator used for seeded randomized
 checks, and parse_int and parse_ints, the strict decoders of a certificate's
-ints, held to int()'s MAX_DIGITS; short_int shows an int of any size.
+ints, held to int()'s MAX_DIGITS; decimal_digits and short_int take any int.
 
 factorize takes out the primes below B = 4096 by one gcd with their product,
 so a cofactor below B^2 is prime; is_prime tests the larger ones. It splits a
@@ -244,10 +244,20 @@ MAX_DIGITS = 4300  # str() and int() refuse a longer int by default, so no JSON 
 LIMIT = 10**MAX_DIGITS  # the least int of more than MAX_DIGITS digits
 
 
+def decimal_digits(n: int) -> int:
+    """Decimal digits of |n| (1 for 0), counted without str(): it refuses past MAX_DIGITS."""
+    n = abs(n)
+    digits = n.bit_length() * 30102999 // 10**8 or 1  # no more: 0.30102999 < log10(2)
+    while 10**digits <= n:
+        digits += 1
+    return digits
+
+
 def short_int(n: int) -> str:
     """n in full up to 40 digits, else its first 20 characters and digit count."""
-    text, digits = str(n), len(str(abs(n)))
-    return text if digits <= 40 else f"{text[:20]}... ({digits} digits)"
+    digits = decimal_digits(n)
+    head = abs(n) // 10 ** max(digits - 20 + (n < 0), 0)  # the digits of the first 20 characters
+    return str(n) if digits <= 40 else f"{'-' * (n < 0)}{head}... ({digits} digits)"
 
 
 def parse_int(text: str) -> int:

@@ -38,7 +38,7 @@ from itertools import product
 from math import gcd
 from operator import itemgetter
 
-from .arith import SplitMix64, parse_int
+from .arith import MAX_DIGITS, SplitMix64, decimal_digits, parse_int
 from .lattices import GramMatrix5, gram_M, voisin_value
 from .linalg import clear_denominators, echelon, kernel_vector, rank
 
@@ -391,12 +391,17 @@ def dims_report(config: PlaneConfig) -> dict:
 
 
 def cubic_to_dict(cubic: CubicPoly, config: PlaneConfig, seed: int) -> dict:
+    try:
+        coeffs = [str(c) for c in cubic.coeffs]
+    except ValueError:  # str() refuses an int of more than MAX_DIGITS digits
+        n = max(decimal_digits(x) for c in cubic.coeffs for x in (c.numerator, c.denominator))
+        raise ValueError(f"a coefficient has {n} digits, above the limit {MAX_DIGITS}") from None
     return {
         "a": str(config.a),
         "b": str(config.b),
         "seed": str(seed),
         "monomials": [list(m) for m in MONOMIALS],
-        "coeffs": [str(c) for c in cubic.coeffs],
+        "coeffs": coeffs,
     }
 
 

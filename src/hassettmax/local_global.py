@@ -8,8 +8,9 @@ an integer witness w with G(w) congruent to k mod p^precision, Hensel-lifted
 from a seed (at 2, from a table indexed by k mod 8); at the real place and
 for "unsolvable" it stores no witness. The verifier re-evaluates w and
 recomputes the verdict, so a forged certificate does not replay.
-report_from_dict, the one decoder of a report, holds the producer's limits
-on the p^precision a replay computes: MAX_PRECISION and check_modulus.
+check_precision is the one precision rule, held before any primality test
+by certify_local, certificate_from_dict, verify_local_certificate and the
+CLI; each place is proven prime once per certificate.
 
 Also contains the generic square-class machinery (Hilbert symbols and
 p-adic squares, built on arith.jacobi) used to decide rational
@@ -30,7 +31,8 @@ from .arith import LIMIT, MAX_DIGITS, factorize, is_prime, jacobi, parse_int, pa
 from .qforms import builtin_form, evaluate, flags_to_mask
 
 _G = builtin_form("G")
-MAX_PRECISION = 1000  # the producer's, and the decoder's, limit on precision
+MAX_PRECISION = 1000  # check_precision's limit on precision
+PLACES = ("real", 2, 3)  # in every report; G can fail only at the real place and at 3
 
 
 def _split_valuation(a: int, p: int) -> tuple[int, int]:
@@ -234,16 +236,14 @@ def sqrt_mod_2k(a: int, k: int) -> int:
 
 
 def hensel_lift_two_squares(c: int, p: int, precision: int) -> tuple[int, int]:
-    """(y, z) with y^2 + z^2 = c mod p^precision, p odd, c a p-adic unit.
+    """(y, z) with y^2 + z^2 = c mod p^precision, for an odd prime p and a p-adic unit c.
 
     Deterministic: y is the smallest nonnegative residue making c - y^2 a
     nonzero quadratic residue mod p; z is Hensel-lifted from its smallest
     root.
     """
-    if p == 2 or not is_prime(p):
+    if p < 3 or p % 2 == 0:
         raise ValueError("p must be an odd prime")
-    if precision < 1:
-        raise ValueError("precision must be >= 1")
     if c % p == 0:
         raise ValueError(f"{c} is not a unit at {p}")
     for y0 in range(p):
@@ -270,8 +270,11 @@ class GlobalSolvabilityReport:
     overall: str
 
 
-def _is_place(place) -> bool:
-    return place == "real" or (isinstance(place, int) and is_prime(place))
+def _check_place(place, precision: int) -> None:
+    """check_precision, then a proof that place is "real" or a prime."""
+    check_precision(place, precision)
+    if place != "real" and not (isinstance(place, int) and is_prime(place)):
+        raise ValueError(f"place must be 'real' or a prime, got {place!r}")
 
 
 def _solvable(k: int, place) -> bool:
@@ -331,10 +334,7 @@ def certify_local(k: int, place, precision: int = 3) -> LocalCertificate:
     The verdict is _solvable's. A solvable one at a prime p carries a
     witness with G(w) = k mod p^precision.
     """
-    if not _is_place(place):
-        raise ValueError(f"place must be 'real' or a prime, got {place!r}")
-    if precision < 1:
-        raise ValueError("precision must be >= 1")
+    _check_place(place, precision)
     if not _solvable(k, place):
         return LocalCertificate(k, place, precision, None, "unsolvable")
     if place == "real":
@@ -353,7 +353,9 @@ def certify_local(k: int, place, precision: int = 3) -> LocalCertificate:
 def verify_local_certificate(cert: LocalCertificate) -> bool:
     """Independent replay of one certificate: the verdict must be _solvable's,
     and "solvable" at a prime p needs a witness with G(w) = k mod p^precision."""
-    if cert.precision < 1 or not _is_place(cert.place):
+    try:
+        _check_place(cert.place, cert.precision)
+    except ValueError:
         return False
     if cert.verdict != ("solvable" if _solvable(cert.k, cert.place) else "unsolvable"):
         return False
@@ -384,23 +386,17 @@ def certify_global(
     if extra_primes is None:
         extra_primes = default_extra_primes(k)
     else:
-        extra_primes = sorted(set(int(p) for p in extra_primes) - {2, 3})
-        for p in extra_primes:
-            if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
-    certs = [certify_local(k, "real", precision)]
-    certs.append(certify_local(k, 2, precision))
-    certs.append(certify_local(k, 3, precision))
-    certs.extend(certify_local(k, p, precision) for p in extra_primes)
+        extra_primes = sorted(set(map(int, extra_primes)) - {2, 3})
+    certs = [certify_local(k, place, precision) for place in (*PLACES, *extra_primes)]
     return GlobalSolvabilityReport(k, tuple(certs), _overall(certs))
 
 
 def verify_report(report: GlobalSolvabilityReport) -> bool:
-    """Replays every certificate and the overall verdict. G can fail only
-    at the real place and at 3, so a report must list both, and 2, as
-    certify_global always does."""
+    """Replays every certificate and the overall verdict. A report must list
+    PLACES, as certify_global always does: G can fail only at the real place
+    and at 3."""
     places = [c.place for c in report.certificates]
-    if any(place not in places for place in ("real", 2, 3)):
+    if any(place not in places for place in PLACES):
         return False
     if any(c.k != report.k for c in report.certificates):
         return False
@@ -430,21 +426,23 @@ def check_modulus(p: int, e: int) -> None:
         raise ValueError(f"{short_int(p)}**{e} has more than {MAX_DIGITS} digits")
 
 
-def certificate_from_dict(d: dict) -> LocalCertificate:
-    """Also refuses a precision outside [1, MAX_PRECISION] or past check_modulus."""
-    place = d["place"]
-    if place != "real":
-        place = parse_int(place)
-    witness = d["witness"]
-    if witness is not None:
-        witness = parse_ints(witness)
-    k, precision = parse_int(d["k"]), parse_int(d["precision"])
+def check_precision(place, precision: int) -> None:
+    """The one precision rule: refuse a precision outside [1, MAX_PRECISION]
+    and, at an int place p, a p**precision past check_modulus. No primality test."""
     if precision > MAX_PRECISION:
         raise ValueError(f"precision {precision} is above the limit {MAX_PRECISION}")
     if precision < 1:
         raise ValueError(f"precision {precision} is below the limit 1")
-    if place != "real":
+    if isinstance(place, int):
         check_modulus(place, precision)
+
+
+def certificate_from_dict(d: dict) -> LocalCertificate:
+    """Also refuses what check_precision refuses."""
+    place = d["place"] if d["place"] == "real" else parse_int(d["place"])
+    witness = None if d["witness"] is None else parse_ints(d["witness"])
+    k, precision = parse_int(d["k"]), parse_int(d["precision"])
+    check_precision(place, precision)
     return LocalCertificate(k, place, precision, witness, d["verdict"])
 
 

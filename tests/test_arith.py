@@ -535,3 +535,29 @@ def test_parse_ints_reads_a_list_of_canonical_ints():
     with pytest.raises(ValueError):
         parse_ints(["5", " 9"])
 
+
+# --- short_int: any int, in at most 40 digits ---
+
+
+def _short_int_by_str(n):
+    # short_int as str() writes it, for |n| < 10**4300
+    text, digits = str(n), len(str(abs(n)))
+    return text if digits <= 40 else f"{text[:20]}... ({digits} digits)"
+
+
+@pytest.mark.parametrize("digits", [1, 2, 19, 20, 21, 39, 40, 41, 42, 100, 1000, 4299, 4300])
+def test_short_int_agrees_with_str_below_the_limit(digits):
+    rng = SplitMix64(digits)
+    draws = [rng.randint(10 ** (digits - 1), 10**digits - 1) for _ in range(20)]
+    for n in [10 ** (digits - 1), 10**digits - 1, *draws]:
+        assert arith.short_int(n) == _short_int_by_str(n)
+        assert arith.short_int(-n) == _short_int_by_str(-n)
+    assert arith.short_int(0) == "0"
+
+
+def test_short_int_shows_ints_past_the_str_limit():
+    assert arith.short_int(10**5000) == "10000000000000000000... (5001 digits)"
+    assert arith.short_int(-(10**5000)) == "-1000000000000000000... (5001 digits)"
+    n = 12345678901234567890 * 10**4990 + 7
+    assert arith.short_int(n) == "12345678901234567890... (5010 digits)"
+    assert arith.short_int(-n) == "-1234567890123456789... (5010 digits)"

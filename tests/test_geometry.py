@@ -706,6 +706,13 @@ def test_replay_does_not_use_the_masked_rows(configs, monkeypatch):
     assert all(verify_cubic_dict(payload) for payload in payloads)
 
 
+def test_cubic_to_dict_refuses_a_coefficient_it_cannot_write():
+    # the coefficients grow to about twice the parameter's digits: str() cannot write 4401
+    cfg = standard_config(10**2200 + 7, 1)
+    with pytest.raises(ValueError, match=r"^a coefficient has 4401 digits, above the limit 4300$"):
+        cubic_to_dict(random_cubic(cfg, 5), cfg, 5)
+
+
 def test_random_cubic_runs_no_elimination(monkeypatch):
     from hassettmax import linalg
 

@@ -5,6 +5,7 @@ product formula and bimultiplicativity, exhaustive residue tables for the
 2-adic and 3-adic obstruction classes, and enumeration cross-checks.
 """
 
+import hashlib
 import json
 import re
 import time
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hassettmax import local_global
 from hassettmax.arith import LIMIT, SplitMix64, factorize, is_prime
 from hassettmax.local_global import (
     _BASE_2,
@@ -649,6 +651,33 @@ def test_certify_global_explicit_primes():
     assert [c.place for c in report.certificates] == ["real", 2, 3, 5, 13]
     with pytest.raises(ValueError):
         certify_global(7, extra_primes=[6])
+    # certify_local checks each listed place
+    with pytest.raises(ValueError, match=r"^place must be 'real' or a prime, got 9$"):
+        certify_global(7, extra_primes=[9])
+
+
+@pytest.mark.parametrize("k", [7, 5, 0, 162])
+def test_each_place_is_proven_prime_once(monkeypatch, k):
+    # 10**100 + 267 is past psi_13, where a proof is a Baillie-PSW run
+    p = 10**100 + 267
+    calls = []
+    monkeypatch.setattr(local_global, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    report = certify_global(k, [p, 1000003])
+    places = sorted(c.place for c in report.certificates if c.place != "real")
+    assert p in places and sorted(calls) == places
+    calls.clear()
+    assert verify_report(report)
+    assert sorted(calls) == places
+
+
+def test_reports_are_pinned():
+    # every witness, verdict and place list of these 1804 reports, as report_to_dict writes them
+    digest = hashlib.sha256()
+    for precision in (1, 3, 40, 1000):
+        for k in range(-50, 401):
+            report = report_to_dict(certify_global(k, precision=precision))
+            digest.update(json.dumps(report, sort_keys=True).encode())
+    assert digest.hexdigest() == "1e23142ac08a3d086b2f9b4485c012dfdcd293b2e64d7e5094b06b39179d9c8a"
 
 
 def test_report_serialization_round_trip():
@@ -685,6 +714,14 @@ def test_report_from_dict_refuses_noncanonical_ints(path, value):
 
 @pytest.mark.parametrize("place, edit, message", [
     ("3", {"precision": "1001"}, "precision 1001 is above the limit 1000"),
+    # G(2, 1, 0) = 7: each witness holds at every precision, and no limit is waived for it
+    ("real", {"precision": "1001"}, "precision 1001 is above the limit 1000"),
+    ("2", {"precision": "1001", "witness": ["2", "1", "0"]},
+     "precision 1001 is above the limit 1000"),
+    ("3", {"precision": "1001", "witness": ["2", "1", "0"]},
+     "precision 1001 is above the limit 1000"),
+    ("3", {"precision": "100000000", "witness": ["2", "1", "0"]},
+     "precision 100000000 is above the limit 1000"),
     ("3", {"precision": "0"}, "precision 0 is below the limit 1"),
     ("3", {"precision": "-1"}, "precision -1 is below the limit 1"),
     ("3", {"precision": "100000000"}, "precision 100000000 is above the limit 1000"),
@@ -692,12 +729,21 @@ def test_report_from_dict_refuses_noncanonical_ints(path, value):
     ("7", {"place": "1000003", "precision": "1000", "witness": ["2", "1", "0"]},
      "1000003**1000 has more than 4300 digits"),
 ], ids=repr)
-def test_report_from_dict_holds_the_producers_limits(place, edit, message):
+def test_report_from_dict_holds_the_producers_limits(monkeypatch, place, edit, message):
     # the replay would compute place**precision: 3**100000000 would not end soon
     payload = report_to_dict(certify_global(7))
-    next(c for c in payload["certificates"] if c["place"] == place).update(edit)
+    cert = next(c for c in payload["certificates"] if c["place"] == place)
+    cert.update(edit)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         report_from_dict(payload)
+    # the producer and the verifier hold the same rule
+    place = cert["place"] if cert["place"] == "real" else int(cert["place"])
+    witness = cert["witness"] and tuple(map(int, cert["witness"]))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        certify_local(7, place, int(cert["precision"]))
+    monkeypatch.setattr(local_global, "evaluate", None)  # refused before G(w) mod p**precision
+    assert not verify_local_certificate(
+        LocalCertificate(7, place, int(cert["precision"]), witness, cert["verdict"]))
 
 
 def test_check_modulus_boundary():
