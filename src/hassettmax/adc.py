@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from itertools import product
+from operator import index
 
 from .arith import ceil_sqrt, factorize, parse_int, parse_ints
 from .qforms import (
@@ -77,8 +78,10 @@ class DescentTrace:
 
 
 def rational_point(form: QuadraticForm, v, t: int) -> RationalPoint:
-    """Build a RationalPoint, checking that Q(v/t) is an integer."""
-    v = tuple(int(x) for x in v)
+    """Build a RationalPoint, checking that Q(v/t) is an integer. Each
+    coordinate and t are read by operator.index: a Fraction or float raises
+    TypeError."""
+    v, t = tuple(map(index, v)), index(t)
     if t <= 0:
         raise ValueError("denominator must be positive")
     q = evaluate(form, v)
@@ -328,12 +331,14 @@ def trace_from_dict(d: dict) -> DescentTrace:
 
     def point(p: dict) -> RationalPoint:
         decoded = _point_from_dict(p)
-        if form not in TRACE_FORMS or len(decoded.v) != 3:
+        if len(decoded.v) != 3:
             raise ValueError(f"not a trace of Q3 or G in 3 coordinates: {form!r:.60}")
         return decoded
 
     if not isinstance(d["steps"], list):
         raise TypeError(f"not a list of steps: {d['steps']!r:.60}")
+    if form not in TRACE_FORMS:
+        raise ValueError(f"not a trace of Q3 or G in 3 coordinates: {form!r:.60}")
     prev_dict = d["start"]
     prev = start = point(prev_dict)
     steps = []

@@ -15,7 +15,6 @@ from fractions import Fraction
 
 from . import adc, geometry, hassett_rep, lattices, local_global
 from .arith import LIMIT, MAX_DIGITS, short_int as _short_int
-from .arith import decimal_digits as _digits  # noqa: F401 (its name in tests/test_cli.py)
 from .qforms import builtin_form
 
 _FORM_FLAGS = {name.lower(): name for name in adc.TRACE_FORMS}

@@ -7,12 +7,13 @@ intersection profile we rebuild the rank-5 Gram matrix, compute the space
 of cubics vanishing on all four planes, and count orbit and stabilizer
 dimensions for the simultaneous linear symmetry group. Parameters and
 cubic coefficients are Fractions; the ideals are integer forms, plane 4's
-with the denominators of a and b cleared. Planes 1-3 are the same three
-coordinate planes in every configuration, and PlaneConfig accepts no
-others; plane 4 is {(x, y, z, az, by, 0)}, and standard_config writes its
-basis in that chart, so every basis, restriction row, oracle point and
-stabilizer row is an integer. One table of monomial index triples drives
-monomial values at a point and each plane's block of the restriction.
+with the denominators of a and b cleared. PlaneConfig holds a and b
+alone and builds the four planes from them: planes 1-3 are the same three
+coordinate planes in every configuration, and plane 4 is
+{(x, y, z, az, by, 0)}, its basis written in that chart, so every basis,
+restriction row, oracle point and stabilizer row is an integer. One table
+of monomial index triples drives monomial values at a point and each
+plane's block of the restriction.
 Dimensions are exact ranks from linalg's integer elimination,
 cross-checked by an evaluation oracle at the 10 lattice points of each
 plane, which span the same rows as the restriction. Everything about
@@ -27,13 +28,14 @@ at most one row, so a seeded cubic is read off the chart. Its replay
 builds no restriction matrix: the cubic vanishes on all 40 rows exactly
 when its 22 pinned coefficients are 0 and each of plane 4's rows, then a
 short sum, is 0, and its free coefficients must be the seeded weights.
-Neither eliminates, and both refuse a plane 4 off the chart.
+Neither eliminates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from math import gcd
 from operator import itemgetter
@@ -73,18 +75,25 @@ assert len(PARAM_MONOMIALS) == 10
 
 @dataclass(frozen=True)
 class PlaneConfig:
-    """Four planes, each an ideal of three linear forms and a basis of
-    three vectors. Planes 1-3 are always _FIXED_IDEALS and _FIXED_BASES;
-    plane 4 is free, degenerate bases included."""
+    """The four planes at parameters (a, b), built from a and b: planes 1-3
+    are _FIXED_IDEALS and _FIXED_BASES; plane 4 is {(x, y, z, az, by, 0)},
+    its ideal (v - by, u - az, w) and its basis, denominators cleared, e_x,
+    den(b)*e_y + num(b)*e_v and den(a)*e_z + num(a)*e_u, all integer."""
 
     a: Fraction
     b: Fraction
-    ideals: tuple  # four triples of 6-coefficient integer linear forms
-    bases: tuple  # four triples of integer kernel basis vectors
 
-    def __post_init__(self):
-        if self.ideals[:3] != _FIXED_IDEALS or self.bases[:3] != _FIXED_BASES:
-            raise ValueError("planes 1-3 must be the fixed coordinate planes")
+    @cached_property
+    def ideals(self) -> tuple:
+        """Four triples of 6-coefficient integer linear forms."""
+        (na, da), (nb, db) = self.a.as_integer_ratio(), self.b.as_integer_ratio()
+        return (*_FIXED_IDEALS, (_form((4, db), (1, -nb)), _form((3, da), (2, -na)), _form((5, 1))))
+
+    @cached_property
+    def bases(self) -> tuple:
+        """Four triples of integer kernel basis vectors."""
+        (na, da), (nb, db) = self.a.as_integer_ratio(), self.b.as_integer_ratio()
+        return (*_FIXED_BASES, (_form((0, 1)), _form((1, db), (4, nb)), _form((2, da), (3, na))))
 
 
 @dataclass(frozen=True)
@@ -113,61 +122,32 @@ _FIXED_BASES = tuple(tuple(tuple(int(i == c) for i in range(NUM_VARS)) for c in 
 
 
 def standard_config(a, b) -> PlaneConfig:
-    """The canonical four planes. Plane 4 is {(x, y, z, az, by, 0)}, and
-    its basis is that chart's with the denominators cleared: e_x,
-    den(b)*e_y + num(b)*e_v and den(a)*e_z + num(a)*e_u, integer for every
-    a and b, 0 included."""
-    a = Fraction(a)
-    b = Fraction(b)
-    ideal = (
-        _form((4, b.denominator), (1, -b.numerator)),
-        _form((3, a.denominator), (2, -a.numerator)),
-        _form((5, 1)),
-    )
-    basis = (
-        _form((0, 1)),
-        _form((1, b.denominator), (4, b.numerator)),
-        _form((2, a.denominator), (3, a.numerator)),
-    )
-    return PlaneConfig(a, b, (*_FIXED_IDEALS, ideal), (*_FIXED_BASES, basis))
+    """The canonical four planes at Fraction(a) and Fraction(b)."""
+    return PlaneConfig(Fraction(a), Fraction(b))
 
 
 def intersection_profile(config: PlaneConfig, i: int, j: int) -> str:
+    """The profile of planes i and j: "empty", "point" or "line", as two
+    distinct planes meet in at most a line."""
     if not (1 <= i < j <= 4):
         raise ValueError("need plane indices 1 <= i < j <= 4")
     stacked = [list(f) for f in config.ideals[i - 1] + config.ideals[j - 1]]
-    dim = NUM_VARS - rank(stacked)
-    if dim == 0:
-        return "empty"
-    if dim == 1:
-        return "point"
-    if dim == 2:
-        return "line"
-    raise ValueError("planes coincide; profile undefined")
+    return ("empty", "point", "line")[NUM_VARS - rank(stacked)]
 
 
-_REQUIRED_PROFILE = {(1, 2): "line", (1, 3): "line", (1, 4): "empty", (2, 3): "point"}
+_REQUIRED_PROFILE = {(1, 2): "line", (1, 3): "line", (2, 3): "point"}
 
 # the pairs among planes 1-3 depend on no parameter: ranked once, at import
 _FIXED_PROFILES = {pair: intersection_profile(standard_config(0, 0), *pair)
-                   for pair in ((1, 2), (1, 3), (2, 3))}
-if any(got != _REQUIRED_PROFILE[pair] for pair, got in _FIXED_PROFILES.items()):
+                   for pair in _REQUIRED_PROFILE}
+if _FIXED_PROFILES != _REQUIRED_PROFILE:
     raise AssertionError("planes 1-3 do not meet as _REQUIRED_PROFILE says")
 
 
 def _profiles(config: PlaneConfig) -> dict:
     """The profile of each plane pair: those among planes 1-3 from import,
-    then (1,4), (2,4) and (3,4), each ranked once. (1,4) must be empty,
-    and neither (2,4) nor (3,4) a line."""
-    profiles = dict(_FIXED_PROFILES)
-    got = profiles[1, 4] = intersection_profile(config, 1, 4)
-    if got != "empty":
-        raise ValueError(f"profile violation: planes (1,4) meet in a {got}, expected empty")
-    for i in (2, 3):
-        profiles[i, 4] = intersection_profile(config, i, 4)
-    if "line" in (profiles[2, 4], profiles[3, 4]):
-        raise ValueError("planes P2/P3 may not meet P4 in a line")
-    return profiles
+    then (1,4), (2,4) and (3,4), each ranked once."""
+    return {**_FIXED_PROFILES, **{(i, 4): intersection_profile(config, i, 4) for i in (1, 2, 3)}}
 
 
 def alpha_beta(config: PlaneConfig) -> tuple[int, int]:
@@ -329,13 +309,11 @@ def stabilizer_dim(config: PlaneConfig) -> tuple[int, int]:
 
 def _plane_4_hits(pinned, block) -> list:
     """Per row of plane 4's block, the (column, entry) pairs of the columns
-    outside pinned that hit it, ascending. In standard_config's chart each
-    column hits at most one row; a column hitting two raises ValueError."""
+    outside pinned that hit it, ascending. In plane 4's chart each column
+    hits at most one row, so its sum is its entry there."""
     hits = [[] for _ in block]
     for c, column in enumerate(zip(*block)):
         if c not in pinned and any(column):
-            if column.count(0) < len(column) - 1:
-                raise ValueError("plane 4 is not in standard_config's chart")
             x = sum(column)
             hits[column.index(x)].append((c, x))
     return hits
@@ -451,10 +429,10 @@ def cubic_replays(cubic: CubicPoly, config: PlaneConfig, seed: int) -> bool:
     rows, fixed by its coefficients at the free columns, those that are not
     pivots. Planes 1-3's rows are unit rows at _REPLAY_PINNED, so they
     vanish exactly when those 22 coefficients are 0, and then each row of
-    plane 4 is its short sum over the columns _plane_4_hits lists (which
-    refuses a plane 4 outside the chart). The free coefficients, ascending,
-    must be the seeded weights random_cubic draws. These pass exactly when
-    the cubic is random_cubic's, and nothing of the producer is rebuilt."""
+    plane 4 is its short sum over the columns _plane_4_hits lists. The
+    free coefficients, ascending, must be the seeded weights random_cubic
+    draws. These pass exactly when the cubic is random_cubic's, and nothing
+    of the producer is rebuilt."""
     hits = _plane_4_hits(_REPLAY_PINNED, _plane_block(config.bases[3]))
     coeffs = clear_denominators(cubic.coeffs)
     if any(coeffs[c] for c in _REPLAY_PINNED) or any(

@@ -352,7 +352,10 @@ def certify_local(k: int, place, precision: int = 3) -> LocalCertificate:
 
 def verify_local_certificate(cert: LocalCertificate) -> bool:
     """Independent replay of one certificate: the verdict must be _solvable's,
-    and "solvable" at a prime p needs a witness with G(w) = k mod p^precision."""
+    and "solvable" at a prime p needs a witness with G(w) = k mod p^precision.
+    k, precision and each witness coordinate must be ints: a float rounds."""
+    if type(cert.k) is not int or type(cert.precision) is not int:
+        return False
     try:
         _check_place(cert.place, cert.precision)
     except ValueError:
@@ -361,7 +364,7 @@ def verify_local_certificate(cert: LocalCertificate) -> bool:
         return False
     if cert.verdict == "unsolvable" or cert.place == "real":
         return cert.witness is None
-    if cert.witness is None or len(cert.witness) != 3:
+    if cert.witness is None or [type(x) for x in cert.witness] != [int] * 3:
         return False
     return (evaluate(_G, cert.witness) - cert.k) % cert.place**cert.precision == 0
 

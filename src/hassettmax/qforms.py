@@ -266,7 +266,7 @@ def _marked(form: QuadraticForm, n_max: int, what: str, primitive: bool) -> byte
 
 def primitive_image(form: QuadraticForm, n_max: int) -> list[int]:
     """Sorted values Q(v) for primitive v with 0 < Q(v) <= n_max."""
-    return list(set_bits(flags_to_mask(_marked(form, n_max, "primitive_image", True))))
+    return list(compress(count(), _marked(form, n_max, "primitive_image", True)))
 
 
 # byte tables between a 0/1 flag per value and the ASCII digits of int(_, 2)

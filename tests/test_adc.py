@@ -9,6 +9,7 @@ import hashlib
 import itertools
 import json
 import re
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -97,6 +98,14 @@ def test_rational_point_validation():
     # value 5/4 is not an integer
     with pytest.raises(ValueError):
         rational_point(Q3, (1, 0, 0), 0)
+
+
+@pytest.mark.parametrize("v, t", [((Fraction(7, 2), 2.9, 0), 1), ((3.0, 4, 5), 5),
+                                  ((Fraction(3), 4, 5), 5), ((3, 4, 5), 5.0)])
+def test_rational_point_refuses_non_ints(v, t):
+    # int() would read (7/2, 2.9, 0) as (3, 2, 0), a point nobody gave descend
+    with pytest.raises(TypeError):
+        rational_point(Q3, v, t)
 
 
 # --- secant step ---

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from hassettmax import hassett_rep, local_global
-from hassettmax.cli import _digits, _short_int, main
+from hassettmax.arith import decimal_digits
+from hassettmax.cli import _short_int, main
 
 
 def run(capsys, *argv):
@@ -553,8 +554,8 @@ def test_geometry_cubic_prints_coefficients_up_to_the_limit(capsys, tmp_path, a,
 
 def test_digits_counts_past_the_str_limit():
     for n in (0, 1, 9, 10, 99, 100, 10**4300 - 1, 10**4300, 3**20000):
-        digits = _digits(n)
-        assert 10 ** (digits - 1) <= max(n, 1) < 10**digits and _digits(-n) == digits
+        digits = decimal_digits(n)
+        assert 10 ** (digits - 1) <= max(n, 1) < 10**digits and decimal_digits(-n) == digits
 
 
 # --- forged --verify-file payloads ---

@@ -11,8 +11,8 @@ row space against one over sympy's kernel bases of the ideals.
 import hashlib
 import json
 from fractions import Fraction
-from itertools import product
 from math import lcm, prod
+from types import SimpleNamespace
 
 import pytest
 import sympy
@@ -119,17 +119,6 @@ def test_profile_rejects_bad_indices(configs):
         intersection_profile(cfg, 0, 3)
 
 
-def test_profile_rejects_coinciding_planes(configs):
-    cfg = configs[(1, 1)]
-    # plane 4 equal to plane 1
-    ideals, bases = cfg.ideals[:3] + cfg.ideals[:1], cfg.bases[:3] + cfg.bases[:1]
-    twin = PlaneConfig(cfg.a, cfg.b, ideals, bases)
-    with pytest.raises(ValueError, match="planes coincide"):
-        intersection_profile(twin, 1, 4)
-    with pytest.raises(ValueError, match="planes coincide"):
-        gram_from_geometry(twin)
-
-
 def test_alpha_beta_rule(configs):
     for (a, b), cfg in configs.items():
         alpha, beta = alpha_beta(cfg)
@@ -138,51 +127,6 @@ def test_alpha_beta_rule(configs):
     # generic rational parameters behave like (1, 1)
     assert alpha_beta(standard_config(Fraction(2, 3), Fraction(-7, 5))) == (0, 0)
     assert alpha_beta(standard_config(0, Fraction(11, 4))) == (1, 0)
-
-
-def test_alpha_beta_rejects_base_profile_violations(configs):
-    cfg = configs[(1, 1)]
-
-    def unit(i):
-        coeffs = [Fraction(0)] * 6
-        coeffs[i] = Fraction(1)
-        return tuple(coeffs)
-
-    # fourth plane sharing the x = y = 0 locus meets plane 1 in a line
-    bad_fourth = (unit(0), unit(1), unit(5))
-    broken = PlaneConfig(cfg.a, cfg.b, cfg.ideals[:3] + (bad_fourth,), cfg.bases)
-    with pytest.raises(ValueError, match=r"profile violation: planes \(1,4\) meet in a line"):
-        alpha_beta(broken)
-    with pytest.raises(ValueError, match=r"profile violation: planes \(1,4\) meet in a line"):
-        gram_from_geometry(broken)
-
-
-def test_profile_violation_at_1_4_is_raised_before_2_4_is_ranked(configs, monkeypatch):
-    # plane 4 equal to plane 2 meets plane 1 in a line: that is the error,
-    # not the coinciding planes (2,4), which are never ranked
-    cfg = configs[(1, 1)]
-    ideals, bases = cfg.ideals[:3] + cfg.ideals[1:2], cfg.bases[:3] + cfg.bases[1:2]
-    twin = PlaneConfig(cfg.a, cfg.b, ideals, bases)
-    calls = []
-    real = geometry.intersection_profile
-    monkeypatch.setattr(geometry, "intersection_profile",
-                        lambda cfg, i, j: calls.append((i, j)) or real(cfg, i, j))
-    for call in (alpha_beta, gram_from_geometry):
-        calls.clear()
-        with pytest.raises(ValueError, match=r"profile violation: planes \(1,4\) meet in a line"):
-            call(twin)
-        assert calls == [(1, 4)]
-
-
-def test_alpha_beta_rejects_a_fourth_plane_meeting_p2_in_a_line(configs, monkeypatch):
-    # no four planes reach this: with P1 meeting P2 in a line, a line of P4
-    # in P2 would meet that line, and so P1; a stand-in profile reaches it
-    real = geometry.intersection_profile
-    monkeypatch.setattr(geometry, "intersection_profile",
-                        lambda cfg, i, j: "line" if (i, j) == (2, 4) else real(cfg, i, j))
-    for call in (alpha_beta, gram_from_geometry):
-        with pytest.raises(ValueError, match="planes P2/P3 may not meet P4 in a line"):
-            call(configs[(1, 1)])
 
 
 def test_each_plane_pair_is_ranked_once(configs, monkeypatch):
@@ -392,6 +336,30 @@ def test_closed_form_bases_are_the_scaled_kernel_bases(a, b):
         assert all(type(x) is int for vec in basis for x in vec)
 
 
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(_PARAMETERS, _PARAMETERS)
+@example(Fraction(0), Fraction(0))
+@example(Fraction(0), Fraction(-7, 3))
+@example(Fraction(-5, 2), Fraction(0))
+@example(*_PAIR30)
+def test_the_config_is_the_chart_of_a_and_b(a, b):
+    # PlaneConfig takes (a, b) alone and builds the coordinate planes 1-3
+    # and plane 4's chart: plane 4 misses plane 1 and meets plane 2 (plane
+    # 3) in a point exactly when a (b) is 0
+    cfg = PlaneConfig(a, b)
+    assert cfg == standard_config(a, b)
+    (na, da), (nb, db) = a.as_integer_ratio(), b.as_integer_ratio()
+    x, y, z, u, v, w = (tuple(int(i == c) for i in range(6)) for c in range(6))
+    assert cfg.ideals == ((x, y, z), (x, y, u), (x, z, v),
+                          ((0, -nb, 0, 0, db, 0), (0, 0, -na, da, 0, 0), w))
+    assert cfg.bases == ((u, v, w), (z, v, w), (y, u, w),
+                         (x, (0, db, 0, 0, nb, 0), (0, 0, da, na, 0, 0)))
+    assert [intersection_profile(cfg, i, 4) for i in (1, 2, 3)] == [
+        "empty", "point" if a == 0 else "empty", "point" if b == 0 else "empty"]
+    with pytest.raises(TypeError):
+        PlaneConfig(a, b, cfg.ideals, cfg.bases)
+
+
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(
     _PARAMETERS,
@@ -441,11 +409,11 @@ def test_param_monomial_points_are_unisolvent_for_ternary_cubics():
     assert det_bareiss(values) != 0
 
 
-def _oracle_rows_reference(cfg):
+def _oracle_rows_reference(bases):
     """All 40 oracle rows: the 56 monomial values at the points
     s0*b0 + s1*b1 + s2*b2 of each plane, (s0, s1, s2) in PARAM_MONOMIALS."""
     rows = []
-    for basis in cfg.bases:
+    for basis in bases:
         for params in PARAM_MONOMIALS:
             point = [sum(t * x for t, x in zip(params, coords)) for coords in zip(*basis)]
             rows.append(_monomial_values_reference(point))
@@ -460,34 +428,29 @@ def _oracle_rows_reference(cfg):
 @example(Fraction(2**61 - 1), Fraction(0))
 def test_lattice_point_oracle_is_the_rank_of_all_40_rows(a, b):
     cfg = standard_config(a, b)
-    rows = _oracle_rows_reference(cfg)
+    rows = _oracle_rows_reference(cfg.bases)
     assert len(rows) == 40
     oracle = linear_system_dim_by_evaluation(cfg)
     assert oracle == 56 - rank(rows) - 1 == linear_system_dim(cfg)
 
 
 def test_plane_by_plane_oracle_on_rank_deficient_planes(configs):
-    cfg = configs[(1, 1)]
-    p1, p2, p3, p4 = cfg.bases
+    # _rank_of_planes on raw plane data: a plane 4 of block rank 4 or 0
+    p1, p2, p3, p4 = configs[(1, 1)].bases
     zero = (0,) * 6
-    for bases in [
-        (p1, p2, p3, (p4[0], p4[0], p4[2])),  # plane 4 a line: block rank 4
-        (p1, p2, p3, (zero, zero, zero)),  # plane 4 zero: block rank 0
-    ]:
-        twin = PlaneConfig(cfg.a, cfg.b, cfg.ideals, bases)
-        matrix = restriction_matrix(twin)
-        assert matrix == [row for basis in bases for row in _block_reference(basis)]
-        assert [rank(matrix[n:n + 10]) for n in (0, 10, 20, 30)] != [10] * 4
-        rows = _oracle_rows_reference(twin)
-        oracle = linear_system_dim_by_evaluation(twin)
-        assert oracle == 56 - rank(rows) - 1 == linear_system_dim(twin)
+    for fourth, block_rank in [((p4[0], p4[0], p4[2]), 4), ((zero, zero, zero), 0)]:
+        block = list(map(list, geometry._plane_block(fourth)))
+        assert block == _block_reference(fourth) and rank(block) == block_rank
+        rows = _oracle_rows_reference((p1, p2, p3, fourth))
+        oracle = geometry._rank_of_planes(geometry._oracle_rows, fourth)
+        assert oracle == rank(rows) == geometry._rank_of_planes(geometry._plane_block, fourth)
 
 
-def _stabilizer_rows_reference(cfg):
+def _stabilizer_rows_reference(ideals, bases):
     """All 36 stabilizer rows: for each plane, basis vector bvec and ideal
     generator form, the 6x6 matrix X (row-major) with form . (X bvec) = 0."""
     return [[form[i] * bvec[j] for i in range(6) for j in range(6)]
-            for ideal, basis in zip(cfg.ideals, cfg.bases)
+            for ideal, basis in zip(ideals, bases)
             for bvec in basis for form in ideal]
 
 
@@ -499,30 +462,20 @@ def _stabilizer_rows_reference(cfg):
 @example(Fraction(2**61 - 1), Fraction(0))
 def test_stabilizer_is_the_rank_of_all_36_rows(a, b):
     cfg = standard_config(a, b)
-    rows = _stabilizer_rows_reference(cfg)
+    rows = _stabilizer_rows_reference(cfg.ideals, cfg.bases)
     assert len(rows) == 36
     stab = 36 - rank(rows)
     assert stabilizer_dim(cfg) == (stab, 36 - stab)
 
 
-def _twins(cfg):
-    """(ideals, bases) whose planes 1-3 are not written as standard_config
-    writes them: same planes in other coordinates, other planes, Fraction
-    entries, degenerate bases."""
-    (i1, i2, i3, i4), (p1, p2, p3, p4) = cfg.ideals, cfg.bases
-    scaled = tuple(tuple(-3 * x for x in form) for form in reversed(i2))
-    halves = tuple(tuple(Fraction(x, 2) for x in form) for form in i3)
+def _chart_planes(cfg):
+    """Bases whose blocks, outside the pinned columns, hit each row of
+    plane 4's at most once, as the chart's do: the four planes, plane 1
+    reordered, plane 3 reversed, plane 2 cut to a point, and zero."""
+    p1, p2, p3, p4 = cfg.bases
     zero = (0,) * 6
-    return [
-        ((i1, i2, i3, i4), ((p1[1], p1[0], p1[2]), p2, p3, p4)),  # plane 1 reordered
-        ((i1, scaled, i3, i4), (p1, p2, p3, p4)),  # plane 2's ideal rescaled
-        ((i1, i3, i3, i4), (p1, p2, p3, p4)),  # plane 2's ideal off its basis
-        ((i1, i2, halves, i4), (p1, p2, tuple(reversed(p3)), p4)),
-        ((i3, i2, i1, i4), (p3, p2, p1, p4)),  # planes 1 and 3 swapped
-        ((i4, i2, i3, i1), (p4, p2, p3, p1)),  # planes 1 and 4 swapped
-        ((i1, i2, i3, i4), (p1, (p2[2], zero, p2[2]), p3, p4)),  # plane 2 a point
-        ((i1, i1, i3, i4), (p1, p1, p3, p4)),  # plane 2 equal to plane 1
-    ]
+    return {p1, p2, p3, p4, (p1[1], p1[0], p1[2]), tuple(reversed(p3)),
+            (p2[2], zero, p2[2]), (zero, zero, zero)}
 
 
 # --- seeded cubics: the chart read-off against all 40 rows ---
@@ -603,14 +556,20 @@ def test_each_count_is_the_rank_of_all_four_planes_rows(a, b, plane_4):
     # the pinned columns plus plane 4's masked rank against one rank of the
     # rows of all four planes, for plane 4 a plane, a line or zero
     cfg = standard_config(a, b)
-    p1, p2, p3, p4 = cfg.bases
+    p4 = cfg.bases[3]
     fourth = {"plane": p4, "line": (p4[0], p4[0], p4[2]), "zero": ((0,) * 6,) * 3}[plane_4]
-    cfg = PlaneConfig(cfg.a, cfg.b, cfg.ideals, (p1, p2, p3, fourth))
-    fiber = 56 - rank(_restriction_matrix_reference(cfg.bases)) - 1
-    assert linear_system_dim(cfg) == fiber
-    assert linear_system_dim_by_evaluation(cfg) == 56 - rank(_oracle_rows_reference(cfg)) - 1
-    stab = 36 - rank(_stabilizer_rows_reference(cfg))
-    assert stabilizer_dim(cfg) == (stab, 36 - stab)
+    _assert_counts_are_ranks(cfg, fourth)
+
+
+def _assert_counts_are_ranks(cfg, fourth):
+    """_rank_of_planes on raw plane data, the basis fourth as plane 4 with
+    cfg's ideal, is the rank of all rows for each count."""
+    ideals, bases = cfg.ideals, (*cfg.bases[:3], fourth)
+    rank_of = geometry._rank_of_planes
+    assert rank_of(geometry._plane_block, fourth) == rank(_restriction_matrix_reference(bases))
+    assert rank_of(geometry._oracle_rows, fourth) == rank(_oracle_rows_reference(bases))
+    assert rank_of(geometry._stabilizer_rows, (ideals[3], fourth)) == rank(
+        _stabilizer_rows_reference(ideals, bases))
 
 
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
@@ -629,43 +588,26 @@ def test_random_cubic_is_read_off_all_40_rows(a, b, seed):
 
 @pytest.mark.parametrize("pair", [(0, 0), (Fraction(-4, 9), Fraction(-6, 5)), _PAIR30])
 def test_counts_off_the_fixed_planes_are_the_ranks_of_all_rows(pair):
-    # PlaneConfig refuses planes 1-3 other than the fixed ones; it accepts
-    # a degenerate plane 4, whose counts are the ranks of all rows
+    # a degenerate plane 4, a line or zero, over the fixed planes 1-3
     cfg = standard_config(*pair)
-    for ideals, bases in _twins(cfg):
-        assert (ideals[:3], bases[:3]) != (cfg.ideals[:3], cfg.bases[:3])
-        with pytest.raises(ValueError, match="planes 1-3 must be the fixed coordinate planes"):
-            PlaneConfig(cfg.a, cfg.b, ideals, bases)
-    p1, p2, p3, p4 = cfg.bases
+    p4 = cfg.bases[3]
     zero = (0,) * 6
     for fourth in [(p4[0], p4[0], p4[2]), (zero, zero, zero)]:
-        twin = PlaneConfig(cfg.a, cfg.b, cfg.ideals, (p1, p2, p3, fourth))
-        stab = 36 - rank(_stabilizer_rows_reference(twin))
-        assert stabilizer_dim(twin) == (stab, 36 - stab)
-        fiber = 56 - rank(_restriction_matrix_reference(twin.bases)) - 1
-        assert linear_system_dim(twin) == fiber
-        oracle = 56 - rank(_oracle_rows_reference(twin)) - 1
-        assert linear_system_dim_by_evaluation(twin) == oracle == fiber
+        _assert_counts_are_ranks(cfg, fourth)
 
 
 @pytest.mark.parametrize("pair", [(0, 0), (Fraction(-4, 9), Fraction(-6, 5)), _PAIR30])
 def test_random_cubic_on_twins_is_read_off_all_40_rows(pair):
-    # over the fixed planes 1-3, a zero plane 4 and each plane of _twins,
-    # the point among them included, are in the chart and read off all 40
-    # rows; the line with basis vector e_x twice is not, and the producer
-    # refuses it as the replay does
+    # each of _chart_planes as plane 4, the point and zero among them, is
+    # read off the chart as off all 40 rows: random_cubic's cubic, through
+    # a stand-in config, and the replay's pivots are the echelon's
     cfg = standard_config(*pair)
-    p1, p2, p3, p4 = cfg.bases
-    zero = (0,) * 6
-    fourths = {basis for _, bases in _twins(cfg) for basis in bases} | {(zero, zero, zero)}
+    fourths = _chart_planes(cfg)
+    assert any(rank(basis) < 3 for basis in fourths)
     for n, fourth in enumerate(sorted(fourths)):
-        twin = PlaneConfig(cfg.a, cfg.b, cfg.ideals, (p1, p2, p3, fourth))
+        twin = SimpleNamespace(bases=(*cfg.bases[:3], fourth))
         assert random_cubic(twin, n) == _random_cubic_reference(twin, n)
-    line = PlaneConfig(cfg.a, cfg.b, cfg.ideals, (p1, p2, p3, (p4[0], p4[0], p4[2])))
-    with pytest.raises(ValueError, match="not in standard_config's chart"):
-        random_cubic(line, 1)
-    with pytest.raises(ValueError, match="not in standard_config's chart"):
-        geometry.cubic_replays(CubicPoly((Fraction(0),) * 56), line, 1)
+        assert _replay_pivots(fourth) == set(echelon(restriction_matrix(twin), reduced=False)[1])
 
 
 @pytest.mark.parametrize("pair", PAIRS)
@@ -912,24 +854,6 @@ def test_replay_reads_no_kernel_vector(replay_payloads, monkeypatch):
     for module in (geometry, linalg):
         monkeypatch.setattr(module, "kernel_vector", _refuse("rebuilt the cubic"))
     assert all(verify_cubic_dict(payload) for payload in replay_payloads)
-
-
-@pytest.mark.parametrize("pair", [(0, 0), (Fraction(-4, 9), Fraction(-6, 5)), _PAIR30])
-def test_replay_refuses_a_plane_4_off_the_chart(pair):
-    # the degenerate plane 4 of the twin counts, a line with basis vector
-    # e_x twice, writes x as s0 + s1: column x^3 of its block has four
-    # nonzeros. The planes of _twins, the point among them included, are in
-    # the chart, and their pivots are read off as the echelon finds them
-    cfg = standard_config(*pair)
-    p1, p2, p3, p4 = cfg.bases
-    line = PlaneConfig(cfg.a, cfg.b, cfg.ideals, (p1, p2, p3, (p4[0], p4[0], p4[2])))
-    with pytest.raises(ValueError, match="not in standard_config's chart"):
-        geometry.cubic_replays(CubicPoly((Fraction(0),) * 56), line, 1)
-    fourths = {basis for _, bases in _twins(cfg) for basis in bases}
-    assert any(rank(basis) < 3 for basis in fourths)
-    for fourth in fourths:
-        matrix = restriction_matrix(PlaneConfig(cfg.a, cfg.b, cfg.ideals, (p1, p2, p3, fourth)))
-        assert _replay_pivots(fourth) == set(echelon(matrix, reduced=False)[1])
 
 
 def test_replay_verdicts_on_one_coefficient_edits_are_frozen():

@@ -496,6 +496,20 @@ def test_verify_rejects_tampered_certificates():
     assert not verify_local_certificate(wrong_verdict)
 
 
+def test_verify_refuses_fields_that_are_not_ints():
+    # G(10**20, 0, 0) - k = -1, 124 mod 125, yet the float witness
+    # (1e20, 0, 0) rounds G(w) - k to 0.0 at every place
+    k = 10**40 + 1
+    assert (evaluate(builtin_form("G"), (10**20, 0, 0)) - k) % 125 == 124
+    report = certify_global(k)
+    floats = tuple(replace(c, witness=c.witness and (1e20, 0, 0)) for c in report.certificates)
+    assert verify_report(report) and not verify_report(replace(report, certificates=floats))
+    cert = certify_local(7, 5, 3)
+    assert verify_local_certificate(cert)
+    for edit in ({"k": 7.0}, {"precision": 3.0}, {"witness": tuple(map(float, cert.witness))}):
+        assert not verify_local_certificate(replace(cert, **edit)), edit
+
+
 def test_seed_table_covers_all_residues_mod_8():
     # existence backing for the 2-adic seed search
     covered = {}
