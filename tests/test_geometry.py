@@ -599,15 +599,13 @@ def test_counts_off_the_fixed_planes_are_the_ranks_of_all_rows(pair):
 @pytest.mark.parametrize("pair", [(0, 0), (Fraction(-4, 9), Fraction(-6, 5)), _PAIR30])
 def test_random_cubic_on_twins_is_read_off_all_40_rows(pair):
     # each of _chart_planes as plane 4, the point and zero among them, is
-    # read off the chart as off all 40 rows: random_cubic's cubic, through
-    # a stand-in config, and the replay's pivots are the echelon's
+    # read off the chart as off all 40 rows, through a stand-in config
     cfg = standard_config(*pair)
     fourths = _chart_planes(cfg)
     assert any(rank(basis) < 3 for basis in fourths)
     for n, fourth in enumerate(sorted(fourths)):
         twin = SimpleNamespace(bases=(*cfg.bases[:3], fourth))
         assert random_cubic(twin, n) == _random_cubic_reference(twin, n)
-        assert _replay_pivots(fourth) == set(echelon(restriction_matrix(twin), reduced=False)[1])
 
 
 @pytest.mark.parametrize("pair", PAIRS)
@@ -854,6 +852,42 @@ def test_replay_reads_no_kernel_vector(replay_payloads, monkeypatch):
     for module in (geometry, linalg):
         monkeypatch.setattr(module, "kernel_vector", _refuse("rebuilt the cubic"))
     assert all(verify_cubic_dict(payload) for payload in replay_payloads)
+
+
+@pytest.mark.parametrize("pair", [(0, 0), (Fraction(-4, 9), Fraction(-6, 5)), _PAIR30])
+def test_replay_refuses_a_plane_4_off_the_chart(pair):
+    # a payload names (a, b) only, so the replay's plane 4 is the chart's.
+    # A cubic through planes 1-3 and the degenerate plane 4 of the twin
+    # counts, a line with basis vector e_x twice, but not through the
+    # chart's plane 4 is refused, even with the seeded weights at the free
+    # columns. The planes of _chart_planes, the point among them included,
+    # are in the chart, and the replay reads their pivots off as the
+    # echelon finds them
+    cfg = standard_config(*pair)
+    p1, p2, p3, p4 = cfg.bases
+    line = SimpleNamespace(bases=(p1, p2, p3, (p4[0], p4[0], p4[2])))
+    matrix = restriction_matrix(cfg)
+    pivots = echelon(matrix)[1]
+    free = [fc for fc in range(56) if fc not in pivots]
+    basis = cubics_through(cfg)
+    off = 0
+    for seed, cubic in enumerate(cubics_through(line)):
+        # less the chart's cubic with its weights: 0 at every free column
+        v = [c - sum(cubic.coeffs[fc] * b.coeffs[i] for fc, b in zip(free, basis))
+             for i, c in enumerate(cubic.coeffs)]
+        if not any(_on_plane(matrix, 4, v)):
+            continue
+        off += 1
+        honest = random_cubic(cfg, seed)
+        edited = CubicPoly(tuple(x + y for x, y in zip(honest.coeffs, v)))
+        assert all(edited.coeffs[fc] == honest.coeffs[fc] for fc in free)
+        assert not any(any(_on_plane(matrix, i, edited.coeffs)) for i in (1, 2, 3))
+        assert geometry.cubic_replays(honest, cfg, seed)
+        assert not geometry.cubic_replays(edited, cfg, seed)
+    assert off
+    for fourth in _chart_planes(cfg):
+        twin = SimpleNamespace(bases=(p1, p2, p3, fourth))
+        assert _replay_pivots(fourth) == set(echelon(restriction_matrix(twin), reduced=False)[1])
 
 
 def test_replay_verdicts_on_one_coefficient_edits_are_frozen():
