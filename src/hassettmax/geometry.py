@@ -375,8 +375,8 @@ def cubic_to_dict(cubic: CubicPoly, config: PlaneConfig, seed: int) -> dict:
         n = max(decimal_digits(x) for c in cubic.coeffs for x in (c.numerator, c.denominator))
         raise ValueError(f"a coefficient has {n} digits, above the limit {MAX_DIGITS}") from None
     return {
-        "a": str(config.a),
-        "b": str(config.b),
+        "a": str(Fraction(config.a)),  # parse_rational reads no float spelling
+        "b": str(Fraction(config.b)),
         "seed": str(seed),
         "monomials": [list(m) for m in MONOMIALS],
         "coeffs": coeffs,

@@ -25,12 +25,19 @@ coordinate ORs the mask so far, shifted by c x^2 for every x >= 1, so the
 work is a few hundred big-integer shifts, not one Python step per value.
 integer_image_upto reads that mask in a single C pass; adc.adc_check ANDs
 its complement with a mask of the rational values first.
+
+representations walks only when n passes a residue test: Q(v) = n forces
+Q(v mod m) = n mod m, so an n outside the values of Q mod 8 or mod 9 has
+no representation (two thirds of all n for F, whose values are 0 or 2 mod 6).
+_residues builds those value sets on a form's first exact query, fixing one
+coordinate at a time mod m, and caches them. Its states grow as
+m^((dim + 1) / 2), so the test runs for dim <= 4 only (F, Q3 and G).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, lru_cache
 from itertools import compress, count
 from math import gcd, isqrt, lcm
 from operator import neg
@@ -215,12 +222,38 @@ def _walk(ldl, bound: int, exact: bool):
         yield [0] * n, 1, t, d1, 3 * d1
 
 
+@lru_cache(maxsize=128)  # forms are immutable; bounded, as callers may pass many
+def _residues(form: QuadraticForm) -> dict[int, frozenset[int]]:
+    """{m: the values of Q on (Z/m)^dim} for m = 8 and 9.
+
+    Coordinates are fixed from the last one down, keeping the set of states
+    (Q of the fixed part mod m, the linear terms 2 B[i][k] v[k] they put on
+    each unfixed v[i] mod m). There are at most min(m^fixed, m^(1 + unfixed))
+    states, so at most m^((dim + 1) / 2), and no evaluate call."""
+    residues = {}
+    for m in (8, 9):
+        states = {(0, (0,) * form.dim)}
+        for k in reversed(range(form.dim)):
+            c, row = form.gram[k][k], [2 * form.gram[i][k] for i in range(k)]
+            states = {((q + (c * x + lin[k]) * x) % m, tuple((a + r * x) % m for a, r in zip(lin, row)))
+                      for q, lin in states for x in range(m)}
+        residues[m] = frozenset(q for q, _ in states)
+    return residues
+
+
 def representations(form: QuadraticForm, n: int) -> list[tuple[int, ...]]:
     """All integer vectors v with Q(v) = n, in lexicographic order: the
-    half walk, its mirror, and the zero vector when n == 0."""
+    half walk, its mirror, and the zero vector when n == 0.
+
+    For dim <= 4, an n that is not a value of Q mod 8 or mod 9 returns []
+    without a walk: Q(v) = n forces Q(v mod m) = n mod m. Above dimension 4
+    the sets are not built, as their build grows as m^((dim + 1) / 2)
+    states, and the walk alone answers."""
     ldl = _scaled_ldl(form, "representations")
     if n < 0:
         raise ValueError("n must be >= 0")
+    if form.dim <= 4 and any(n % m not in values for m, values in _residues(form).items()):
+        return []
     half = list(_walk(ldl, n, True))
     return sorted(half + [tuple(map(neg, v)) for v in half] + [(0,) * form.dim] * (n == 0))
 

@@ -653,6 +653,18 @@ def test_cubic_to_dict_refuses_a_coefficient_it_cannot_write():
         cubic_to_dict(random_cubic(cfg, 5), cfg, 5)
 
 
+@pytest.mark.parametrize("a, b", [(0.5, 0), (1, -0.25), (Fraction(3, 4), 2)])
+def test_cubic_to_dict_writes_a_and_b_as_fractions(a, b):
+    # a PlaneConfig built from floats or ints, not through standard_config,
+    # still writes the spelling parse_rational reads, and its payload replays
+    cfg = PlaneConfig(a, b)
+    payload = cubic_to_dict(random_cubic(cfg, 3), cfg, 3)
+    assert (payload["a"], payload["b"]) == (str(Fraction(a)), str(Fraction(b)))
+    assert verify_cubic_dict(json.loads(json.dumps(payload)))
+    exact = standard_config(a, b)
+    assert payload == cubic_to_dict(random_cubic(exact, 3), exact, 3)
+
+
 def test_random_cubic_runs_no_elimination(monkeypatch):
     from hassettmax import linalg
 

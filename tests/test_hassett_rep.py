@@ -27,6 +27,7 @@ from hassettmax.hassett_rep import (
 )
 from hassettmax.qforms import (
     QuadraticForm,
+    _residues,
     builtin_form,
     evaluate,
     integer_image_upto,
@@ -55,6 +56,16 @@ def test_values_in_hassett_accepts_f():
     assert values_in_hassett(F)
     # what it proves, against enumeration
     assert set(primitive_image(F, 600)) <= {n for n in range(601) if in_hassett(n)}
+
+
+def test_values_in_hassett_agrees_with_the_residues_of_f():
+    # values_in_hassett proves F even (even diagonal) and 0 or 2 mod 3 (Gram
+    # entries 2 mod 3); the values of F mod 8 and mod 9, by CRT mod 72,
+    # reduce to the same two classes mod 6
+    residues = _residues(F)
+    mod_6 = {r for r in range(6)
+             if r % 2 in {q % 2 for q in residues[8]} and r % 3 in {q % 3 for q in residues[9]}}
+    assert values_in_hassett(F) and mod_6 == {0, 2}
 
 
 @pytest.mark.parametrize("gram, v", [

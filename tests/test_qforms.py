@@ -8,15 +8,18 @@ exhaustive box sweeps with bounds derived from the diagonalization
 import hashlib
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 from math import gcd, isqrt
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from hassettmax import qforms
 from hassettmax.linalg import det_bareiss
 from hassettmax.qforms import (
     QuadraticForm,
+    _residues,
     _scaled_ldl,
     _walk,
     builtin_form,
@@ -296,6 +299,23 @@ def test_representations_frozen_values():
     assert reps7 == sorted(reps7)
 
 
+def test_representations_stop_at_a_residue_obstruction(monkeypatch):
+    # F is 0 or 2 mod 6, G is 0 or 1 mod 3 and Q3 is never 6 mod 9: no walk
+    # for any other n, however large
+    def refuse(*args):
+        raise AssertionError("representations walked")
+
+    monkeypatch.setattr(qforms, "_walk", refuse)
+    for n in range(1, 601):
+        if n % 6 in (1, 3, 4, 5):
+            assert representations(F, n) == [], f"F n = {n}"
+        if n % 3 == 2:
+            assert representations(G, n) == [], f"G n = {n}"
+        if n % 9 == 6:
+            assert representations(Q3, n) == [], f"Q3 n = {n}"
+    assert representations(F, 10**30 + 3) == []
+
+
 @pytest.mark.parametrize("form, n, count, sha256", [
     (F, 594, 130, "f6a7ef11a976265c84548c00b71e3e570273c401db9f5b5dc1fd4a512e0cdc95"),
     (F, 600, 262, "c998efb20ff9ced4c980f9d65be0421cba7d16469c14d3a2a1966d72f41a2f0e"),
@@ -481,6 +501,32 @@ def test_value_sets_match_box_brute_force(form, bound):
         n for n, vs in table.items() if n > 0 and any(gcd(*v) == 1 for v in vs)
     )
     assert list(set_bits(image_mask(form, bound))) == sorted(set(table) | {0})
+
+
+@PROPERTY
+@given(nondiagonal_forms())
+@example(F)
+def test_residues_are_the_values_mod_8_and_9(form):
+    # every value on a small box lies in the residue sets, and the sets
+    # built one coordinate at a time equal a pass over all of (Z/m)^dim
+    residues = _residues(form)
+    for v in product(range(-2, 3), repeat=form.dim):
+        q = evaluate(form, v)
+        assert q % 8 in residues[8] and q % 9 in residues[9], v
+    assert residues == {m: {evaluate(form, v) % m for v in product(range(m), repeat=form.dim)}
+                        for m in (8, 9)}
+
+
+def test_a_five_dimensional_form_walks_without_residues(monkeypatch):
+    # above dimension 4 no residue table is built, and the walk alone
+    # answers; like F's, this Gram matrix has entries 2 mod 3 and an even
+    # diagonal, so every n that is 1, 3, 4 or 5 mod 6 has no representation
+    def refuse(form):
+        raise AssertionError("a residue table was built")
+
+    monkeypatch.setattr(qforms, "_residues", refuse)
+    form = QuadraticForm(5, tuple(tuple(8 if i == j else -1 for j in range(5)) for i in range(5)))
+    check_enumeration(form, 20)
 
 
 # the exact walk is a half walk; representations mirrors it. The examples
